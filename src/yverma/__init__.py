@@ -7,7 +7,7 @@ Public surface:
 * the module itself: ``ModuleVector``, ``HighestWeightGL2``,
   ``act_generator`` and friends;
 * the sl(2) generators from the Gauss decomposition: ``act_e``, ``act_f``,
-  ``act_h``, ``restriction_check``;
+  ``act_h`` and the lazy series ``e_series``;
 * recurrence detection and exact rational reconstruction;
 * singular-vector search and the canonical singular family;
 * irreducible-quotient weight dimensions by Gram ranks and by the
@@ -70,7 +70,7 @@ from .gauss import (
     act_h,
     act_h_via_quantum_det,
     as_gl2_weights,
-    restriction_check,
+    e_series,
 )
 from .recurrence import (
     RationalityVerdict,

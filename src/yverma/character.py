@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import InputError
-from .parallel import pmap
 from .rational import RationalFn, rational_roots
 from .verma import (
     ActionCache,
@@ -91,9 +90,7 @@ class GramReport:
     rank: int
 
 
-def irreducible_weight_dims(
-    mu: RationalFn, max_level: int, *, workers: int = 1
-) -> list[GramReport]:
+def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     """dim of the weight space mu^(0) - 2k of the irreducible quotient, k <= max_level.
 
     Uses the canonical polynomial realization: level-k monomials with all
@@ -108,14 +105,10 @@ def irreducible_weight_dims(
     reports = []
     for k in range(max_level + 1):
         monos = list(combinations_with_replacement(range(1, p + 1), k))
-        n = len(monos)
-        flat = pmap(
-            lambda ab: contravariant_pairing(ab[0], ab[1], hw, cache),
-            [(m1, m2) for m1 in monos for m2 in monos],
-            workers,
+        gram = [[contravariant_pairing(m1, m2, hw, cache) for m2 in monos] for m1 in monos]
+        reports.append(
+            GramReport(level=k, spanning_size=len(monos), rank=linalg.rank(gram))
         )
-        gram = [flat[i * n : (i + 1) * n] for i in range(n)]
-        reports.append(GramReport(level=k, spanning_size=n, rank=linalg.rank(gram)))
     return reports
 
 

@@ -5,7 +5,7 @@ Output contract
 * Every report is a single canonical JSON object (sorted keys, no
   whitespace) tagged ``"schema": "verma/1"`` and terminated by one
   newline, written to stdout or to the ``--json`` path.  Identical
-  inputs produce byte-identical output, independent of worker count.
+  inputs produce byte-identical output.
 * All numbers that are not structurally integers (budgets, levels,
   counts, dimensions) are exact rational *strings*; floats never appear.
 * Every report echoes the budgets it used (order, max_order, budget,
@@ -143,13 +143,13 @@ def _parse_mono(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Command runners.  Each takes a validated parameter record plus the worker
-# count and returns (report object, exit code).
+# Command runners.  Each takes a validated parameter record and returns
+# (report object, exit code).
 
-Runner = Callable[[dict, int], tuple[dict, int]]
+Runner = Callable[[dict], tuple[dict, int]]
 
 
-def _run_expand(params: dict, workers: int) -> tuple[dict, int]:
+def _run_expand(params: dict) -> tuple[dict, int]:
     mu = _parse_rational_weight(params["mu"])
     order = params["order"]
     if order < 0:
@@ -167,7 +167,7 @@ def _run_expand(params: dict, workers: int) -> tuple[dict, int]:
     )
 
 
-def _run_detect(params: dict, workers: int) -> tuple[dict, int]:
+def _run_detect(params: dict) -> tuple[dict, int]:
     coeffs = _parse_coeff_list(params["coeffs"])
     max_order = params["max_order"]
     if max_order < 0:
@@ -189,7 +189,7 @@ def _run_detect(params: dict, workers: int) -> tuple[dict, int]:
 _T_GENERATORS = {"t11": (1, 1), "t12": (1, 2), "t21": (2, 1), "t22": (2, 2)}
 
 
-def _run_act(params: dict, workers: int) -> tuple[dict, int]:
+def _run_act(params: dict) -> tuple[dict, int]:
     gen = params["gen"]
     r = params["r"]
     if r < 0:
@@ -227,7 +227,7 @@ def _run_act(params: dict, workers: int) -> tuple[dict, int]:
     )
 
 
-def _run_singular(params: dict, workers: int) -> tuple[dict, int]:
+def _run_singular(params: dict) -> tuple[dict, int]:
     mu = _parse_weight(params["mu"])
     level = params["level"]
     degree = params["degree"]
@@ -235,7 +235,7 @@ def _run_singular(params: dict, workers: int) -> tuple[dict, int]:
         raise InputError("level must be >= 1")
     if degree < 0:
         raise InputError("degree must be >= 0")
-    res = find_singular(mu, level, degree, workers=workers)
+    res = find_singular(mu, level, degree)
     return (
         {
             "schema": SCHEMA,
@@ -251,12 +251,12 @@ def _run_singular(params: dict, workers: int) -> tuple[dict, int]:
     )
 
 
-def _run_gram(params: dict, workers: int) -> tuple[dict, int]:
+def _run_gram(params: dict) -> tuple[dict, int]:
     mu = _parse_rational_weight(params["mu"])
     max_level = params["max_level"]
     if max_level < 0:
         raise InputError("max_level must be >= 0")
-    reports = irreducible_weight_dims(mu, max_level, workers=workers)
+    reports = irreducible_weight_dims(mu, max_level)
     return (
         {
             "schema": SCHEMA,
@@ -271,7 +271,7 @@ def _run_gram(params: dict, workers: int) -> tuple[dict, int]:
     )
 
 
-def _run_character(params: dict, workers: int) -> tuple[dict, int]:
+def _run_character(params: dict) -> tuple[dict, int]:
     mu = _parse_rational_weight(params["mu"])
     max_level = params["max_level"]
     if max_level < 0:
@@ -289,7 +289,7 @@ def _run_character(params: dict, workers: int) -> tuple[dict, int]:
     )
 
 
-def _run_roots(params: dict, workers: int) -> tuple[dict, int]:
+def _run_roots(params: dict) -> tuple[dict, int]:
     matrix = _parse_cartan(params["cartan"])
     data = CartanData.from_matrix(matrix)
     system = positive_roots(matrix)
@@ -306,7 +306,7 @@ def _run_roots(params: dict, workers: int) -> tuple[dict, int]:
     )
 
 
-def _run_verdict(params: dict, workers: int) -> tuple[dict, int]:
+def _run_verdict(params: dict) -> tuple[dict, int]:
     mu_texts = params["mu"]
     if isinstance(mu_texts, str):
         mu_texts = [mu_texts]
@@ -336,7 +336,7 @@ def _run_verdict(params: dict, workers: int) -> tuple[dict, int]:
     return obj, (EXIT_DATA if undetermined else EXIT_OK)
 
 
-def _run_selftest(params: dict, workers: int) -> tuple[dict, int]:
+def _run_selftest(params: dict) -> tuple[dict, int]:
     seed = params.get("seed", 0)
     report = run_selftest(seed=seed)
     obj = {"schema": SCHEMA, **report.to_obj()}
@@ -438,7 +438,7 @@ def _validate_params(command: str, params: dict) -> dict:
     return out
 
 
-def _run_job(path: str, default_output: Optional[str], workers: int) -> int:
+def _run_job(path: str, default_output: Optional[str]) -> int:
     """Execute one JobSpec file: {"command": ..., "parameters": {...}, "output": ...}."""
     try:
         if path == "-":
@@ -469,12 +469,13 @@ def _run_job(path: str, default_output: Optional[str], workers: int) -> int:
     if output is not None and not isinstance(output, str):
         raise InputError("job output must be a path string")
     params = _validate_params(command, parameters)
-    obj, code = _RUNNERS[command](params, workers)
+    obj, code = _RUNNERS[command](params)
     _emit(obj, output if output is not None else default_output)
     return code
 
 
-def _resolve_workers(flag_value: Optional[int]) -> int:
+def _check_workers(flag_value: Optional[int]) -> None:
+    """Validate ``--workers`` / ``VERMA_WORKERS``; both are accepted and unused."""
     env = os.environ.get("VERMA_WORKERS")
     if env is not None:
         try:
@@ -485,7 +486,6 @@ def _resolve_workers(flag_value: Optional[int]) -> int:
         workers = flag_value if flag_value is not None else 1
     if workers < 1:
         raise InputError("workers must be >= 1")
-    return workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -497,8 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="thread count for Gram fills and relation assembly "
-        "(VERMA_WORKERS overrides; results never depend on it)",
+        help="accepted for compatibility and has no effect; must be >= 1 "
+        "(VERMA_WORKERS overrides)",
     )
 
     parser = argparse.ArgumentParser(
@@ -569,11 +569,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        workers = _resolve_workers(args.workers)
+        _check_workers(args.workers)
         if args.command == "job":
-            return _run_job(args.file, args.json, workers)
+            return _run_job(args.file, args.json)
         params = _validate_params(args.command, _params_from_args(args.command, args))
-        obj, code = _RUNNERS[args.command](params, workers)
+        obj, code = _RUNNERS[args.command](params)
         _emit(obj, args.json)
         return code
     except InputError as exc:

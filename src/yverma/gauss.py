@@ -7,13 +7,19 @@ The Gauss decomposition of the generator matrix gives
     h(u) = t_11(u) t_22(u)^{-1} - t_21(u) t_22(u)^{-1} t_12(u) t_22(u)^{-1},
 
 expanded as e(u) = sum_{r>=0} e^(r) u^{-r-1} (same for f) and
-h(u) = 1 + sum_{r>=0} h^(r) u^{-r-1}.  The operator coefficients of
-t_22(u)^{-1} are computed by the inverse recursion
+h(u) = 1 + sum_{r>=0} h^(r) u^{-r-1}.  Every factor t_22(u)^{-1} is one
+solve: for a series of vectors S(u) = sum_n S_n u^{-n}, the series
+Y(u) = t_22(u)^{-1} S(u) is read off t_22(u) Y(u) = S(u) coefficient by
+coefficient,
 
-    [t22inv]^(0) = id,
-    [t22inv]^(a) = - sum_{c=1}^{a} t_22^(c) [t22inv]^(a-c),
+    Y_n = S_n - sum_{c=1}^{n} t_22^(c) Y_{n-c},
 
-and factors of each product are applied right to left.
+and products t_ij(u) Y(u) are taken coefficientwise.  With W = t_22(u)^{-1} v
+this gives
+
+    f(u) v = t_21(u) W,
+    e(u) v = t_22(u)^{-1} (t_12(u) v)      (because t_22(u) e(u) = t_12(u)),
+    h(u) v = t_11(u) W - t_21(u) t_22(u)^{-1} (t_12(u) W).
 
 Only the ratio mu(u) = lambda1(u)/lambda2(u) matters for this restricted
 action up to isomorphism; an sl(2) highest weight is therefore given either
@@ -24,7 +30,8 @@ truncated ``SeriesU`` (realized as the pair (mu, 1)).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import chain, count, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import InputError
 from .rational import RationalFn
@@ -35,12 +42,13 @@ from .verma import (
     ModuleVector,
     act_generator,
     act_quantum_det,
-    basis_monomials,
     canonical_polynomial_weights,
 )
 
 #: An sl(2) highest weight: the series mu(u), exactly or in truncation.
 SL2Weight = Union[SeriesU, RationalFn]
+
+_ZERO_VECTOR = ModuleVector.zero()
 
 
 def as_gl2_weights(mu: SL2Weight) -> HighestWeightGL2:
@@ -52,38 +60,62 @@ def as_gl2_weights(mu: SL2Weight) -> HighestWeightGL2:
     raise InputError(f"not an sl(2) highest weight: {mu!r}")
 
 
-def _t22_inverse_chain(
-    v: ModuleVector,
-    max_a: int,
+def _coerce_hw(hw_or_mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
+    if isinstance(hw_or_mu, HighestWeightGL2):
+        return hw_or_mu
+    return as_gl2_weights(hw_or_mu)
+
+
+def _t22_solve(
+    source: Iterable[ModuleVector],
     hw: HighestWeightGL2,
     cache: Optional[ActionCache],
-) -> list[ModuleVector]:
-    """[t22inv]^(a) v for a = 0..max_a, via the inverse recursion."""
-    chain = [v]
-    for a in range(1, max_a + 1):
-        acc = ModuleVector.zero()
-        for c in range(1, a + 1):
-            acc = acc - act_generator(2, 2, c, chain[a - c], hw, cache)
-        chain.append(acc)
-    return chain
+) -> Iterator[ModuleVector]:
+    """Lazily yield Y_0, Y_1, ... of Y(u) = t_22(u)^{-1} S(u).
+
+    S_n is the n-th vector of ``source``, and zero once it runs out.
+    """
+    ys: list[ModuleVector] = []
+    for y in chain(source, repeat(_ZERO_VECTOR)):
+        n = len(ys)
+        for c in range(1, n + 1):
+            if ys[n - c]:
+                y = y - act_generator(2, 2, c, ys[n - c], hw, cache)
+        ys.append(y)
+        yield y
 
 
-def act_f(
-    r: int,
+def _t_times(
+    i: int,
+    j: int,
+    n: int,
+    ys: Sequence[ModuleVector],
+    hw: HighestWeightGL2,
+    cache: Optional[ActionCache],
+) -> ModuleVector:
+    """sum_{b=1}^{n} t_ij^(b) Y_{n-b}: the u^{-n} coefficient of
+    (t_ij(u) - delta_ij) Y(u), read from Y_0, ..., Y_{n-1}."""
+    out = _ZERO_VECTOR
+    for a in range(n):
+        if ys[a]:
+            out = out + act_generator(i, j, n - a, ys[a], hw, cache)
+    return out
+
+
+def e_series(
     v: ModuleVector,
     hw_or_mu: Union[HighestWeightGL2, SL2Weight],
     cache: Optional[ActionCache] = None,
-) -> ModuleVector:
-    """Apply f^(r) = sum_{a+b=r+1, b>=1} t_21^(b) [t22inv]^(a), r >= 0."""
-    if r < 0:
-        raise InputError("f index must be >= 0")
+) -> Iterator[ModuleVector]:
+    """Lazily yield e^(0) v, e^(1) v, ... from t_22(u) e(u) v = t_12(u) v.
+
+    Each term costs one step of the solve, so reading e^(0..R) v costs no
+    more than computing e^(R) v alone.
+    """
     hw = _coerce_hw(hw_or_mu)
-    n = r + 1
-    chain = _t22_inverse_chain(v, n - 1, hw, cache)
-    out = ModuleVector.zero()
-    for b in range(1, n + 1):
-        out = out + act_generator(2, 1, b, chain[n - b], hw, cache)
-    return out
+    # t_12^(0) = 0, so the solve starts at zero and e^(r) v is its term r + 1
+    t12_v = (act_generator(1, 2, b, v, hw, cache) if b else _ZERO_VECTOR for b in count())
+    return islice(_t22_solve(t12_v, hw, cache), 1, None)
 
 
 def act_e(
@@ -92,19 +124,25 @@ def act_e(
     hw_or_mu: Union[HighestWeightGL2, SL2Weight],
     cache: Optional[ActionCache] = None,
 ) -> ModuleVector:
-    """Apply e^(r) = sum_{a+b=r+1, b>=1} [t22inv]^(a) t_12^(b), r >= 0."""
+    """Apply e^(r), the u^{-r-1} coefficient of e(u), r >= 0."""
     if r < 0:
         raise InputError("e index must be >= 0")
+    return next(islice(e_series(v, hw_or_mu, cache), r, None))
+
+
+def act_f(
+    r: int,
+    v: ModuleVector,
+    hw_or_mu: Union[HighestWeightGL2, SL2Weight],
+    cache: Optional[ActionCache] = None,
+) -> ModuleVector:
+    """Apply f^(r), the u^{-r-1} coefficient of f(u), r >= 0."""
+    if r < 0:
+        raise InputError("f index must be >= 0")
     hw = _coerce_hw(hw_or_mu)
     n = r + 1
-    out = ModuleVector.zero()
-    for b in range(1, n + 1):
-        vb = act_generator(1, 2, b, v, hw, cache)
-        if vb.is_zero():
-            continue
-        chain = _t22_inverse_chain(vb, n - b, hw, cache)
-        out = out + chain[n - b]
-    return out
+    w = list(islice(_t22_solve([v], hw, cache), n))
+    return _t_times(2, 1, n, w, hw, cache)
 
 
 def act_h(
@@ -118,22 +156,14 @@ def act_h(
         raise InputError("h index must be >= 0")
     hw = _coerce_hw(hw_or_mu)
     n = r + 1
-    chain = _t22_inverse_chain(v, n, hw, cache)
-    out = ModuleVector.zero()
-    # t_11(u) t_22(u)^{-1}: the t^(0)_11 = id term contributes chain[n]
-    for a in range(0, n + 1):
-        out = out + act_generator(1, 1, n - a, chain[a], hw, cache)
-    # - t_21(u) t_22(u)^{-1} t_12(u) t_22(u)^{-1}, rightmost factor first
-    for a2 in range(0, n - 1):
-        for b2 in range(1, n - a2):
-            z = act_generator(1, 2, b2, chain[a2], hw, cache)
-            if z.is_zero():
-                continue
-            inner = _t22_inverse_chain(z, n - a2 - b2 - 1, hw, cache)
-            for a1 in range(0, n - a2 - b2):
-                b1 = n - a1 - b2 - a2
-                out = out - act_generator(2, 1, b1, inner[a1], hw, cache)
-    return out
+    w = list(islice(_t22_solve([v], hw, cache), n + 1))
+    # the t_11 term runs first: on a truncated weight, the order of the terms
+    # decides which missing coefficient a TruncationError names
+    out = w[n] + _t_times(1, 1, n, w, hw, cache)
+    # t_21^(b) needs b >= 1, so the inner solve stops at index n - 1
+    t12_w = [_t_times(1, 2, m, w, hw, cache) for m in range(n)]
+    z = list(islice(_t22_solve(t12_w, hw, cache), n))
+    return out - _t_times(2, 1, n, z, hw, cache)
 
 
 def act_h_via_quantum_det(
@@ -153,63 +183,14 @@ def act_h_via_quantum_det(
         raise InputError("h index must be >= 0")
     hw = _coerce_hw(hw_or_mu)
     n = r + 1
-    out = ModuleVector.zero()
-    for z in range(0, n + 1):
-        vz = act_quantum_det(z, v, hw, cache) if z else v
-        rem = n - z
-        # u^{-w} coefficient of t_22(u-1)^{-1} applied next
-        chain_z = _t22_inverse_chain(vz, rem, hw, cache)
-        for w in range(0, rem + 1):
-            if w == 0:
-                piece = vz
-            else:
-                piece = ModuleVector.zero()
-                for s in range(1, w + 1):
-                    coef = shifted_power_coeff(s, w, Fraction(-1))
-                    if coef:
-                        piece = piece + chain_z[s].scaled(coef)
-            # then the plain t_22(u)^{-1} coefficient a = n - z - w
-            a = rem - w
-            piece_chain = _t22_inverse_chain(piece, a, hw, cache)
-            out = out + piece_chain[a]
-    return out
-
-
-def _coerce_hw(hw_or_mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
-    if isinstance(hw_or_mu, HighestWeightGL2):
-        return hw_or_mu
-    return as_gl2_weights(hw_or_mu)
-
-
-def restriction_check(
-    mu: SL2Weight,
-    max_r: int,
-    max_level: int,
-    max_degree: Optional[int] = None,
-    cache: Optional[ActionCache] = None,
-) -> bool:
-    """Verify the sl(2)-type relations on a window of basis monomials:
-
-        [e^(r), f^(s)] = h^(r+s)   and   [h^(r), h^(s)] = 0
-
-    for all r, s <= max_r, on every basis monomial with level <= max_level
-    and degree <= max_degree (default 2 * max_level).
-    """
-    hw = _coerce_hw(mu)
-    if max_degree is None:
-        max_degree = 2 * max_level
-    if cache is None:
-        cache = ActionCache(hw)
-    for mono in basis_monomials(max_level, max_degree):
-        v = ModuleVector({mono: 1})
-        for r in range(max_r + 1):
-            for s in range(max_r + 1):
-                ef = act_e(r, act_f(s, v, hw, cache), hw, cache)
-                fe = act_f(s, act_e(r, v, hw, cache), hw, cache)
-                if ef - fe != act_h(r + s, v, hw, cache):
-                    return False
-                hh = act_h(r, act_h(s, v, hw, cache), hw, cache)
-                hh2 = act_h(s, act_h(r, v, hw, cache), hw, cache)
-                if hh != hh2:
-                    return False
-    return True
+    qdet_v = [act_quantum_det(z, v, hw, cache) if z else v for z in range(n + 1)]
+    # the u^{-m} coefficient of t_22(u-1)^{-1} qdet(u) v, for m = 0..n
+    middle = list(qdet_v)
+    for z, vz in enumerate(qdet_v):
+        inv = list(islice(_t22_solve([vz], hw, cache), n - z + 1))
+        for w in range(1, n - z + 1):
+            for s in range(1, w + 1):
+                coef = shifted_power_coeff(s, w, Fraction(-1))
+                if coef:
+                    middle[z + w] = middle[z + w] + inv[s].scaled(coef)
+    return next(islice(_t22_solve(middle, hw, cache), n, None))

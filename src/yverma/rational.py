@@ -170,11 +170,6 @@ POLY_ONE = PolyQ((1,))
 POLY_U = PolyQ((0, 1))
 
 
-def poly_from_desc(*coeffs: Scalar) -> PolyQ:
-    """Build a PolyQ from coefficients written highest degree first."""
-    return PolyQ(reversed([rat(c) for c in coeffs]))
-
-
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """Monic greatest common divisor (gcd(0, 0) = 0)."""
     while b:

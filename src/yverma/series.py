@@ -215,7 +215,3 @@ def render_series(s: SeriesU) -> str:
     if not s.exact:
         text += " + ..."
     return text
-
-
-def series_coeff_strings(s: SeriesU) -> list[str]:
-    return [format_rat(c) for c in s.coeffs]

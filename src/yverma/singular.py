@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Union
 
 from . import linalg
 from .errors import InputError, InsufficientDataError, TruncationError
-from .gauss import SL2Weight, act_e, act_f, act_h, as_gl2_weights
-from .parallel import pmap
+from .gauss import SL2Weight, act_f, act_h, as_gl2_weights, e_series
 from .rational import RationalFn, format_rat, rat
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key
 
@@ -138,7 +138,6 @@ def find_singular(
     degree_bound: int,
     *,
     size_cap: int = 5000,
-    workers: int = 1,
     classify_h: bool = False,
     max_extra_relations: int = 32,
 ) -> SingularSearchResult:
@@ -160,7 +159,7 @@ def find_singular(
         )
 
     try:
-        vectors = pmap(lambda fm: expand_f_monomial(fm, hw, cache), cands, workers)
+        vectors = [expand_f_monomial(fm, hw, cache) for fm in cands]
     except TruncationError as exc:
         raise InsufficientDataError(
             f"weight series too short to expand level-{level} candidates: {exc}"
@@ -168,9 +167,11 @@ def find_singular(
 
     r_start = degree_bound + level + 1
     rows: list[list[Fraction]] = []
+    # one lazy e-series per candidate; each relation round reads the next term
+    e_images = [e_series(v, hw, cache) for v in vectors]
 
-    def add_relations(r: int) -> None:
-        images = pmap(lambda v: act_e(r, v, hw, cache), vectors, workers)
+    def add_relations() -> None:
+        images = [next(series) for series in e_images]
         monos = sorted({m for img in images for m in img.terms}, key=_mono_sort_key)
         for mono in monos:
             rows.append([img.coefficient(mono) for img in images])
@@ -179,8 +180,8 @@ def find_singular(
         return linalg.nullspace(rows, len(cands))
 
     try:
-        for r in range(0, r_start + 1):
-            add_relations(r)
+        for _ in range(r_start + 1):
+            add_relations()
     except TruncationError as exc:
         raise InsufficientDataError(
             f"weight series too short for relation bound {r_start}: {exc}"
@@ -193,7 +194,7 @@ def find_singular(
         unchanged = 0
         for extra in range(1, max_extra_relations + 1):
             try:
-                add_relations(r_start + extra)
+                add_relations()
             except TruncationError:
                 break
             bound = r_start + extra
@@ -273,4 +274,4 @@ def verify_singular(
     hw = as_gl2_weights(mu)
     if cache is None:
         cache = ActionCache(hw)
-    return all(act_e(r, zeta, hw, cache).is_zero() for r in range(rmax + 1))
+    return all(img.is_zero() for img in islice(e_series(zeta, hw, cache), rmax + 1))

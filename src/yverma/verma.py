@@ -261,8 +261,7 @@ class ActionCache:
 
     Bound to one highest weight; keys are (i, j, r, monomial) and values
     are the resulting coefficient dicts, which are never mutated after
-    insertion.  Recomputing a key yields an identical value, so concurrent
-    use from threads is harmless.
+    insertion.
     """
 
     __slots__ = ("hw", "data")

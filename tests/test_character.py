@@ -101,11 +101,6 @@ class TestGramDims:
             for rep in irreducible_weight_dims(mu, max_level=3):
                 assert 0 <= rep.rank <= rep.spanning_size
 
-    def test_workers_equivalent(self):
-        a = irreducible_weight_dims(MU_PROD, max_level=3, workers=1)
-        b = irreducible_weight_dims(MU_PROD, max_level=3, workers=4)
-        assert a == b
-
     def test_negative_level_rejected(self):
         with pytest.raises(InputError):
             irreducible_weight_dims(MU1, max_level=-1)

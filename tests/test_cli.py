@@ -215,7 +215,7 @@ class TestExitCodes:
         assert json.loads(out)["reducible"] == "undetermined"
 
     def test_internal_error_exit(self, capsys, monkeypatch):
-        def boom(params, workers):
+        def boom(params):
             raise RuntimeError("invariant breached")
 
         monkeypatch.setitem(cli._RUNNERS, "roots", boom)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from yverma.errors import InputError
+from yverma.errors import InputError, TruncationError
 from yverma.rational import parse_rational_fn
 from yverma.series import SERIES_ONE, expand_rational
 from yverma.verma import (
@@ -17,11 +17,15 @@ from yverma.gauss import (
     act_h,
     act_h_via_quantum_det,
     as_gl2_weights,
-    restriction_check,
+    e_series,
 )
 
 MU = parse_rational_fn("(u+2)/(u+1)")
 HW = as_gl2_weights(MU)
+#: The same weight exactly and as a truncated series; relations hold for both
+#: on every basis monomial of level <= 2 and degree <= 4.
+RELATION_WEIGHTS = (HW, as_gl2_weights(expand_rational(MU, order=24)))
+RELATION_MONOMIALS = basis_monomials(max_level=2, max_degree=4)
 
 
 class TestWeightCoercion:
@@ -126,29 +130,74 @@ class TestCartanOperators:
 
 
 class TestRelations:
-    def test_restriction_check_rational(self):
-        assert restriction_check(MU, max_r=2, max_level=2)
-
-    def test_restriction_check_series(self):
-        mu_series = expand_rational(MU, order=24)
-        assert restriction_check(mu_series, max_r=1, max_level=2)
-
     def test_ef_commutator_equals_h(self):
-        cache = ActionCache(HW)
-        for mono in [(), (1,), (2,), (1, 1)]:
-            v = ModuleVector.basis(mono)
-            for r in range(0, 3):
-                for s in range(0, 3):
-                    ef = act_e(r, act_f(s, v, HW, cache), HW, cache)
-                    fe = act_f(s, act_e(r, v, HW, cache), HW, cache)
-                    assert ef - fe == act_h(r + s, v, HW, cache), (mono, r, s)
+        for hw in RELATION_WEIGHTS:
+            cache = ActionCache(hw)
+            for mono in RELATION_MONOMIALS:
+                v = ModuleVector.basis(mono)
+                for r in range(0, 3):
+                    for s in range(0, 3):
+                        ef = act_e(r, act_f(s, v, hw, cache), hw, cache)
+                        fe = act_f(s, act_e(r, v, hw, cache), hw, cache)
+                        assert ef - fe == act_h(r + s, v, hw, cache), (hw, mono, r, s)
 
     def test_h_family_commutes(self):
-        cache = ActionCache(HW)
-        for mono in [(1,), (1, 2)]:
-            v = ModuleVector.basis(mono)
-            for r in range(0, 3):
-                for s in range(0, 3):
-                    ab = act_h(r, act_h(s, v, HW, cache), HW, cache)
-                    ba = act_h(s, act_h(r, v, HW, cache), HW, cache)
-                    assert ab == ba, (mono, r, s)
+        for hw in RELATION_WEIGHTS:
+            cache = ActionCache(hw)
+            for mono in RELATION_MONOMIALS:
+                v = ModuleVector.basis(mono)
+                for r in range(0, 3):
+                    for s in range(0, 3):
+                        ab = act_h(r, act_h(s, v, hw, cache), hw, cache)
+                        ba = act_h(s, act_h(r, v, hw, cache), hw, cache)
+                        assert ab == ba, (hw, mono, r, s)
+
+
+class TestESeries:
+    def test_agrees_with_act_e_term_by_term(self):
+        for hw in (HW, as_gl2_weights(parse_rational_fn("(u+3)*(u+5)/((u+1)*(u+2))"))):
+            for mono in [(), (1,), (2,), (1, 2), (1, 1, 3)]:
+                v = ModuleVector.basis(mono)
+                series = e_series(v, hw, ActionCache(hw))
+                for r in range(0, 9):
+                    assert next(series) == act_e(r, v, hw, ActionCache(hw)), (mono, r)
+
+
+class TestTruncationBoundaries:
+    # Where a truncated weight runs out decides which reports end in a
+    # truncation error, so the first failing index r is pinned.
+    HW6 = as_gl2_weights(expand_rational(MU, order=6))
+
+    def first_truncated_r(self, op, mono, limit=12):
+        for r in range(0, limit):
+            try:
+                op(r, ModuleVector.basis(mono), self.HW6)
+            except TruncationError:
+                return r
+        return None
+
+    def test_e(self):
+        assert self.first_truncated_r(act_e, (1,)) == 6
+        assert self.first_truncated_r(act_e, (1, 2)) == 5
+
+    def test_h(self):
+        assert self.first_truncated_r(act_h, ()) == 6
+        assert self.first_truncated_r(act_h, (1,)) == 6
+        assert self.first_truncated_r(act_h, (1, 2)) == 5
+
+    def test_h_names_the_first_missing_coefficient(self):
+        # a truncation report carries this index, so lookup order matters
+        with pytest.raises(TruncationError) as exc:
+            act_h(4, ModuleVector.basis((4,)), self.HW6)
+        assert exc.value.needed == 8
+
+    def test_f_never_truncates(self):
+        for mono in [(), (1,), (1, 2)]:
+            assert self.first_truncated_r(act_f, mono) is None
+
+    def test_e_series_stops_where_act_e_does(self):
+        series = e_series(ModuleVector.basis((1, 2)), self.HW6)
+        for r in range(0, 5):
+            assert next(series) == act_e(r, ModuleVector.basis((1, 2)), self.HW6)
+        with pytest.raises(TruncationError):
+            next(series)

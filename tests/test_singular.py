@@ -90,10 +90,13 @@ class TestSearch:
         with pytest.raises(InputError):
             find_singular(MU, level=3, degree_bound=30, size_cap=10)
 
-    def test_worker_count_does_not_change_result(self):
-        a = find_singular(MU, level=1, degree_bound=2, workers=1)
-        b = find_singular(MU, level=1, degree_bound=2, workers=4)
-        assert a.fbasis == b.fbasis and a.basis == b.basis
+    def test_truncation_boundaries(self):
+        # The weight window decides relation_budget and stabilized in a report.
+        with pytest.raises(InsufficientDataError):
+            find_singular(expand_rational(MU, order=4), level=1, degree_bound=1)
+        for order, expected in [(5, (3, False)), (6, (4, False)), (7, (5, True))]:
+            res = find_singular(expand_rational(MU, order=order), level=1, degree_bound=1)
+            assert (res.relation_bound, res.stabilized) == expected, order
 
 
 class TestCanonicalFamily:
