@@ -1,13 +1,23 @@
 """Weight-space dimensions of the irreducible quotient, two ways.
 
 *Gram route.*  The module carries a contravariant bilinear form fixed by
-``<1,1> = 1`` and the transposition anti-automorphism t_12 <-> t_21: the
-pairing of two PBW monomials of equal level applies the t_12-word of one
-to the other and reads off the highest-vector coefficient.  The radical of
-this form is the maximal proper submodule, so for a rational weight mu of
-degree p, monomials with all indices in {1..p} span the irreducible
-quotient and the rank of their exact Gram matrix at level k is the
-dimension of its weight space mu^(0) - 2k.
+``<1,1> = 1`` and the transposition anti-automorphism t_12 <-> t_21.  On
+PBW monomials of equal level it obeys the level recursion
+
+    <m1, m2> = sum_m c_m <m1 without m1[0], m>,   t_12^(m1[0]) m2 = sum_m c_m m,
+
+so a level-k entry is a short sum of level-(k-1) entries.  Entries are
+memoized in the ``ActionCache`` beside the actions they read, and the
+Gram matrices are built level by level, so each entry costs one
+t_12-action and one pass over its support.
+
+The radical of the form is the maximal proper submodule.  For a rational
+weight mu of degree p on its canonical polynomial weights, monomials
+with an index > p span a submodule N (the tail submodule) inside that
+radical.  So the monomials with all indices in {1..p} span the
+irreducible quotient, the rank of their exact Gram matrix at level k is
+the dimension of its weight space mu^(0) - 2k, and the Gram route works
+in M/N: its cache drops every monomial of N from every action result.
 
 *Product-formula route.*  Writing mu(u) = prod_i (u + a_i) / (u + b_i)
 with the pairs greedily reordered so that a_1 - b_1, ..., a_l - b_l are
@@ -38,9 +48,11 @@ from .verma import (
     ModuleVector,
     act_generator,
     canonical_polynomial_weights,
+    monomial,
 )
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def contravariant_pairing(
@@ -49,21 +61,38 @@ def contravariant_pairing(
     hw: HighestWeightGL2,
     cache: Optional[ActionCache] = None,
 ) -> Fraction:
-    """<m1, m2>: apply the t_12-word of m1 to m2, read the 1-coefficient.
+    """<m1, m2>: the 1-coefficient of the t_12-word of m1 applied to m2.
 
     Defined for monomials of equal level; the t_12^(r) commute, so the
-    application order within the word is immaterial.
+    word is applied one index at a time through the memoized level
+    recursion, and entries are kept in ``cache`` for later calls.
     """
     m1 = tuple(m1)
-    m2 = tuple(m2)
+    m2 = monomial(m2)
     if len(m1) != len(m2):
         raise InputError("pairing requires equal levels")
-    v = ModuleVector.basis(m2)
-    for r in m1:
-        v = act_generator(1, 2, r, v, hw, cache)
-        if v.is_zero():
-            return _ZERO
-    return v.coefficient(())
+    if cache is None:
+        cache = ActionCache(hw)
+    return _pairing(m1, m2, hw, cache)
+
+
+def _pairing(
+    m1: Monomial, m2: Monomial, hw: HighestWeightGL2, cache: ActionCache
+) -> Fraction:
+    """<m1, m2> = sum_m c_m <m1[1:], m> where t_12^(m1[0]) m2 = sum_m c_m m."""
+    if not m1:
+        return _ONE
+    key = (m1, m2)
+    hit = cache.data.get(key)
+    if hit is not None:
+        return hit
+    rest = m1[1:]
+    total = _ZERO
+    image = act_generator(1, 2, m1[0], ModuleVector({m2: _ONE}), hw, cache)
+    for m, c in image.terms.items():
+        total += c * _pairing(rest, m, hw, cache)
+    cache.data[key] = total
+    return total
 
 
 def pair_vectors(
@@ -95,13 +124,17 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
 
     Uses the canonical polynomial realization: level-k monomials with all
     indices in {1..p} span the quotient's weight space, and the exact rank
-    of their Gram matrix is its dimension.
+    of their Gram matrix is its dimension.  The cache projects onto M/N,
+    dropping every monomial with an index > p = deg(mu): N lies in the
+    radical, so no entry changes.  Levels run upward, so each level-k
+    entry recurses once into level-(k-1) entries already memoized.
     """
     if max_level < 0:
         raise InputError("max_level must be >= 0")
     hw = canonical_polynomial_weights(mu)
     p = mu.degree
     cache = ActionCache(hw)
+    cache._tail = p
     reports = []
     for k in range(max_level + 1):
         monos = list(combinations_with_replacement(range(1, p + 1), k))

@@ -15,7 +15,8 @@ Exit codes
 ----------
 * 0 — computed; includes budget-qualified negatives such as
   ``no_recurrence_up_to``.
-* 2 — input/schema violation (bad flags, malformed weight or job file);
+* 2 — input/schema violation (bad flags, malformed weight or job file)
+  or a report that cannot be written to its ``--json``/``output`` path;
   the error object goes to stderr.
 * 3 — the inputs ran out of data before the answer was determined
   (truncation, insufficient coefficients, undetermined verdicts); a
@@ -32,9 +33,12 @@ coefficients of u^-1, u^-2, ... after the leading 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
+import tempfile
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .character import character_formula, irreducible_weight_dims
@@ -69,12 +73,33 @@ def _canonical_json(obj: Any) -> str:
 
 
 def _emit(obj: Any, path: Optional[str]) -> None:
+    """Write the report to stdout, or atomically to ``path``.
+
+    The file is written under a temporary name in the same directory and
+    renamed over ``path``, so a reader sees the old report or the whole
+    new one.  OSError propagates to the caller.
+    """
     text = _canonical_json(obj)
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+        return
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=".verma-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        # mkstemp creates the file 0600; give the report the mode open() would
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _parse_weight(text: str) -> WeightLike:
@@ -438,8 +463,11 @@ def _validate_params(command: str, params: dict) -> dict:
     return out
 
 
-def _run_job(path: str, default_output: Optional[str]) -> int:
-    """Execute one JobSpec file: {"command": ..., "parameters": {...}, "output": ...}."""
+def _load_job(path: str, default_output: Optional[str]) -> tuple[str, dict, Optional[str]]:
+    """Read one JobSpec file: {"command": ..., "parameters": {...}, "output": ...}.
+
+    Returns the command, its validated parameters and the report path.
+    """
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -469,9 +497,7 @@ def _run_job(path: str, default_output: Optional[str]) -> int:
     if output is not None and not isinstance(output, str):
         raise InputError("job output must be a path string")
     params = _validate_params(command, parameters)
-    obj, code = _RUNNERS[command](params)
-    _emit(obj, output if output is not None else default_output)
-    return code
+    return command, params, output if output is not None else default_output
 
 
 def _check_workers(flag_value: Optional[int]) -> None:
@@ -488,7 +514,9 @@ def _check_workers(flag_value: Optional[int]) -> None:
         raise InputError("workers must be >= 1")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process (parsing does not mutate it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", metavar="PATH", help="write the JSON report here instead of stdout"
@@ -565,60 +593,50 @@ def _params_from_args(command: str, args: argparse.Namespace) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
+def _fail(code: str, message: str, exit_code: int) -> int:
+    """Write an error object to stderr and return the exit code."""
+    sys.stderr.write(
+        _canonical_json({"schema": SCHEMA, "error": {"code": code, "message": message}})
+    )
+    return exit_code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command, path = args.command, args.json
     try:
         _check_workers(args.workers)
-        if args.command == "job":
-            return _run_job(args.file, args.json)
-        params = _validate_params(args.command, _params_from_args(args.command, args))
-        obj, code = _RUNNERS[args.command](params)
-        _emit(obj, args.json)
-        return code
+        if command == "job":
+            command, params, path = _load_job(args.file, args.json)
+        else:
+            params = _validate_params(command, _params_from_args(command, args))
+        obj, code = _RUNNERS[command](params)
     except InputError as exc:
-        sys.stderr.write(
-            _canonical_json(
-                {"schema": SCHEMA, "error": {"code": "input", "message": str(exc)}}
-            )
-        )
-        return EXIT_INPUT
+        return _fail("input", str(exc), EXIT_INPUT)
     except TruncationError as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "error": {
-                    "code": "truncation",
-                    "message": str(exc),
-                    "needed": exc.needed,
-                    "order": exc.order,
-                },
+        obj = {
+            "schema": SCHEMA,
+            "error": {
+                "code": "truncation",
+                "message": str(exc),
+                "needed": exc.needed,
+                "order": exc.order,
             },
-            args.json,
-        )
-        return EXIT_DATA
+        }
+        code = EXIT_DATA
     except InsufficientDataError as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "error": {"code": "insufficient_data", "message": str(exc)},
-            },
-            args.json,
-        )
-        return EXIT_DATA
+        obj = {
+            "schema": SCHEMA,
+            "error": {"code": "insufficient_data", "message": str(exc)},
+        }
+        code = EXIT_DATA
     except Exception as exc:  # noqa: BLE001 -- map bugs to the breach exit code
-        sys.stderr.write(
-            _canonical_json(
-                {
-                    "schema": SCHEMA,
-                    "error": {
-                        "code": "internal",
-                        "message": f"{type(exc).__name__}: {exc}",
-                    },
-                }
-            )
-        )
-        return EXIT_INTERNAL
+        return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
+    try:
+        _emit(obj, path)
+    except OSError as exc:
+        return _fail("input", f"cannot write report to {path!r}: {exc.strerror}", EXIT_INPUT)
+    return code
 
 
 if __name__ == "__main__":

@@ -261,14 +261,24 @@ class ActionCache:
 
     Bound to one highest weight; keys are (i, j, r, monomial) and values
     are the resulting coefficient dicts, which are never mutated after
-    insertion.
+    insertion.  ``contravariant_pairing`` stores its level recursion in
+    the same dict, under keys (m1, m2) with Fraction values.
+
+    ``_tail`` is the projection degree, ``None`` by default.  Only
+    ``irreducible_weight_dims`` sets it, to p = deg(mu) on the canonical
+    polynomial weights of mu: there the monomials with an index > p span
+    a submodule N inside the radical of the contravariant form, so every
+    action result drops them before it is stored and the cache computes
+    in M/N.  A cache with ``_tail`` set gives pairings equal to a plain
+    cache but not PBW normal forms of M.
     """
 
-    __slots__ = ("hw", "data")
+    __slots__ = ("hw", "data", "_tail")
 
     def __init__(self, hw: HighestWeightGL2):
         self.hw = hw
         self.data: dict = {}
+        self._tail: Optional[int] = None
 
     def check(self, hw: HighestWeightGL2) -> None:
         if self.hw is not hw and self.hw != hw:
@@ -323,6 +333,10 @@ def _act_mono(
             _compose_into(acc, (2, j, y), (i, 1, x), rest, hw, cache, _MINUS_ONE)
         res = acc
     if cache is not None:
+        tail = cache._tail
+        if tail is not None:
+            # monomials are sorted, so m[-1] is the largest index
+            res = {m: c for m, c in res.items() if not m or m[-1] <= tail}
         cache.data[key] = res
     return res
 

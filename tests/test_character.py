@@ -1,6 +1,7 @@
 """Irreducible-quotient weight dimensions: Gram ranks vs product formula."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -16,6 +17,7 @@ from yverma.rational import parse_rational_fn
 from yverma.verma import (
     ActionCache,
     ModuleVector,
+    act_generator,
     basis_monomials,
     canonical_polynomial_weights,
 )
@@ -23,6 +25,7 @@ from yverma.verma import (
 MU1 = parse_rational_fn("(u+2)/(u+1)")  # one string of length 1
 MU2 = parse_rational_fn("(u+3)/(u+1)")  # one string of length 2
 MU_PROD = parse_rational_fn("(u+2)(u+4)/((u+1)(u+3))")  # two strings
+MU_P3 = parse_rational_fn("(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))")
 
 
 def _F(x, y=1):
@@ -104,6 +107,70 @@ class TestGramDims:
     def test_negative_level_rejected(self):
         with pytest.raises(InputError):
             irreducible_weight_dims(MU1, max_level=-1)
+
+    @pytest.mark.parametrize(
+        "text, max_level, ranks",
+        [
+            ("(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))", 7, [1, 3, 4, 4, 4, 4, 4, 4]),
+            # half-integer shift 3/2 pairs with no denominator: ranks saturate at 8
+            ("(u+3/2)(u+4)(u+5)/((u+1)(u+2)(u+3))", 7, [1, 3, 5, 7, 8, 8, 8, 8]),
+            ("(u+3)(u+5)(u+9)(u+10)/((u+1)(u+2)(u+4)(u+7))", 5, [1, 4, 8, 11, 12, 12]),
+        ],
+    )
+    def test_large_weights_match_character_formula(self, text, max_level, ranks):
+        mu = parse_rational_fn(text)
+        got = [r.rank for r in irreducible_weight_dims(mu, max_level)]
+        assert got == ranks
+        assert tuple(got) == character_formula(mu, max_level).dims
+
+
+def _spanning(p, max_level):
+    return [
+        m
+        for k in range(max_level + 1)
+        for m in combinations_with_replacement(range(1, p + 1), k)
+    ]
+
+
+def _projecting_cache(hw, p):
+    cache = ActionCache(hw)
+    cache._tail = p
+    return cache
+
+
+class TestTailProjection:
+    """A cache that drops the tail submodule N changes no pairing."""
+
+    @pytest.mark.parametrize("mu", [MU1, MU2, MU_PROD, MU_P3], ids=str)
+    def test_pairings_equal_with_and_without_projection(self, mu):
+        p = mu.degree
+        hw = canonical_polynomial_weights(mu)
+        plain, projecting = ActionCache(hw), _projecting_cache(hw, p)
+        monos = _spanning(p, 3)
+        for m1 in monos:
+            for m2 in monos:
+                if len(m1) == len(m2):
+                    got = contravariant_pairing(m1, m2, hw, projecting)
+                    assert got == contravariant_pairing(m1, m2, hw, plain), (m1, m2)
+
+    @pytest.mark.parametrize("mu", [MU1, MU_PROD], ids=str)
+    def test_projected_action_is_plain_action_modulo_tail(self, mu):
+        p = mu.degree
+        hw = canonical_polynomial_weights(mu)
+        plain, projecting = ActionCache(hw), _projecting_cache(hw, p)
+        for mono in _spanning(p, 3):
+            v = ModuleVector.basis(mono)
+            for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+                for r in range(p + 3):
+                    full = act_generator(i, j, r, v, hw, plain)
+                    kept = {m: c for m, c in full.terms.items() if all(x <= p for x in m)}
+                    assert act_generator(i, j, r, v, hw, projecting).terms == kept
+
+    def test_plain_cache_keeps_tail_monomials(self):
+        hw = canonical_polynomial_weights(MU1)
+        for cache in (None, ActionCache(hw)):
+            out = act_generator(1, 2, 2, ModuleVector.basis([1, 1]), hw, cache)
+            assert any(max(m) > 1 for m in out.terms if m), out
 
 
 class TestReorder:

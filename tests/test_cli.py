@@ -75,6 +75,15 @@ class TestReportContract:
         ranks = [lvl["rank"] for lvl in json.loads(out_g)["levels"]]
         assert ranks == json.loads(out_c)["dims"] == [1, 1, 1, 0]
 
+    def test_gram_past_the_default_recursion_limit(self, capsys):
+        # levels run upward over one cache, so no level recurses more than
+        # a few frames below the one before it
+        code, out, err = call_main(
+            capsys, ["gram", "--mu", "(u+2)/(u+1)", "--max-level", "1100"]
+        )
+        assert code == 0 and err == ""
+        assert [lvl["rank"] for lvl in json.loads(out)["levels"]] == [1, 1] + [0] * 1099
+
     def test_character_report_shape(self, capsys):
         code, out, _ = call_main(
             capsys, ["character", "--mu", "(u+3)/(u+1)", "--max-level", "3"]
@@ -223,6 +232,45 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert json.loads(err)["error"]["code"] == "internal"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--mu", "(u+2)/(u+1)", "--order", "3"],
+            # the truncation error report is the one that cannot be written
+            ["act", "--mu", "series:1,2", "--gen", "e", "--r", "5", "--mono", "1"],
+        ],
+    )
+    def test_unwritable_json_path_is_input_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = call_main(capsys, argv + ["--json", str(target)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "input"
+        assert not (tmp_path / "missing").exists()
+
+    def test_json_write_replaces_whole_file(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("stale and much longer than any report of this command " * 9)
+        code, _, _ = call_main(
+            capsys, ["roots", "--cartan", "A1", "--json", str(target)]
+        )
+        assert code == 0
+        assert json.loads(target.read_text())["count"] == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
+        # a directory in place of the report: nothing written, no temp file left
+        (tmp_path / "sub").mkdir()
+        code, _, err = call_main(
+            capsys, ["roots", "--cartan", "A1", "--json", str(tmp_path / "sub")]
+        )
+        assert code == 2 and json.loads(err)["error"]["code"] == "input"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["report.json", "sub"]
+
+    def test_parser_is_built_once_and_env_read_per_call(self, capsys, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        assert call_main(capsys, ["roots", "--cartan", "A1"])[0] == 0
+        monkeypatch.setenv("VERMA_WORKERS", "zero")
+        code, _, err = call_main(capsys, ["roots", "--cartan", "A1"])
+        assert code == 2 and json.loads(err)["error"]["code"] == "input"
+
     def test_unknown_generator_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             call_main(
@@ -290,6 +338,37 @@ class TestJobMode:
             code, out, err = call_main(capsys, ["job", str(job)])
             assert code == 2, case
             assert json.loads(err)["error"]["code"] == "input"
+
+    def test_job_truncation_report_goes_to_output_field(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        job = tmp_path / "job.json"
+        job.write_text(
+            json.dumps(
+                {
+                    "command": "act",
+                    "parameters": {"mu": "series:1", "gen": "h", "r": 5},
+                    "output": str(target),
+                }
+            )
+        )
+        code, out, err = call_main(capsys, ["job", str(job)])
+        assert code == 3 and out == "" and err == ""
+        assert json.loads(target.read_text())["error"]["code"] == "truncation"
+
+    def test_job_unwritable_output_is_input_error(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_text(
+            json.dumps(
+                {
+                    "command": "roots",
+                    "parameters": {"cartan": "A1"},
+                    "output": str(tmp_path / "missing" / "out.json"),
+                }
+            )
+        )
+        code, out, err = call_main(capsys, ["job", str(job)])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "input"
 
     def test_job_missing_file(self, capsys):
         code, _, err = call_main(capsys, ["job", "/nonexistent/job.json"])
