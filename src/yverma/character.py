@@ -73,6 +73,9 @@ def contravariant_pairing(
         raise InputError("pairing requires equal levels")
     if cache is None:
         cache = ActionCache(hw)
+    else:
+        # memo hits skip act_generator, so check the binding here
+        cache.check(hw)
     return _pairing(m1, m2, hw, cache)
 
 

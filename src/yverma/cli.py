@@ -37,6 +37,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 import sys
 import tempfile
 from typing import Any, Callable, Optional, Sequence, Union
@@ -73,15 +74,26 @@ def _canonical_json(obj: Any) -> str:
 
 
 def _emit(obj: Any, path: Optional[str]) -> None:
-    """Write the report to stdout, or atomically to ``path``.
+    """Write the report to stdout, or to ``path``.
 
-    The file is written under a temporary name in the same directory and
-    renamed over ``path``, so a reader sees the old report or the whole
-    new one.  OSError propagates to the caller.
+    A new file or an existing regular file is written under a temporary
+    name in the same directory and renamed over ``path``, so a reader
+    sees the old report or the whole new one.  Any other target (a
+    symlink, a device such as /dev/null, a FIFO) is opened and written
+    through in place.  OSError propagates to the caller.
     """
     text = _canonical_json(obj)
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()
+        return
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
         return
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)), prefix=".verma-", suffix=".tmp"
@@ -635,7 +647,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _emit(obj, path)
     except OSError as exc:
-        return _fail("input", f"cannot write report to {path!r}: {exc.strerror}", EXIT_INPUT)
+        target = "stdout" if path is None or path == "-" else repr(path)
+        reason = exc.strerror or f"{type(exc).__name__}: {exc}"
+        return _fail("input", f"cannot write report to {target}: {reason}", EXIT_INPUT)
+    except Exception as exc:  # noqa: BLE001 -- e.g. a report json cannot serialize
+        return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
     return code
 
 

@@ -37,6 +37,17 @@ class TestPairing:
         hw = canonical_polynomial_weights(MU1)
         assert contravariant_pairing((), (), hw) == 1
 
+    def test_cache_bound_to_other_weight_rejected_after_memo_hit(self):
+        hw1 = canonical_polynomial_weights(MU1)
+        hw2 = canonical_polynomial_weights(MU2)
+        cache = ActionCache(hw1)
+        assert contravariant_pairing((1,), (1,), hw1, cache) == contravariant_pairing(
+            (1,), (1,), hw1
+        )
+        for m1, m2 in [((1,), (1,)), ((), ())]:
+            with pytest.raises(InputError):
+                contravariant_pairing(m1, m2, hw2, cache)
+
     def test_unequal_levels_rejected_or_zero(self):
         hw = canonical_polynomial_weights(MU1)
         with pytest.raises(InputError):

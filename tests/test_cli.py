@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -263,6 +264,50 @@ class TestExitCodes:
         )
         assert code == 2 and json.loads(err)["error"]["code"] == "input"
         assert sorted(f.name for f in tmp_path.iterdir()) == ["report.json", "sub"]
+
+    def test_json_to_devnull_writes_through(self, capsys):
+        before = os.stat(os.devnull)
+        code, out, err = call_main(
+            capsys, ["roots", "--cartan", "A1", "--json", os.devnull]
+        )
+        assert code == 0 and out == "" and err == ""
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode) and after.st_rdev == before.st_rdev
+        parent = os.path.dirname(os.devnull)
+        assert not [f for f in os.listdir(parent) if f.startswith(".verma-")]
+
+    def test_json_through_symlink_keeps_the_link(self, capsys, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("stale")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, _, _ = call_main(capsys, ["roots", "--cartan", "A1", "--json", str(link)])
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(real.read_text())["count"] == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    def test_unserializable_report_is_internal_error(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            cli._RUNNERS, "roots", lambda params: ({"bad": object()}, cli.EXIT_OK)
+        )
+        code, out, err = call_main(capsys, ["roots", "--cartan", "A1"])
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["code"] == "internal"
+
+    def test_stdout_write_failure_names_stdout(self, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(cli.sys, "stdout", ClosedPipe())
+        code = cli.main(["roots", "--cartan", "A1"])
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 2 and err["code"] == "input"
+        assert err["message"] == "cannot write report to stdout: Broken pipe"
 
     def test_parser_is_built_once_and_env_read_per_call(self, capsys, monkeypatch):
         assert cli._build_parser() is cli._build_parser()
