@@ -15,7 +15,8 @@ Exit codes
 ----------
 * 0 — computed; includes budget-qualified negatives such as
   ``no_recurrence_up_to``.
-* 2 — input/schema violation (bad flags, malformed weight or job file)
+* 2 — input/schema violation (bad flags, malformed weight or job file),
+  an input too deep to evaluate within the interpreter's recursion limit,
   or a report that cannot be written to its ``--json``/``output`` path;
   the error object goes to stderr.
 * 3 — the inputs ran out of data before the answer was determined
@@ -642,6 +643,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "error": {"code": "insufficient_data", "message": str(exc)},
         }
         code = EXIT_DATA
+    except RecursionError:
+        # the interpreter's stack limit, not a bug: e.g. a monomial with
+        # thousands of indices recurses once per index
+        return _fail("input", "input too deep to evaluate (recursion limit)", EXIT_INPUT)
     except Exception as exc:  # noqa: BLE001 -- map bugs to the breach exit code
         return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
     try:

@@ -4,11 +4,14 @@ All routines work on lists of rows of ``Fraction`` and never introduce
 rounding.  The reduced row echelon form is canonical for the row space,
 so the nullspace basis returned here is canonical for the solution space:
 two constraint systems have equal solution spaces iff these bases match.
+``RowEchelon`` grows an echelon basis one row at a time, for callers that
+need the rank after every added row rather than once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -46,6 +49,34 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return m[:r], pivots
 
 
+class RowEchelon:
+    """Echelon basis of the span of the rows added so far.
+
+    Each stored row has a leading 1 in its pivot column and zeros before
+    it, so a new row is reduced by the stored rows in ascending pivot
+    order; what remains is zero iff the row was already in the span.
+    """
+
+    def __init__(self) -> None:
+        self._rows: dict[int, list[Fraction]] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def add(self, row: Sequence[Fraction]) -> None:
+        """Add ``row`` to the span (the rank grows iff it was not in it)."""
+        v = list(row)
+        for p in sorted(self._rows):
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, self._rows[p])]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = 1 / v[lead]
+            self._rows[lead] = [x * inv for x in v]
+
+
 def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
 
@@ -70,9 +101,3 @@ def nullspace(rows: Matrix, ncols: int) -> list[tuple[Fraction, ...]]:
             vec[p] = -reduced[i][f]
         basis.append(tuple(vec))
     return basis
-
-
-def in_row_span(rows: Matrix, vec: list[Fraction]) -> bool:
-    """True iff ``vec`` lies in the span of ``rows`` (all exact)."""
-    base = rank(rows)
-    return rank(rows + [list(vec)]) == base

@@ -15,10 +15,18 @@ and B(u) = sum_{j=1}^{m} b_j u^j with b_j = sum_{k=j}^{m} c_k nu^(N+k-j),
 and both polynomials share degree N + deg C and leading coefficient, so
 the normalized ratio is a valid ``RationalFn``.
 
-Detection searches orders m = 0..max_order (smallest first) and tail
-starts N (smallest first), solving the exact linear system over all
-available instances; a witness must be confirmed by at least
-max_order + 2 instances.  Everything is exact; "no recurrence found" is
+Detection returns the smallest order m = 0..max_order that has a witness,
+with the earliest tail start N for that order.  For fixed m, the instances
+r = N..L-m (L coefficients supplied) form a Hankel system whose rows for
+start N are those for start N+1 plus the row r = N.  Its kernel therefore
+only shrinks as N falls, and the starts with a nonzero kernel run upward
+without a gap.  So one exact elimination per order adds the rows
+bottom-up, r = L-m, L-m-1, ..., and stops when the rank reaches m+1: the
+earliest start lies one above the row that filled the rank (N = 1 if none
+did).  A start counts only if N <= max(1, L//3) and at least
+max_order + 2 instances confirm it.  The coefficients c are the first
+canonical nullspace vector of that one (m, N) system, scaled so that the
+last nonzero entry is 1.  Everything is exact; "no recurrence found" is
 therefore a statement about the supplied window and budget only.
 """
 
@@ -55,10 +63,13 @@ def detect_recurrence(
     """Find the minimal-order, earliest-start recurrence on a series tail.
 
     ``coeffs`` lists nu^(1), nu^(2), ... (the constant term 1 is implied).
-    Returns ``None`` when no recurrence of order <= max_order fits every
-    available instance with at least max_order + 2 confirming instances;
-    raises ``InsufficientDataError`` when fewer than 2 * max_order + 2
-    coefficients are supplied.
+    Each order m costs one elimination of the rows (nu^(r), ..., nu^(r+m)),
+    added from r = L-m downwards until they reach rank m+1, and the
+    witness's c costs one ``linalg.nullspace`` call (see the module
+    docstring).  Returns ``None`` when no order <= max_order has an
+    earliest start N <= max(1, L//3) with at least max_order + 2 instances
+    r = N..L-m; raises ``InsufficientDataError`` when fewer than
+    2 * max_order + 2 coefficients are supplied.
     """
     if max_order < 0:
         raise InputError("max_order must be >= 0")
@@ -70,28 +81,25 @@ def detect_recurrence(
             f"max_order={max_order}, got {L}"
         )
 
-    def value(idx: int) -> Fraction:
-        # nu^(idx) for idx >= 1; nu^(0) = 1 never enters the instances
-        return nu[idx - 1]
-
     min_instances = max_order + 2
     for m in range(max_order + 1):
-        for start in range(1, max(1, L // 3) + 1):
-            last_r = L - m
-            count = last_r - start + 1
-            if count < min_instances:
-                break  # larger starts only shrink the instance window
-            rows = [
-                [value(r + j) for j in range(m + 1)] for r in range(start, last_r + 1)
-            ]
-            kernel = linalg.nullspace(rows, m + 1)
-            if not kernel:
-                continue
-            raw = kernel[0]
-            last = next(x for x in reversed(raw) if x)
-            c = tuple(x / last for x in raw)
-            recovered = reconstruct_rational(nu, c, start)
-            return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
+        last_r = L - m
+        # nu[r - 1 : r + m] is the instance row (nu^(r), ..., nu^(r+m))
+        echelon = linalg.RowEchelon()
+        start = 1
+        for r in range(last_r, 0, -1):
+            echelon.add(nu[r - 1 : r + m])
+            if echelon.rank == m + 1:
+                start = r + 1
+                break
+        if start > min(max(1, L // 3), last_r - min_instances + 1):
+            continue
+        rows = [nu[r - 1 : r + m] for r in range(start, last_r + 1)]
+        raw = linalg.nullspace(rows, m + 1)[0]
+        last = next(x for x in reversed(raw) if x)
+        c = tuple(x / last for x in raw)
+        recovered = reconstruct_rational(nu, c, start)
+        return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
     return None
 
 

@@ -233,6 +233,26 @@ class TestExitCodes:
         assert code == 4 and out == ""
         assert json.loads(err)["error"]["code"] == "internal"
 
+    DEEP_ACT = {"mu": "(u+2)/(u+1)", "gen": "e", "r": 1, "mono": ",".join(["1"] * 1500)}
+
+    def test_too_deep_monomial_is_input_error(self, capsys):
+        p = self.DEEP_ACT
+        code, out, err = call_main(
+            capsys,
+            ["act", "--mu", p["mu"], "--gen", p["gen"], "--r", "1", "--mono", p["mono"]],
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "too deep" in error["message"]
+
+    def test_too_deep_monomial_in_job_is_input_error(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"command": "act", "parameters": self.DEEP_ACT}))
+        code, out, err = call_main(capsys, ["job", str(job)])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "too deep" in error["message"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from yverma.linalg import in_row_span, nullspace, rank, rref
+from yverma.linalg import RowEchelon, nullspace, rank, rref
 
 
 def _frac_rows(rows):
@@ -89,11 +89,16 @@ class TestNullspace:
         assert nullspace(rows1, 3) == nullspace(rows2, 3)
 
 
-class TestRowSpan:
-    def test_membership(self):
-        rows = _frac_rows([[1, 0, 1], [0, 1, 1]])
-        assert in_row_span(rows, _frac_rows([[2, 3, 5]])[0])
-        assert not in_row_span(rows, _frac_rows([[0, 0, 1]])[0])
-
-    def test_zero_vector_always_in_span(self):
-        assert in_row_span([], [Fraction(0)] * 3)
+class TestRowEchelon:
+    def test_rank_after_each_row_matches_rank_of_prefix(self):
+        rng = random.Random(5)
+        for _ in range(25):
+            n, m = rng.randint(1, 7), rng.randint(1, 5)
+            rows = _frac_rows(
+                [[rng.choice([0, 0, 1, -1, 2]) for _ in range(m)] for _ in range(n)]
+            )
+            echelon = RowEchelon()
+            for k, row in enumerate(rows, 1):
+                echelon.add(row)
+                assert echelon.rank == rank(rows[:k])
+        assert RowEchelon().rank == 0

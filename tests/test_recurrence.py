@@ -6,10 +6,12 @@ from math import factorial
 
 import pytest
 
+from yverma import linalg
 from yverma.errors import InputError, InsufficientDataError
 from yverma.rational import PolyQ, RationalFn, parse_rational_fn
 from yverma.recurrence import (
     RationalityVerdict,
+    RecurrenceWitness,
     detect_recurrence,
     is_rational_verdict,
     reconstruct_rational,
@@ -20,6 +22,98 @@ from yverma.series import SeriesU, expand_rational
 def _tail_of(f: RationalFn, length: int) -> list[Fraction]:
     series = expand_rational(f, order=length)
     return [series.coeff(r) for r in range(1, length + 1)]
+
+
+def _reference_detect(coeffs, max_order):
+    """The direct scan: one nullspace per (order m, start N), both ascending."""
+    if max_order < 0:
+        raise InputError("max_order must be >= 0")
+    nu = [Fraction(x) for x in coeffs]
+    L = len(nu)
+    if L < 2 * max_order + 2:
+        raise InsufficientDataError("short tail")
+    min_instances = max_order + 2
+    for m in range(max_order + 1):
+        for start in range(1, max(1, L // 3) + 1):
+            last_r = L - m
+            if last_r - start + 1 < min_instances:
+                break  # larger starts only shrink the instance window
+            rows = [
+                [nu[r + j - 1] for j in range(m + 1)] for r in range(start, last_r + 1)
+            ]
+            kernel = linalg.nullspace(rows, m + 1)
+            if not kernel:
+                continue
+            raw = kernel[0]
+            last = next(x for x in reversed(raw) if x)
+            c = tuple(x / last for x in raw)
+            recovered = reconstruct_rational(nu, c, start)
+            return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
+    return None
+
+
+def _outcome(detect, tail, max_order):
+    try:
+        w = detect(tail, max_order)
+    except InsufficientDataError:
+        return "insufficient"
+    return None if w is None else (w.c, w.tail_start, str(w.recovered))
+
+
+def _shift_tail(rng, degree, n):
+    """nu^(1..n) of prod (u+a_i)/(u+b_i) with distinct a_i, no a_i = b_j."""
+    while True:
+        alphas = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(degree)]
+        betas = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(degree)]
+        if len(set(alphas)) == degree and not set(alphas) & set(betas):
+            break
+    num, den = PolyQ([1]), PolyQ([1])
+    for a, b in zip(alphas, betas):
+        num, den = num * PolyQ([a, 1]), den * PolyQ([b, 1])
+    return _tail_of(RationalFn(num, den), n)
+
+
+def _tail_class(rng, kind, n):
+    if kind == "int-recurrence":
+        # order-m integer recurrence after a random prefix of 0-6 terms
+        m, prefix = rng.randint(0, 4), rng.randint(0, 6)
+        cs = [rng.randint(-3, 3) for _ in range(m)]
+        tail = [rng.randint(-3, 3) for _ in range(max(m, 1) + prefix)]
+        while len(tail) < n:
+            tail.append(sum(cs[j] * tail[len(tail) - m + j] for j in range(m)))
+        return tail[:n]
+    if kind == "sparse":
+        return [rng.choice([0, 0, 0, 1, -1]) for _ in range(n)]
+    if kind == "periodic-altered":
+        period = [rng.randint(-2, 2) for _ in range(rng.randint(1, 4))]
+        tail = [period[i % len(period)] for i in range(n)]
+        tail[-1] += rng.choice([1, -1])
+        return tail
+    if kind == "factorial":
+        return [Fraction(1, factorial(r)) for r in range(1, n + 1)]
+    if kind in ("rational", "prefix"):
+        tail = _shift_tail(rng, rng.randint(1, 3), n)
+        if kind == "prefix":
+            tail[0] += rng.choice([1, -1, 2])
+            tail[1] += rng.choice([1, -1, Fraction(1, 2)])
+        return tail
+    # the non-rational tails of exp(c/u), (1 - c/u)^(1/2), (u/c) log(1 + c/u)
+    c = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3]))
+    if kind == "exp":
+        return [c**k / factorial(k) for k in range(1, n + 1)]
+    if kind == "sqrt":
+        out, coef = [], Fraction(1)
+        for k in range(1, n + 1):
+            coef = coef * (Fraction(1, 2) - (k - 1)) / k
+            out.append(coef * (-c) ** k)
+        return out
+    return [(-c) ** k / (k + 1) for k in range(1, n + 1)]
+
+
+TAIL_CLASSES = (
+    "int-recurrence", "sparse", "periodic-altered", "factorial",
+    "rational", "prefix", "exp", "sqrt", "log",
+)
 
 
 class TestDetect:
@@ -78,6 +172,91 @@ class TestDetect:
             witness = detect_recurrence(_tail_of(f, length), max_order=4)
             assert witness is not None
             assert witness.recovered == f
+
+
+class TestAgainstReferenceScan:
+    """The one-elimination-per-order scan returns what the direct scan does."""
+
+    def test_seeded_tails(self):
+        rng = random.Random(4)
+        outcomes = set()
+        for i in range(360):
+            max_order = rng.randint(0, 6)
+            n = 2 * max_order + 2 + rng.randint(0, 8)
+            tail = _tail_class(rng, TAIL_CLASSES[i % len(TAIL_CLASSES)], n)
+            if i % 7 == 0:
+                tail = tail[: n - 1]  # one short of the threshold when n is minimal
+            expected = _outcome(_reference_detect, tail, max_order)
+            assert _outcome(detect_recurrence, tail, max_order) == expected, (tail, max_order)
+            outcomes.add(expected if expected in (None, "insufficient") else "witness")
+        assert outcomes == {None, "insufficient", "witness"}
+
+    def _pin(self, tail, max_order):
+        got = _outcome(detect_recurrence, tail, max_order)
+        assert got == _outcome(_reference_detect, tail, max_order)
+        return got
+
+    def test_start_clipped_by_third_of_window(self):
+        # nu^(r) = 0 from r = 3 with 4 >= 3 instances, but 3 > L//3 = 2, so
+        # order 0 has no witness and order 1 wins
+        c, start, _ = self._pin([2, 1, 0, 0, 0, 0], max_order=1)
+        assert (c, start) == ((0, 1), 2)
+
+    def test_start_clipped_by_instance_count(self):
+        # tribonacci from r = 2: order 3, start 2 <= L//3, but only 4 of the
+        # 5 instances needed at L = 8; two more terms confirm it
+        tail = [7, 1, 1, 1, 3, 5, 9, 17]
+        assert self._pin(tail, max_order=3) is None
+        c, start, _ = self._pin(tail + [31, 57], max_order=3)
+        assert (c, start) == ((-1, -1, -1, 1), 2)
+
+    def test_kernel_at_the_witness_is_one_dimensional(self):
+        # The order-2 system has a 2-dimensional kernel, but then a lower
+        # order always has a witness too: the earliest start of the minimal
+        # order sits where the rank falls just short of m + 1, or at N = 1,
+        # and a kernel vector with c_0 = 0 shifts to order m - 1 from N + 1.
+        tail = [0, 0, 0, 0, 0, 1]
+        assert len(linalg.nullspace([tail[r - 1 : r + 2] for r in range(1, 5)], 3)) == 2
+        c, start, _ = self._pin(tail, max_order=2)
+        assert (c, start) == ((1, 0), 1)
+        assert len(linalg.nullspace([tail[r - 1 : r + 1] for r in range(1, 6)], 2)) == 1
+
+    def test_witness_with_zero_top_coefficient(self):
+        # c = (1, 0): nu^(r) = 0 on every order-1 instance r = 1..5, which
+        # never reads nu^(6) as a leading term
+        c, start, recovered = self._pin([0, 0, 0, 0, 0, 1], max_order=1)
+        assert (c, start, recovered) == ((1, 0), 1, "(1)/(1)")
+
+    def test_all_zero_tail(self):
+        for max_order in range(4):
+            tail = [0] * (2 * max_order + 2)
+            assert self._pin(tail, max_order) == ((1,), 1, "(1)/(1)")
+
+
+class TestNullspaceCalls:
+    """detect_recurrence solves one system, for the witness it returns."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        inner = linalg.nullspace
+
+        def counting(rows, ncols):
+            count[0] += 1
+            return inner(rows, ncols)
+
+        monkeypatch.setattr(linalg, "nullspace", counting)
+        return count
+
+    def test_one_call_for_a_witness(self, calls):
+        f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
+        assert detect_recurrence(_tail_of(f, 20), max_order=6).recovered == f
+        assert calls[0] == 1
+
+    def test_no_call_without_a_witness(self, calls):
+        tail = [Fraction(1, factorial(r)) for r in range(1, 23)]
+        assert detect_recurrence(tail, max_order=10) is None
+        assert calls[0] == 0
 
 
 class TestReconstruct:
