@@ -54,13 +54,11 @@ from .verma import (
     WeightInfo,
     act_generator,
     act_quantum_det,
-    act_word,
     basis_monomials,
     canonical_polynomial_weights,
     format_vector,
     in_tail_submodule,
     monomial,
-    twist,
     weight_of,
 )
 from .gauss import (
@@ -88,7 +86,6 @@ from .singular import (
     expand_f_vector,
     f_candidates,
     find_singular,
-    format_fvector,
     verify_singular,
 )
 from .character import (

@@ -15,14 +15,21 @@ Exit codes
 ----------
 * 0 — computed; includes budget-qualified negatives such as
   ``no_recurrence_up_to``.
-* 2 — input/schema violation (bad flags, malformed weight or job file),
-  an input too deep to evaluate within the interpreter's recursion limit,
-  or a report that cannot be written to its ``--json``/``output`` path;
-  the error object goes to stderr.
+* 2 — input/schema violation (a usage error such as an unknown flag or a
+  non-integer value, a value below its minimum, a malformed weight or job
+  file), an input too deep to evaluate within the interpreter's recursion
+  limit, or a report that cannot be written to its ``--json``/``output``
+  path; the error object goes to stderr, never argparse's usage text.
 * 3 — the inputs ran out of data before the answer was determined
   (truncation, insufficient coefficients, undetermined verdicts); a
   machine-readable error or report goes to stdout.
 * 4 — internal invariant breach (a bug, or a failing self-test).
+
+Command table
+-------------
+``_COMMANDS`` declares every command and parameter once; the argparse tree
+and JobSpec validation are both generated from it, so a flag and a JobSpec
+parameter pass the same type and range checks.
 
 Weight syntax
 -------------
@@ -41,7 +48,7 @@ import os
 import stat
 import sys
 import tempfile
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, NoReturn, Optional, Sequence, Union
 
 from .character import character_formula, irreducible_weight_dims
 from .errors import InputError, InsufficientDataError, TruncationError
@@ -66,8 +73,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-
-WeightLike = Union[RationalFn, SeriesU]
 
 
 def _canonical_json(obj: Any) -> str:
@@ -115,9 +120,7 @@ def _emit(obj: Any, path: Optional[str]) -> None:
         raise
 
 
-def _parse_weight(text: str) -> WeightLike:
-    if not isinstance(text, str):
-        raise InputError(f"weight must be a string, got {type(text).__name__}")
+def _parse_weight(text: str) -> Union[RationalFn, SeriesU]:
     if text.startswith("series:"):
         body = text[len("series:") :]
         toks = [t.strip() for t in body.split(",") if t.strip()]
@@ -159,8 +162,6 @@ def _parse_cartan(value: Union[str, list]) -> list[list[int]]:
                 raise InputError(f"bad cartan matrix JSON: {exc}") from exc
         else:
             return cartan_matrix(stripped)
-    if not isinstance(value, list):
-        raise InputError("cartan must be a type label or a square integer matrix")
     matrix = []
     for row in value:
         if not isinstance(row, list) or not all(
@@ -182,20 +183,18 @@ def _parse_mono(text: str) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Command runners.  Each takes a validated parameter record and returns
-# (report object, exit code).
-
-Runner = Callable[[dict], tuple[dict, int]]
+# (report object, exit code); ``main`` adds the schema tag.  Runners look
+# library functions up by module-global name at call time, never through a
+# table built at import, so a rebinding of those names (as bench/tracing.py
+# does) reaches every command.
 
 
 def _run_expand(params: dict) -> tuple[dict, int]:
     mu = _parse_rational_weight(params["mu"])
     order = params["order"]
-    if order < 0:
-        raise InputError("order must be >= 0")
     series = expand_rational(mu, order)
     return (
         {
-            "schema": SCHEMA,
             "mu": str(mu),
             "order": order,
             "exact": series.exact,
@@ -208,10 +207,8 @@ def _run_expand(params: dict) -> tuple[dict, int]:
 def _run_detect(params: dict) -> tuple[dict, int]:
     coeffs = _parse_coeff_list(params["coeffs"])
     max_order = params["max_order"]
-    if max_order < 0:
-        raise InputError("max_order must be >= 0")
     witness = detect_recurrence(coeffs, max_order)
-    obj: dict = {"schema": SCHEMA, "max_order": max_order}
+    obj: dict = {"max_order": max_order}
     if witness is None:
         obj["witness"] = None
         obj["no_recurrence_up_to"] = max_order
@@ -230,23 +227,16 @@ _T_GENERATORS = {"t11": (1, 1), "t12": (1, 2), "t21": (2, 1), "t22": (2, 2)}
 def _run_act(params: dict) -> tuple[dict, int]:
     gen = params["gen"]
     r = params["r"]
-    if r < 0:
-        raise InputError("generator index r must be >= 0")
     mono = _parse_mono(params.get("mono", ""))
     hw = as_gl2_weights(_parse_weight(params["mu"]))
     cache = ActionCache(hw)
     vec = ModuleVector.basis(mono)
+    gauss = {"e": act_e, "f": act_f, "h": act_h, "qdet": act_quantum_det}
     if gen in _T_GENERATORS:
         i, j = _T_GENERATORS[gen]
         out = act_generator(i, j, r, vec, hw, cache)
-    elif gen == "e":
-        out = act_e(r, vec, hw, cache)
-    elif gen == "f":
-        out = act_f(r, vec, hw, cache)
-    elif gen == "h":
-        out = act_h(r, vec, hw, cache)
-    elif gen == "qdet":
-        out = act_quantum_det(r, vec, hw, cache)
+    elif gen in gauss:
+        out = gauss[gen](r, vec, hw, cache)
     else:
         raise InputError(
             f"unknown generator {gen!r}; expected one of "
@@ -254,7 +244,6 @@ def _run_act(params: dict) -> tuple[dict, int]:
         )
     return (
         {
-            "schema": SCHEMA,
             "mu": params["mu"],
             "gen": gen,
             "r": r,
@@ -267,16 +256,9 @@ def _run_act(params: dict) -> tuple[dict, int]:
 
 def _run_singular(params: dict) -> tuple[dict, int]:
     mu = _parse_weight(params["mu"])
-    level = params["level"]
-    degree = params["degree"]
-    if level < 1:
-        raise InputError("level must be >= 1")
-    if degree < 0:
-        raise InputError("degree must be >= 0")
-    res = find_singular(mu, level, degree)
+    res = find_singular(mu, params["level"], params["degree"])
     return (
         {
-            "schema": SCHEMA,
             "mu": params["mu"],
             "level": res.level,
             "degree_bound": res.degree_bound,
@@ -291,15 +273,11 @@ def _run_singular(params: dict) -> tuple[dict, int]:
 
 def _run_gram(params: dict) -> tuple[dict, int]:
     mu = _parse_rational_weight(params["mu"])
-    max_level = params["max_level"]
-    if max_level < 0:
-        raise InputError("max_level must be >= 0")
-    reports = irreducible_weight_dims(mu, max_level)
+    reports = irreducible_weight_dims(mu, params["max_level"])
     return (
         {
-            "schema": SCHEMA,
             "mu": str(mu),
-            "max_level": max_level,
+            "max_level": params["max_level"],
             "levels": [
                 {"level": rep.level, "spanning": rep.spanning_size, "rank": rep.rank}
                 for rep in reports
@@ -311,15 +289,11 @@ def _run_gram(params: dict) -> tuple[dict, int]:
 
 def _run_character(params: dict) -> tuple[dict, int]:
     mu = _parse_rational_weight(params["mu"])
-    max_level = params["max_level"]
-    if max_level < 0:
-        raise InputError("max_level must be >= 0")
-    res = character_formula(mu, max_level)
+    res = character_formula(mu, params["max_level"])
     return (
         {
-            "schema": SCHEMA,
             "mu": str(mu),
-            "max_level": max_level,
+            "max_level": params["max_level"],
             "dims": list(res.dims),
             "l": res.integer_pair_count,
         },
@@ -333,7 +307,6 @@ def _run_roots(params: dict) -> tuple[dict, int]:
     system = positive_roots(matrix)
     return (
         {
-            "schema": SCHEMA,
             "cartan": matrix,
             "d": list(data.d),
             "count": system.count(),
@@ -346,18 +319,13 @@ def _run_roots(params: dict) -> tuple[dict, int]:
 
 def _run_verdict(params: dict) -> tuple[dict, int]:
     mu_texts = params["mu"]
-    if isinstance(mu_texts, str):
+    if isinstance(mu_texts, str):  # a JobSpec may give one component bare
         mu_texts = [mu_texts]
-    if not isinstance(mu_texts, list) or not mu_texts:
-        raise InputError("verdict needs at least one weight component")
     budget = params["budget"]
-    if budget < 0:
-        raise InputError("budget must be >= 0")
     weights = HighestWeightTuple([_parse_weight(t) for t in mu_texts])
     reducible = verdict_reducible(weights, budget)
     finiteness = verdict_weight_finiteness(weights, budget)
     obj: dict = {
-        "schema": SCHEMA,
         "mu": list(mu_texts),
         "budget": budget,
         "components": [v.to_obj() for v in reducible.components],
@@ -375,104 +343,114 @@ def _run_verdict(params: dict) -> tuple[dict, int]:
 
 
 def _run_selftest(params: dict) -> tuple[dict, int]:
-    seed = params.get("seed", 0)
-    report = run_selftest(seed=seed)
-    obj = {"schema": SCHEMA, **report.to_obj()}
-    return obj, (EXIT_OK if report.passed else EXIT_INTERNAL)
+    report = run_selftest(seed=params.get("seed", 0))
+    return report.to_obj(), (EXIT_OK if report.passed else EXIT_INTERNAL)
 
 
-_RUNNERS: dict[str, Runner] = {
-    "expand": _run_expand,
-    "detect": _run_detect,
-    "act": _run_act,
-    "singular": _run_singular,
-    "gram": _run_gram,
-    "character": _run_character,
-    "roots": _run_roots,
-    "verdict": _run_verdict,
-    "selftest": _run_selftest,
+# ---------------------------------------------------------------------------
+# The command table: the one declaration of every command and parameter.
+# ``_build_parser`` generates the argparse tree from it, and
+# ``_validate_params`` checks parsed flags and JobSpec parameters against it.
+
+
+class _Param(NamedTuple):
+    name: str  # JobSpec key; the flag is --name-with-dashes
+    kind: str  # a key of _KINDS
+    required: bool
+    help: str
+    minimum: Optional[int] = None  # ints only
+
+
+class _Command(NamedTuple):
+    runner: Callable[[dict], tuple[dict, int]]
+    help: str
+    params: tuple[_Param, ...]
+
+
+# Parameter kind -> noun in its type error.
+_KINDS: dict[str, str] = {
+    "int": "integer",
+    "rational": "rational weight string",
+    "weight": "weight string",
+    "weights": "weight string or list of weight strings",
+    "rationals": "comma-separated rational list",
+    "indices": "comma-separated indices",
+    "generator": "generator name",
+    "cartan": "type label or integer matrix",
 }
 
-# Per-command parameter schemas: name -> (required, is_valid, description).
-# "int" means a non-bool integer; "str" a string; "cartan" a label or
-# matrix; "mu_list" a weight string or list of weight strings.
+
+def _accepts(kind: str, value: Any) -> bool:
+    """Whether a JobSpec value has the JSON type of its kind."""
+    if kind == "int":
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind == "cartan":
+        return isinstance(value, (str, list))
+    if kind == "weights" and isinstance(value, list):
+        return bool(value) and all(isinstance(t, str) for t in value)
+    return isinstance(value, str)
 
 
-def _is_int(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_str(x: Any) -> bool:
-    return isinstance(x, str)
-
-
-def _is_cartan(x: Any) -> bool:
-    return isinstance(x, (str, list))
-
-
-def _is_mu_list(x: Any) -> bool:
-    return isinstance(x, str) or (
-        isinstance(x, list) and x and all(isinstance(t, str) for t in x)
-    )
-
-
-_PARAM_SCHEMAS: dict[str, dict[str, tuple[bool, Callable[[Any], bool], str]]] = {
-    "expand": {
-        "mu": (True, _is_str, "rational weight string"),
-        "order": (True, _is_int, "integer"),
-    },
-    "detect": {
-        "coeffs": (True, _is_str, "comma-separated rational list"),
-        "max_order": (True, _is_int, "integer"),
-    },
-    "act": {
-        "gen": (True, _is_str, "generator name"),
-        "r": (True, _is_int, "integer"),
-        "mono": (False, _is_str, "comma-separated indices"),
-        "mu": (True, _is_str, "weight string"),
-    },
-    "singular": {
-        "mu": (True, _is_str, "weight string"),
-        "level": (True, _is_int, "integer"),
-        "degree": (True, _is_int, "integer"),
-    },
-    "gram": {
-        "mu": (True, _is_str, "rational weight string"),
-        "max_level": (True, _is_int, "integer"),
-    },
-    "character": {
-        "mu": (True, _is_str, "rational weight string"),
-        "max_level": (True, _is_int, "integer"),
-    },
-    "roots": {
-        "cartan": (True, _is_cartan, "type label or integer matrix"),
-    },
-    "verdict": {
-        "mu": (True, _is_mu_list, "weight string or list of weight strings"),
-        "budget": (True, _is_int, "integer"),
-        "cartan": (False, _is_cartan, "type label or integer matrix"),
-    },
-    "selftest": {
-        "seed": (False, _is_int, "integer"),
-    },
+_COMMANDS: dict[str, _Command] = {
+    "expand": _Command(_run_expand, "Laurent coefficients of a rational weight", (
+        _Param("mu", "rational", True, "rational weight, e.g. '(u+2)/(u+1)'"),
+        _Param("order", "int", True, "last coefficient index", minimum=0),
+    )),
+    "detect": _Command(_run_detect, "find a linear recurrence in a coefficient tail", (
+        _Param("coeffs", "rationals", True, "comma-separated rationals"),
+        _Param("max_order", "int", True, "largest recurrence order tried", minimum=0),
+    )),
+    "act": _Command(_run_act, "apply one generator to a basis vector", (
+        _Param("gen", "generator", True, "one of t11, t12, t21, t22, e, f, h, qdet"),
+        _Param("r", "int", True, "generator index", minimum=0),
+        _Param("mono", "indices", False, "t21 indices of the target monomial, e.g. '1,2'"),
+        _Param("mu", "weight", True, "weight: rational or series:c1,c2,..."),
+    )),
+    "singular": _Command(_run_singular, "singular vectors at a fixed level", (
+        _Param("mu", "weight", True, "weight: rational or series:c1,c2,..."),
+        _Param("level", "int", True, "PBW level searched", minimum=1),
+        _Param("degree", "int", True, "degree bound for f-indices", minimum=0),
+    )),
+    "gram": _Command(_run_gram, "irreducible-quotient dims by Gram rank", (
+        _Param("mu", "rational", True, "rational weight"),
+        _Param("max_level", "int", True, "last level computed", minimum=0),
+    )),
+    "character": _Command(_run_character, "dims by the character product formula", (
+        _Param("mu", "rational", True, "rational weight"),
+        _Param("max_level", "int", True, "last level computed", minimum=0),
+    )),
+    "roots": _Command(_run_roots, "positive roots and symmetrizers", (
+        _Param("cartan", "cartan", True, "type label like B2, or a JSON matrix"),
+    )),
+    "verdict": _Command(_run_verdict, "reducibility and finiteness verdicts", (
+        _Param("mu", "weights", True, "weight component (repeat for higher rank)"),
+        _Param("budget", "int", True, "recurrence-order budget", minimum=0),
+        _Param("cartan", "cartan", False, "include the finite-dimensionality verdict"),
+    )),
+    "selftest": _Command(_run_selftest, "run the invariant suite", (
+        _Param("seed", "int", False, "random seed (default 0)"),
+    )),
 }
 
 
 def _validate_params(command: str, params: dict) -> dict:
-    schema = _PARAM_SCHEMAS[command]
-    unknown = sorted(set(params) - set(schema))
+    """Check parameters against the table; a value of None counts as absent."""
+    spec = _COMMANDS[command].params
+    unknown = sorted(set(params) - {p.name for p in spec})
     if unknown:
         raise InputError(f"unknown parameter(s) for {command}: {', '.join(unknown)}")
     out = {}
-    for name, (required, check, description) in schema.items():
-        if name not in params or params[name] is None:
-            if required:
-                raise InputError(f"{command} requires parameter {name!r}")
+    for p in spec:
+        value = params.get(p.name)
+        if value is None:
+            if p.required:
+                raise InputError(f"{command} requires parameter {p.name!r}")
             continue
-        value = params[name]
-        if not check(value):
-            raise InputError(f"parameter {name!r} must be a {description}")
-        out[name] = value
+        if not _accepts(p.kind, value):
+            raise InputError(f"parameter {p.name!r} must be a {_KINDS[p.kind]}")
+        if p.minimum is not None and value < p.minimum:
+            raise InputError(f"{p.name} must be >= {p.minimum}")
+        out[p.name] = value
     return out
 
 
@@ -499,9 +477,9 @@ def _load_job(path: str, default_output: Optional[str]) -> tuple[str, dict, Opti
     if unknown:
         raise InputError(f"unknown job field(s): {', '.join(unknown)}")
     command = job.get("command")
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise InputError(
-            f"job command must be one of {', '.join(sorted(_RUNNERS))}; got {command!r}"
+            f"job command must be one of {', '.join(sorted(_COMMANDS))}; got {command!r}"
         )
     parameters = job.get("parameters", {})
     if not isinstance(parameters, dict):
@@ -527,9 +505,16 @@ def _check_workers(flag_value: Optional[int]) -> None:
         raise InputError("workers must be >= 1")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise InputError instead of exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process (parsing does not mutate it)."""
+    """The argparse tree, built once per process from the command table."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", metavar="PATH", help="write the JSON report here instead of stdout"
@@ -542,68 +527,25 @@ def _build_parser() -> argparse.ArgumentParser:
         "(VERMA_WORKERS overrides)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="verma",
         description="Exact computations in Verma modules over the Yangian of gl(2).",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser(
-        "expand", parents=[common], help="Laurent coefficients of a rational weight"
-    )
-    p.add_argument("--mu", required=True, help="rational weight, e.g. '(u+2)/(u+1)'")
-    p.add_argument("--order", required=True, type=int, help="last coefficient index")
-
-    p = sub.add_parser(
-        "detect", parents=[common], help="find a linear recurrence in a coefficient tail"
-    )
-    p.add_argument("--coeffs", required=True, help="comma-separated rationals")
-    p.add_argument("--max-order", dest="max_order", required=True, type=int)
-
-    p = sub.add_parser("act", parents=[common], help="apply one generator to a basis vector")
-    p.add_argument("--gen", required=True, choices=sorted([*_T_GENERATORS, "e", "f", "h", "qdet"]))
-    p.add_argument("--r", required=True, type=int, help="generator index")
-    p.add_argument("--mono", default="", help="t21 indices of the target monomial, e.g. '1,2'")
-    p.add_argument("--mu", required=True, help="weight: rational or series:c1,c2,...")
-
-    p = sub.add_parser("singular", parents=[common], help="singular vectors at a fixed level")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--degree", required=True, type=int, help="degree bound for f-indices")
-
-    p = sub.add_parser("gram", parents=[common], help="irreducible-quotient dims by Gram rank")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--max-level", dest="max_level", required=True, type=int)
-
-    p = sub.add_parser("character", parents=[common], help="dims by the character product formula")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--max-level", dest="max_level", required=True, type=int)
-
-    p = sub.add_parser("roots", parents=[common], help="positive roots and symmetrizers")
-    p.add_argument("--cartan", required=True, help="type label like B2, or a JSON matrix")
-
-    p = sub.add_parser("verdict", parents=[common], help="reducibility and finiteness verdicts")
-    p.add_argument(
-        "--mu",
-        action="append",
-        required=True,
-        help="weight component (repeat for higher rank)",
-    )
-    p.add_argument("--budget", required=True, type=int, help="recurrence-order budget")
-    p.add_argument("--cartan", help="include the finite-dimensionality verdict")
-
-    p = sub.add_parser("selftest", parents=[common], help="run the invariant suite")
-    p.add_argument("--seed", type=int, default=0)
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=spec.help)
+        for param in spec.params:
+            kwargs: dict[str, Any] = {"required": param.required, "help": param.help}
+            if param.kind == "int":
+                kwargs["type"] = int
+            elif param.kind == "weights":
+                kwargs["action"] = "append"
+            p.add_argument("--" + param.name.replace("_", "-"), **kwargs)
 
     p = sub.add_parser("job", parents=[common], help="run a JobSpec JSON file")
     p.add_argument("file", help="job file path, or - for stdin")
 
     return parser
-
-
-def _params_from_args(command: str, args: argparse.Namespace) -> dict:
-    names = _PARAM_SCHEMAS[command]
-    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _fail(code: str, message: str, exit_code: int) -> int:
@@ -615,20 +557,20 @@ def _fail(code: str, message: str, exit_code: int) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    command, path = args.command, args.json
     try:
+        args = _build_parser().parse_args(argv)
+        command, path = args.command, args.json
         _check_workers(args.workers)
         if command == "job":
             command, params, path = _load_job(args.file, args.json)
         else:
-            params = _validate_params(command, _params_from_args(command, args))
-        obj, code = _RUNNERS[command](params)
+            flags = {p.name: getattr(args, p.name) for p in _COMMANDS[command].params}
+            params = _validate_params(command, flags)
+        obj, code = _COMMANDS[command].runner(params)
     except InputError as exc:
         return _fail("input", str(exc), EXIT_INPUT)
     except TruncationError as exc:
         obj = {
-            "schema": SCHEMA,
             "error": {
                 "code": "truncation",
                 "message": str(exc),
@@ -638,10 +580,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         code = EXIT_DATA
     except InsufficientDataError as exc:
-        obj = {
-            "schema": SCHEMA,
-            "error": {"code": "insufficient_data", "message": str(exc)},
-        }
+        obj = {"error": {"code": "insufficient_data", "message": str(exc)}}
         code = EXIT_DATA
     except RecursionError:
         # the interpreter's stack limit, not a bug: e.g. a monomial with
@@ -650,7 +589,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # noqa: BLE001 -- map bugs to the breach exit code
         return _fail("internal", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL)
     try:
-        _emit(obj, path)
+        _emit({"schema": SCHEMA, **obj}, path)
     except OSError as exc:
         target = "stdout" if path is None or path == "-" else repr(path)
         reason = exc.strerror or f"{type(exc).__name__}: {exc}"

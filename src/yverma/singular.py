@@ -97,20 +97,6 @@ def fvector_to_obj(fvec: FVector) -> dict:
     }
 
 
-def format_fvector(fvec: FVector) -> str:
-    parts = []
-    for m, c in sorted(fvec.items(), key=lambda kv: _mono_sort_key(kv[0])):
-        if not c:
-            continue
-        word = "*".join(f"f({r})" for r in m)
-        body = f"{word}*1" if word else "1"
-        mag = abs(c)
-        coef = "" if mag == 1 else f"{format_rat(mag)}*"
-        sign = ("-" if c < 0 else "") if not parts else (" - " if c < 0 else " + ")
-        parts.append(f"{sign}{coef}{body}")
-    return "".join(parts) or "0"
-
-
 @dataclass(frozen=True)
 class SingularSearchResult:
     """Outcome of a bounded singular-vector search.

@@ -29,7 +29,7 @@ from collections import namedtuple
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from .errors import InputError
 from .rational import RationalFn, Scalar, format_rat, rat
@@ -249,13 +249,6 @@ def canonical_polynomial_weights(mu: RationalFn) -> HighestWeightGL2:
     return HighestWeightGL2(l1, l2)
 
 
-def twist(hw: HighestWeightGL2, phi: SeriesU) -> HighestWeightGL2:
-    """Rescale both weight series by phi(u); the ratio mu is unchanged."""
-    return HighestWeightGL2(
-        series_mul(phi, hw.lambda1), series_mul(phi, hw.lambda2)
-    )
-
-
 class ActionCache:
     """Memo for single-generator actions on basis monomials.
 
@@ -376,18 +369,6 @@ def act_generator(
     out = ModuleVector()
     out._terms = acc
     return out
-
-
-def act_word(
-    word: Sequence[tuple[int, int, int]],
-    v: ModuleVector,
-    hw: HighestWeightGL2,
-    cache: Optional[ActionCache] = None,
-) -> ModuleVector:
-    """Apply a product of generators; the last word entry acts first."""
-    for i, j, r in reversed(list(word)):
-        v = act_generator(i, j, r, v, hw, cache)
-    return v
 
 
 def act_quantum_det(

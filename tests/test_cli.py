@@ -228,7 +228,8 @@ class TestExitCodes:
         def boom(params):
             raise RuntimeError("invariant breached")
 
-        monkeypatch.setitem(cli._RUNNERS, "roots", boom)
+        roots = cli._COMMANDS["roots"]._replace(runner=boom)
+        monkeypatch.setitem(cli._COMMANDS, "roots", roots)
         code, out, err = call_main(capsys, ["roots", "--cartan", "A1"])
         assert code == 4 and out == ""
         assert json.loads(err)["error"]["code"] == "internal"
@@ -308,9 +309,10 @@ class TestExitCodes:
         assert sorted(f.name for f in tmp_path.iterdir()) == ["link.json", "real.json"]
 
     def test_unserializable_report_is_internal_error(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli._RUNNERS, "roots", lambda params: ({"bad": object()}, cli.EXIT_OK)
+        roots = cli._COMMANDS["roots"]._replace(
+            runner=lambda params: ({"bad": object()}, cli.EXIT_OK)
         )
+        monkeypatch.setitem(cli._COMMANDS, "roots", roots)
         code, out, err = call_main(capsys, ["roots", "--cartan", "A1"])
         assert code == 4 and out == ""
         assert json.loads(err)["error"]["code"] == "internal"
@@ -337,11 +339,11 @@ class TestExitCodes:
         assert code == 2 and json.loads(err)["error"]["code"] == "input"
 
     def test_unknown_generator_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            call_main(
-                capsys, ["act", "--mu", "(u+2)/(u+1)", "--gen", "t13", "--r", "1"]
-            )
-        assert exc.value.code == 2
+        code, out, err = call_main(
+            capsys, ["act", "--mu", "(u+2)/(u+1)", "--gen", "t13", "--r", "1"]
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "input"
 
 
 class TestJobMode:

@@ -10,7 +10,6 @@ from yverma.singular import (
     expand_f_vector,
     f_candidates,
     find_singular,
-    format_fvector,
     fvector_to_obj,
     verify_singular,
 )
@@ -140,8 +139,3 @@ class TestFormatting:
 
     def test_fvector_to_obj_drops_zeros(self):
         assert fvector_to_obj({(0,): 0}) == {"terms": []}
-
-    def test_format_fvector(self):
-        assert format_fvector({(0,): 1, (1,): -2}) == "f(0)*1 - 2*f(1)*1"
-        assert format_fvector({(): 1}) == "1"
-        assert format_fvector({}) == "0"

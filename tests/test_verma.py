@@ -19,14 +19,12 @@ from yverma.verma import (
     ModuleVector,
     act_generator,
     act_quantum_det,
-    act_word,
     basis_monomials,
     canonical_polynomial_weights,
     in_tail_submodule,
     monomial,
     monomial_degree,
     monomial_level,
-    twist,
     weight_of,
 )
 
@@ -123,10 +121,8 @@ class TestGeneratorAction:
             assert act_generator(2, 1, r, one, HW_POLY) == ModuleVector.basis([r])
 
     def test_creation_operators_build_basis(self):
-        word = [(2, 1, 1), (2, 1, 2)]
-        assert act_word(word, ModuleVector.highest(), HW_POLY) == ModuleVector.basis(
-            [1, 2]
-        )
+        v = act_generator(2, 1, 2, ModuleVector.highest(), HW_POLY)
+        assert act_generator(2, 1, 1, v, HW_POLY) == ModuleVector.basis([1, 2])
 
     def test_diagonal_action_on_level_one(self):
         # In the module with lambda1 = 1 and lambda2 = 1 + 1/u the vector
@@ -234,12 +230,6 @@ class TestWeights:
         assert hw.mu(order=4) == SeriesU(
             [1, 1, -1, 1, -1], exact=False
         )
-
-    def test_twist_preserves_ratio(self):
-        phi = SeriesU([1, Fraction(1, 3), -2], exact=True)
-        tw = twist(HW_POLY, phi)
-        assert tw.mu(order=5) == HW_POLY.mu(order=5)
-        assert tw.lambda1 == series_mul(phi, HW_POLY.lambda1)
 
     def test_weight_of_levels(self):
         base = HW_POLY.coeff(1, 1) - HW_POLY.coeff(2, 1)
