@@ -1,11 +1,13 @@
-"""Exact linear algebra over the rationals: RREF, rank, nullspace.
+"""Exact linear algebra over the rationals: one incremental row echelon.
 
 All routines work on lists of rows of ``Fraction`` and never introduce
-rounding.  The reduced row echelon form is canonical for the row space,
-so the nullspace basis returned here is canonical for the solution space:
-two constraint systems have equal solution spaces iff these bases match.
-``RowEchelon`` grows an echelon basis one row at a time, for callers that
-need the rank after every added row rather than once at the end.
+rounding.  ``RowEchelon`` is the only elimination: it grows an echelon
+basis one row at a time, so callers can read the rank after every added
+row, and back-substitutes on demand to the reduced row echelon form.
+``rref``, ``rank`` and ``nullspace`` feed a whole matrix through it.  The
+reduced form is canonical for the row space, so the nullspace basis
+returned here is canonical for the solution space: two constraint systems
+have equal solution spaces iff these bases match.
 """
 
 from __future__ import annotations
@@ -17,36 +19,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Matrix = list[list[Fraction]]
-
-
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices (input unchanged)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
 
 
 class RowEchelon:
@@ -76,9 +48,36 @@ class RowEchelon:
             inv = 1 / v[lead]
             self._rows[lead] = [x * inv for x in v]
 
+    def reduced(self) -> tuple[Matrix, list[int]]:
+        """Reduced row echelon form of the span and its pivot columns.
+
+        Clears every pivot column above its pivot, from the last pivot
+        back; the stored rows stay a basis of the same span.
+        """
+        pivots = sorted(self._rows)
+        for i, p in reversed(list(enumerate(pivots))):
+            below = self._rows[p]
+            for q in pivots[:i]:
+                f = self._rows[q][p]
+                if f:
+                    self._rows[q] = [a - f * b for a, b in zip(self._rows[q], below)]
+        return [self._rows[p] for p in pivots], pivots
+
+
+def _echelon(rows: Matrix) -> RowEchelon:
+    echelon = RowEchelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon
+
+
+def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot column indices (input unchanged)."""
+    return _echelon(rows).reduced()
+
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    return _echelon(rows).rank
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -90,7 +89,7 @@ def nullspace(rows: Matrix, ncols: int) -> list[tuple[Fraction, ...]]:
     """
     if ncols == 0:
         return []
-    reduced, pivots = rref([r for r in rows if any(r)])
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .errors import InputError
@@ -214,9 +215,7 @@ def rational_roots(p: PolyQ) -> Optional[list[Fraction]]:
             roots.append(_ZERO)
             p = PolyQ(p.coeffs[1:])
             continue
-        denom_lcm = 1
-        for c in p.coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = lcm(*(c.denominator for c in p.coeffs))
         ints = [int(c * denom_lcm) for c in p.coeffs]
         found = None
         for num in _divisors(ints[0]):
@@ -235,12 +234,6 @@ def rational_roots(p: PolyQ) -> Optional[list[Fraction]]:
         roots.append(found)
         p = p // PolyQ((-found, _ONE))
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ space at level k is spanned by ordered products f^(r_1) ... f^(r_k) applied
 to the highest vector with 0 <= r_1 <= ... <= r_k (expanded into the PBW
 basis through the Gauss decomposition); bounding the exponent sum by a
 degree budget makes the space finite, and the conditions e^(r) v = 0 for
-r = 0..R become an exact linear system.  R is raised adaptively until the
-solution space stops changing (or the data runs out, which is reported,
-never guessed away).
+r = 0..R become an exact linear system.  R is raised adaptively until its
+rank is full or unchanged for two rounds (or the data runs out, which is
+reported, never guessed away).
 
 For a rational weight mu = P/Q of degree p realized on the polynomial
 weight pair, each s >= p yields a singular vector with expansion exactly
@@ -129,9 +129,10 @@ def find_singular(
 ) -> SingularSearchResult:
     """Exact solution space of { v : e^(r) v = 0, r <= R } at fixed level.
 
-    R starts at degree_bound + level + 1 and is raised until two further
-    increments leave the solution space unchanged (constraints only ever
-    shrink it, so an empty space is final immediately).  For truncated
+    R starts at degree_bound + level + 1 and is raised until the rank of
+    the constraint rows is full or two further increments leave it
+    unchanged (rows only ever shrink the solution space, so equal ranks
+    mean equal spaces); the space is solved once, at the end.  For truncated
     weight series the initial bound must be computable or
     ``InsufficientDataError`` is raised; bounds beyond the window stop
     the adaptive phase with ``stabilized=False``.
@@ -152,7 +153,7 @@ def find_singular(
         ) from exc
 
     r_start = degree_bound + level + 1
-    rows: list[list[Fraction]] = []
+    echelon = linalg.RowEchelon()
     # one lazy e-series per candidate; each relation round reads the next term
     e_images = [e_series(v, hw, cache) for v in vectors]
 
@@ -160,10 +161,9 @@ def find_singular(
         images = [next(series) for series in e_images]
         monos = sorted({m for img in images for m in img.terms}, key=_mono_sort_key)
         for mono in monos:
-            rows.append([img.coefficient(mono) for img in images])
-
-    def kernel() -> list[tuple[Fraction, ...]]:
-        return linalg.nullspace(rows, len(cands))
+            if echelon.rank == len(cands):
+                break  # the kernel is already empty
+            echelon.add([img.coefficient(mono) for img in images])
 
     try:
         for _ in range(r_start + 1):
@@ -173,24 +173,23 @@ def find_singular(
             f"weight series too short for relation bound {r_start}: {exc}"
         ) from exc
 
-    current = kernel()
     bound = r_start
-    stabilized = not current
-    if current:
+    stabilized = echelon.rank == len(cands)
+    if not stabilized:
         unchanged = 0
         for extra in range(1, max_extra_relations + 1):
+            before = echelon.rank
             try:
                 add_relations()
             except TruncationError:
                 break
             bound = r_start + extra
-            nxt = kernel()
-            unchanged = unchanged + 1 if nxt == current else 0
-            current = nxt
-            if not current or unchanged >= 2:
+            unchanged = unchanged + 1 if echelon.rank == before else 0
+            if echelon.rank == len(cands) or unchanged >= 2:
                 stabilized = True
                 break
 
+    current = linalg.nullspace(echelon.reduced()[0], len(cands))
     fbasis = tuple(
         {cands[j]: coord for j, coord in enumerate(vec) if coord} for vec in current
     )

@@ -57,14 +57,6 @@ def _insert(mono: Monomial, r: int) -> Monomial:
     return tuple(out)
 
 
-def monomial_level(mono: Monomial) -> int:
-    return len(mono)
-
-
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def _mono_sort_key(mono: Monomial) -> tuple:
     return (len(mono), mono)
 

@@ -10,6 +10,65 @@ def _frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def _reference_rref(rows):
+    """Gauss-Jordan elimination, column by column over the whole matrix."""
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _reference_nullspace(rows, ncols):
+    """Kernel read off the reference RREF: one vector per free column."""
+    reduced, pivots = _reference_rref(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _matrices(seed, count):
+    """Seeded random matrices of every shape class, plus the edge cases."""
+    rng = random.Random(seed)
+    yield [], 0
+    yield [], 3
+    yield [[], []], 0
+    yield _frac_rows([[0, 0, 0], [0, 0, 0]]), 3
+    yield _frac_rows([[1, -2, 3], [1, -2, 3], [0, 0, 0], [2, -4, 6]]), 3
+    for _ in range(count):
+        n, m = rng.choice([(rng.randint(1, 4), rng.randint(5, 9)),  # wide
+                           (rng.randint(5, 9), rng.randint(1, 4)),  # tall
+                           (rng.randint(1, 7), rng.randint(1, 7))])
+        pool = rng.choice([[0, 0, 1, -1, 2], list(range(-9, 10)),
+                           [Fraction(1, 3), Fraction(-5, 7), 0, 0, 4]])
+        rows = _frac_rows([[rng.choice(pool) for _ in range(m)] for _ in range(n)])
+        if n > 1 and rng.random() < 0.3:  # a duplicate and a zero row
+            rows[rng.randrange(n)] = list(rows[0])
+            rows[rng.randrange(n)] = [Fraction(0)] * m
+        yield rows, m
+
+
 class TestRref:
     def test_identity_like(self):
         reduced, pivots = rref(_frac_rows([[2, 0], [0, 3]]))
@@ -100,5 +159,27 @@ class TestRowEchelon:
             echelon = RowEchelon()
             for k, row in enumerate(rows, 1):
                 echelon.add(row)
-                assert echelon.rank == rank(rows[:k])
+                assert echelon.rank == len(_reference_rref(rows[:k])[1])
         assert RowEchelon().rank == 0
+
+    def test_reduced_after_each_prefix_matches_reference(self):
+        for rows, _ in _matrices(seed=11, count=120):
+            echelon = RowEchelon()
+            assert echelon.reduced() == ([], [])
+            for k, row in enumerate(rows, 1):
+                echelon.add(row)
+                assert echelon.reduced() == _reference_rref(rows[:k]), rows[:k]
+                assert echelon.rank == len(echelon.reduced()[1])
+
+
+class TestAgainstReference:
+    """rref, rank and nullspace agree with the Gauss-Jordan reference."""
+
+    def test_random_and_edge_matrices(self):
+        for rows, ncols in _matrices(seed=3, count=300):
+            before = [list(r) for r in rows]
+            expected = _reference_rref(rows)
+            assert rref(rows) == expected, rows
+            assert rank(rows) == len(expected[1]), rows
+            assert nullspace(rows, ncols) == _reference_nullspace(rows, ncols), rows
+            assert rows == before

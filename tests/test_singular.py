@@ -1,21 +1,97 @@
 """Singular-vector search and the canonical one-parameter family."""
 
+import random
+
 import pytest
 
-from yverma.errors import InputError, InsufficientDataError
+from yverma import linalg
+from yverma.errors import InputError, InsufficientDataError, TruncationError
+from yverma.gauss import as_gl2_weights, e_series
 from yverma.rational import parse_rational_fn
 from yverma.series import expand_rational
 from yverma.singular import (
     canonical_singular_vector,
+    expand_f_monomial,
     expand_f_vector,
     f_candidates,
     find_singular,
     fvector_to_obj,
     verify_singular,
 )
-from yverma.verma import ModuleVector
+from yverma.verma import ActionCache, ModuleVector, _mono_sort_key
 
 MU = parse_rational_fn("(u+2)/(u+1)")
+
+
+def _reference_find_singular(mu, level, degree_bound, max_extra_relations=32):
+    """The direct search: every row kept, the kernel re-solved each round.
+
+    Returns (relation_bound, stabilized, fbasis, basis) as find_singular
+    reports them; stops once the kernel is empty or equal for two rounds.
+    """
+    hw = as_gl2_weights(mu)
+    cache = ActionCache(hw)
+    cands = f_candidates(level, degree_bound)
+    try:
+        vectors = [expand_f_monomial(fm, hw, cache) for fm in cands]
+    except TruncationError as exc:
+        raise InsufficientDataError(
+            f"weight series too short to expand level-{level} candidates: {exc}"
+        ) from exc
+    r_start = degree_bound + level + 1
+    rows = []
+    e_images = [e_series(v, hw, cache) for v in vectors]
+
+    def add_relations():
+        images = [next(series) for series in e_images]
+        monos = sorted({m for img in images for m in img.terms}, key=_mono_sort_key)
+        for mono in monos:
+            rows.append([img.coefficient(mono) for img in images])
+
+    try:
+        for _ in range(r_start + 1):
+            add_relations()
+    except TruncationError as exc:
+        raise InsufficientDataError(
+            f"weight series too short for relation bound {r_start}: {exc}"
+        ) from exc
+    current = linalg.nullspace(rows, len(cands))
+    bound = r_start
+    stabilized = not current
+    if current:
+        unchanged = 0
+        for extra in range(1, max_extra_relations + 1):
+            try:
+                add_relations()
+            except TruncationError:
+                break
+            bound = r_start + extra
+            nxt = linalg.nullspace(rows, len(cands))
+            unchanged = unchanged + 1 if nxt == current else 0
+            current = nxt
+            if not current or unchanged >= 2:
+                stabilized = True
+                break
+    fbasis = tuple(
+        {cands[j]: coord for j, coord in enumerate(vec) if coord} for vec in current
+    )
+    basis = tuple(
+        sum((vectors[j].scaled(c) for j, c in enumerate(vec) if c), ModuleVector.zero())
+        for vec in current
+    )
+    return bound, stabilized, fbasis, basis
+
+
+def _search(mu, level, degree_bound):
+    res = find_singular(mu, level, degree_bound)
+    return res.relation_bound, res.stabilized, res.fbasis, res.basis
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except InsufficientDataError as exc:
+        return str(exc)
 
 
 class TestCandidates:
@@ -96,6 +172,69 @@ class TestSearch:
         for order, expected in [(5, (3, False)), (6, (4, False)), (7, (5, True))]:
             res = find_singular(expand_rational(MU, order=order), level=1, degree_bound=1)
             assert (res.relation_bound, res.stabilized) == expected, order
+
+
+class TestAgainstReference:
+    """find_singular reports what the per-round kernel search reports."""
+
+    WEIGHTS = [
+        "(u+2)/(u+1)",
+        "(u+4)/(u+1)",
+        "(u+1)/(u+3)",
+        "(u+5/2)/(u+1)",
+        "(u+1/2)/(u+2)",
+        "(u^2+3u+1)/(u^2+1)",
+        "(u+3)(u+5)/((u+1)(u+2))",
+    ]
+
+    def test_seeded_grid(self):
+        rng = random.Random(6)
+        cases = [(w, 1, d) for w in self.WEIGHTS for d in range(7)]
+        cases += [(w, 2, rng.randint(0, 6)) for w in self.WEIGHTS]
+        cases += [(w, 3, rng.randint(0, 4)) for w in self.WEIGHTS]
+        kinds = set()
+        for text, level, bound in cases:
+            mu = parse_rational_fn(text)
+            expected = _outcome(_reference_find_singular, mu, level, bound)
+            assert _outcome(_search, mu, level, bound) == expected, (text, level, bound)
+            kinds.add(bool(expected[2]))
+        assert kinds == {True, False}  # empty and nonempty kernels
+
+    def test_truncated_series(self):
+        kinds = set()
+        for order in range(4, 17):
+            for text in ["(u+2)/(u+1)", "(u+5/2)/(u+1)", "(u^2+3u+1)/(u^2+1)"]:
+                series = expand_rational(parse_rational_fn(text), order=order)
+                for args in [(1, 1), (1, 3), (2, 2), (3, 1)]:
+                    expected = _outcome(_reference_find_singular, series, *args)
+                    got = _outcome(_search, series, *args)
+                    assert got == expected, (text, order, args)
+                    kinds.add("error" if isinstance(expected, str) else expected[1])
+        assert kinds == {"error", True, False}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        inner = linalg.nullspace
+
+        def counting(rows, ncols):
+            count[0] += 1
+            return inner(rows, ncols)
+
+        monkeypatch.setattr(linalg, "nullspace", counting)
+        return count
+
+    @pytest.mark.parametrize(
+        "mu, level, bound",
+        [
+            (MU, 1, 3),  # nonempty kernel, stabilized
+            (MU, 2, 1),  # empty kernel
+            (expand_rational(MU, order=5), 1, 1),  # window ends first
+        ],
+    )
+    def test_one_nullspace_per_search(self, calls, mu, level, bound):
+        find_singular(mu, level, bound)
+        assert calls[0] == 1
 
 
 class TestCanonicalFamily:
