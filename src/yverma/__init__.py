@@ -25,7 +25,6 @@ from .rational import (
     POLY_U,
     POLY_ZERO,
     PolyQ,
-    Rat,
     RationalFn,
     format_rat,
     parse_rational_fn,
@@ -40,7 +39,6 @@ from .series import (
     SeriesU,
     expand_rational,
     render_series,
-    series_eq_through,
     series_from_tail,
     series_inverse,
     series_mul,
@@ -51,7 +49,6 @@ from .verma import (
     HighestWeightGL2,
     Monomial,
     ModuleVector,
-    WeightInfo,
     act_generator,
     act_quantum_det,
     basis_monomials,
@@ -59,7 +56,6 @@ from .verma import (
     format_vector,
     in_tail_submodule,
     monomial,
-    weight_of,
 )
 from .gauss import (
     SL2Weight,
@@ -94,7 +90,6 @@ from .character import (
     character_formula,
     contravariant_pairing,
     irreducible_weight_dims,
-    pair_vectors,
     reorder_strings,
 )
 from .rootsys import (

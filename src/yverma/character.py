@@ -98,21 +98,6 @@ def _pairing(
     return total
 
 
-def pair_vectors(
-    v1: ModuleVector,
-    v2: ModuleVector,
-    hw: HighestWeightGL2,
-    cache: Optional[ActionCache] = None,
-) -> Fraction:
-    """Bilinear extension of the monomial pairing; unequal levels pair to zero."""
-    total = _ZERO
-    for m1, c1 in v1.terms.items():
-        for m2, c2 in v2.terms.items():
-            if len(m1) == len(m2):
-                total += c1 * c2 * contravariant_pairing(m1, m2, hw, cache)
-    return total
-
-
 @dataclass(frozen=True)
 class GramReport:
     """Exact Gram data of the level-k spanning set of the irreducible quotient."""

@@ -59,12 +59,7 @@ from .rootsys import CartanData, cartan_matrix, positive_roots
 from .selftest import run_selftest
 from .series import SeriesU, expand_rational, series_from_tail
 from .singular import find_singular, fvector_to_obj
-from .verdicts import (
-    HighestWeightTuple,
-    verdict_finite_dimensional,
-    verdict_reducible,
-    verdict_weight_finiteness,
-)
+from .verdicts import HighestWeightTuple, _classify, verdict_finite_dimensional
 from .verma import ActionCache, ModuleVector, act_generator, act_quantum_det, monomial
 
 SCHEMA = "verma/1"
@@ -323,8 +318,7 @@ def _run_verdict(params: dict) -> tuple[dict, int]:
         mu_texts = [mu_texts]
     budget = params["budget"]
     weights = HighestWeightTuple([_parse_weight(t) for t in mu_texts])
-    reducible = verdict_reducible(weights, budget)
-    finiteness = verdict_weight_finiteness(weights, budget)
+    reducible, finiteness = _classify(weights, budget)
     obj: dict = {
         "mu": list(mu_texts),
         "budget": budget,

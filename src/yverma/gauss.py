@@ -51,19 +51,15 @@ SL2Weight = Union[SeriesU, RationalFn]
 _ZERO_VECTOR = ModuleVector.zero()
 
 
-def as_gl2_weights(mu: SL2Weight) -> HighestWeightGL2:
-    """A gl(2) weight pair realizing the given ratio mu."""
+def as_gl2_weights(mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
+    """A gl(2) weight pair realizing the given ratio mu; a pair is returned unchanged."""
+    if isinstance(mu, HighestWeightGL2):
+        return mu
     if isinstance(mu, RationalFn):
         return canonical_polynomial_weights(mu)
     if isinstance(mu, SeriesU):
         return HighestWeightGL2(mu, SERIES_ONE)
     raise InputError(f"not an sl(2) highest weight: {mu!r}")
-
-
-def _coerce_hw(hw_or_mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
-    if isinstance(hw_or_mu, HighestWeightGL2):
-        return hw_or_mu
-    return as_gl2_weights(hw_or_mu)
 
 
 def _t22_solve(
@@ -112,7 +108,7 @@ def e_series(
     Each term costs one step of the solve, so reading e^(0..R) v costs no
     more than computing e^(R) v alone.
     """
-    hw = _coerce_hw(hw_or_mu)
+    hw = as_gl2_weights(hw_or_mu)
     # t_12^(0) = 0, so the solve starts at zero and e^(r) v is its term r + 1
     t12_v = (act_generator(1, 2, b, v, hw, cache) if b else _ZERO_VECTOR for b in count())
     return islice(_t22_solve(t12_v, hw, cache), 1, None)
@@ -139,7 +135,7 @@ def act_f(
     """Apply f^(r), the u^{-r-1} coefficient of f(u), r >= 0."""
     if r < 0:
         raise InputError("f index must be >= 0")
-    hw = _coerce_hw(hw_or_mu)
+    hw = as_gl2_weights(hw_or_mu)
     n = r + 1
     w = list(islice(_t22_solve([v], hw, cache), n))
     return _t_times(2, 1, n, w, hw, cache)
@@ -154,7 +150,7 @@ def act_h(
     """Apply h^(r), the u^{-r-1} coefficient of h(u), r >= 0."""
     if r < 0:
         raise InputError("h index must be >= 0")
-    hw = _coerce_hw(hw_or_mu)
+    hw = as_gl2_weights(hw_or_mu)
     n = r + 1
     w = list(islice(_t22_solve([v], hw, cache), n + 1))
     # the t_11 term runs first: on a truncated weight, the order of the terms
@@ -181,7 +177,7 @@ def act_h_via_quantum_det(
     """
     if r < 0:
         raise InputError("h index must be >= 0")
-    hw = _coerce_hw(hw_or_mu)
+    hw = as_gl2_weights(hw_or_mu)
     n = r + 1
     qdet_v = [act_quantum_det(z, v, hw, cache) if z else v for z in range(n + 1)]
     # the u^{-m} coefficient of t_22(u-1)^{-1} qdet(u) v, for m = 0..n

@@ -20,8 +20,6 @@ from typing import Iterable, Optional, Union
 
 from .errors import InputError
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

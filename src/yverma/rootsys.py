@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -85,14 +85,9 @@ def symmetrizers(a: Iterable[Iterable[int]]) -> tuple[int, ...]:
                     component.append(j)
                 elif d[j] != forced:
                     raise InputError("Cartan matrix is not symmetrizable")
-        denom_lcm = 1
-        for i in component:
-            q = d[i].denominator
-            denom_lcm = denom_lcm * q // gcd(denom_lcm, q)
+        denom_lcm = lcm(*(d[i].denominator for i in component))
         nums = [int(d[i] * denom_lcm) for i in component]
-        g = 0
-        for x in nums:
-            g = gcd(g, x)
+        g = gcd(*nums)
         for i, x in zip(component, nums):
             d[i] = Fraction(x // g)
     out = tuple(int(x) for x in d)
@@ -140,12 +135,16 @@ def root_height(alpha: Root) -> int:
     return sum(alpha)
 
 
-def positive_roots(a: Iterable[Iterable[int]], max_height: int = 100) -> RootSystem:
+#: Roots still appearing at this height reject the matrix as not of finite type.
+_MAX_HEIGHT = 100
+
+
+def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
     """Generate all positive roots by root strings; reject non-finite systems.
 
     Roots are returned sorted by (height, coordinates).  If generation is
-    still producing new roots at ``max_height`` the matrix is not of
-    finite type and ``InputError`` is raised.
+    still producing new roots at height 100 the matrix is not of finite
+    type and ``InputError`` is raised.
     """
     rows = validate_cartan(a)
     n = len(rows)
@@ -157,9 +156,9 @@ def positive_roots(a: Iterable[Iterable[int]], max_height: int = 100) -> RootSys
         frontier.append(e)
     height = 1
     while frontier:
-        if height >= max_height:
+        if height >= _MAX_HEIGHT:
             raise InputError(
-                f"root generation exceeded height {max_height}; "
+                f"root generation exceeded height {_MAX_HEIGHT}; "
                 "Cartan matrix is not of finite type"
             )
         nxt: list[Root] = []

@@ -58,19 +58,6 @@ class SeriesU:
     def is_one(self) -> bool:
         return self.exact and len(self.coeffs) == 1
 
-    def truncate(self, order: int) -> "SeriesU":
-        """Forget everything beyond ``order`` (result is inexact).
-
-        An inexact window never extends, so the result's order is clamped
-        to what is available; exact input pads with its true zeros.
-        """
-        if order < 0:
-            raise InputError("truncation order must be nonnegative")
-        if not self.exact:
-            order = min(order, self.order)
-        cs = [self.coeff(r) for r in range(order + 1)]
-        return SeriesU(cs, exact=False)
-
     def __str__(self) -> str:
         return render_series(self)
 
@@ -192,11 +179,6 @@ def expand_rational(f: RationalFn, order: int) -> SeriesU:
     den_is_power = all(f.den.coeff(k) == 0 for k in range(p))
     exact = den_is_power and order >= p
     return SeriesU(out, exact=exact)
-
-
-def series_eq_through(a: SeriesU, b: SeriesU, order: int) -> bool:
-    """Exact coefficientwise equality through the given order."""
-    return all(a.coeff(r) == b.coeff(r) for r in range(order + 1))
 
 
 def render_series(s: SeriesU) -> str:

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from . import linalg
 from .errors import InputError, InsufficientDataError, TruncationError
-from .gauss import SL2Weight, act_f, act_h, as_gl2_weights, e_series
+from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
 from .rational import RationalFn, format_rat, rat
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key
 
@@ -41,26 +41,38 @@ FMonomial = tuple[int, ...]
 FVector = dict[FMonomial, Fraction]
 
 
+#: Largest candidate space ``find_singular`` expands; a larger one is an input error.
+_SIZE_CAP = 5000
+#: Relation rounds added past the initial bound before a search stops unstabilized.
+_MAX_EXTRA_RELATIONS = 32
+
+
 def f_candidates(level: int, degree_bound: int) -> list[FMonomial]:
     """All ordered f-monomials of the given level with exponent sum <= bound."""
+    return list(_f_monomials(level, degree_bound))
+
+
+def _f_monomials(level: int, degree_bound: int) -> Iterator[FMonomial]:
+    """Lazily yield the candidates, depth first and hence in lexicographic order.
+
+    The arguments are checked at call time, before the first candidate.
+    """
     if level < 0:
         raise InputError("level must be >= 0")
     if degree_bound < 0:
         raise InputError("degree bound must be >= 0")
-    out: list[FMonomial] = []
 
-    def extend(prefix: list[int], smallest: int, budget: int) -> None:
+    def extend(prefix: list[int], smallest: int, budget: int) -> Iterator[FMonomial]:
         if len(prefix) == level:
-            out.append(tuple(prefix))
+            yield tuple(prefix)
             return
         slots_left = level - len(prefix)
         for r in range(smallest, budget // slots_left + 1):
             prefix.append(r)
-            extend(prefix, r, budget - r)
+            yield from extend(prefix, r, budget - r)
             prefix.pop()
 
-    extend([], 0, degree_bound)
-    return sorted(out)
+    return extend([], 0, degree_bound)
 
 
 def expand_f_monomial(
@@ -80,7 +92,7 @@ def expand_f_vector(
     mu_or_hw: Union[HighestWeightGL2, SL2Weight],
     cache: Optional[ActionCache] = None,
 ) -> ModuleVector:
-    hw = mu_or_hw if isinstance(mu_or_hw, HighestWeightGL2) else as_gl2_weights(mu_or_hw)
+    hw = as_gl2_weights(mu_or_hw)
     out = ModuleVector.zero()
     for fmono, c in fvec.items():
         out = out + expand_f_monomial(tuple(fmono), hw, cache).scaled(c)
@@ -115,18 +127,9 @@ class SingularSearchResult:
     candidates: tuple[FMonomial, ...]
     fbasis: tuple[FVector, ...]
     basis: tuple[ModuleVector, ...]
-    h_eigen: Optional[tuple[bool, ...]] = None
 
 
-def find_singular(
-    mu: SL2Weight,
-    level: int,
-    degree_bound: int,
-    *,
-    size_cap: int = 5000,
-    classify_h: bool = False,
-    max_extra_relations: int = 32,
-) -> SingularSearchResult:
+def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearchResult:
     """Exact solution space of { v : e^(r) v = 0, r <= R } at fixed level.
 
     R starts at degree_bound + level + 1 and is raised until the rank of
@@ -135,15 +138,14 @@ def find_singular(
     mean equal spaces); the space is solved once, at the end.  For truncated
     weight series the initial bound must be computable or
     ``InsufficientDataError`` is raised; bounds beyond the window stop
-    the adaptive phase with ``stabilized=False``.
+    the adaptive phase with ``stabilized=False``.  A candidate space of
+    more than 5000 monomials raises ``InputError`` before any is expanded.
     """
     hw = as_gl2_weights(mu)
     cache = ActionCache(hw)
-    cands = f_candidates(level, degree_bound)
-    if len(cands) > size_cap:
-        raise InputError(
-            f"candidate space has {len(cands)} monomials, over the cap {size_cap}"
-        )
+    cands = list(islice(_f_monomials(level, degree_bound), _SIZE_CAP + 1))
+    if len(cands) > _SIZE_CAP:
+        raise InputError(f"candidate space exceeds the cap of {_SIZE_CAP} monomials")
 
     try:
         vectors = [expand_f_monomial(fm, hw, cache) for fm in cands]
@@ -177,7 +179,7 @@ def find_singular(
     stabilized = echelon.rank == len(cands)
     if not stabilized:
         unchanged = 0
-        for extra in range(1, max_extra_relations + 1):
+        for extra in range(1, _MAX_EXTRA_RELATIONS + 1):
             before = echelon.rank
             try:
                 add_relations()
@@ -201,10 +203,6 @@ def find_singular(
                 acc = acc + vectors[j].scaled(coord)
         basis.append(acc)
 
-    h_eigen = None
-    if classify_h:
-        h_eigen = tuple(_is_h0_eigenvector(w, hw, cache) for w in basis)
-
     return SingularSearchResult(
         level=level,
         degree_bound=degree_bound,
@@ -213,19 +211,7 @@ def find_singular(
         candidates=tuple(cands),
         fbasis=fbasis,
         basis=tuple(basis),
-        h_eigen=h_eigen,
     )
-
-
-def _is_h0_eigenvector(
-    w: ModuleVector, hw: HighestWeightGL2, cache: Optional[ActionCache]
-) -> bool:
-    if w.is_zero():
-        return True
-    image = act_h(0, w, hw, cache)
-    mono = w.monomials()[0]
-    ratio = image.coefficient(mono) / w.coefficient(mono)
-    return image == w.scaled(ratio)
 
 
 def canonical_singular_vector(mu: RationalFn, s: int) -> FVector:

@@ -67,36 +67,39 @@ class WeightFinitenessVerdict:
     components: tuple[RationalityVerdict, ...]
 
 
-def _component_verdicts(
-    weights: HighestWeightTuple, budget: int
-) -> tuple[RationalityVerdict, ...]:
-    return tuple(is_rational_verdict(c, budget) for c in weights.components)
-
-
 def verdict_reducible(weights: HighestWeightTuple, budget: int) -> ReducibilityVerdict:
     """Reducible iff some component is rational (certain); otherwise qualified."""
-    comps = _component_verdicts(weights, budget)
-    if any(v.kind == "rational" for v in comps):
-        kind = "reducible"
-    elif any(v.kind == "insufficient_data" for v in comps):
-        kind = "undetermined"
-    else:
-        kind = "irreducible_up_to_budget"
-    return ReducibilityVerdict(kind=kind, budget=budget, components=comps)
+    return _classify(weights, budget)[0]
 
 
 def verdict_weight_finiteness(
     weights: HighestWeightTuple, budget: int
 ) -> WeightFinitenessVerdict:
     """All weight multiplicities finite iff every component is rational."""
-    comps = _component_verdicts(weights, budget)
-    if all(v.kind == "rational" for v in comps):
-        kind = "finite"
-    elif any(v.kind == "no_recurrence_up_to" for v in comps):
-        kind = "not_finite_up_to_budget"
+    return _classify(weights, budget)[1]
+
+
+def _classify(
+    weights: HighestWeightTuple, budget: int
+) -> tuple[ReducibilityVerdict, WeightFinitenessVerdict]:
+    """Both verdicts, from one rationality verdict per component."""
+    comps = tuple(is_rational_verdict(c, budget) for c in weights.components)
+    if any(v.kind == "rational" for v in comps):
+        reducible = "reducible"
+    elif any(v.kind == "insufficient_data" for v in comps):
+        reducible = "undetermined"
     else:
-        kind = "undetermined"
-    return WeightFinitenessVerdict(kind=kind, budget=budget, components=comps)
+        reducible = "irreducible_up_to_budget"
+    if all(v.kind == "rational" for v in comps):
+        finite = "finite"
+    elif any(v.kind == "no_recurrence_up_to" for v in comps):
+        finite = "not_finite_up_to_budget"
+    else:
+        finite = "undetermined"
+    return (
+        ReducibilityVerdict(kind=reducible, budget=budget, components=comps),
+        WeightFinitenessVerdict(kind=finite, budget=budget, components=comps),
+    )
 
 
 def verdict_finite_dimensional(

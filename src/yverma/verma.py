@@ -25,7 +25,6 @@ or act on the shorter monomial w.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .errors import InputError
 from .rational import RationalFn, Scalar, format_rat, rat
-from .series import SeriesU, series_inverse, series_mul, shifted_power_coeff
+from .series import SeriesU, shifted_power_coeff
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -214,19 +213,6 @@ class HighestWeightGL2:
         if i == 2:
             return self.lambda2.coeff(r)
         raise InputError(f"diagonal index must be 1 or 2, got {i}")
-
-    def mu(self, order: Optional[int] = None) -> SeriesU:
-        """The ratio lambda1/lambda2 as a series, through ``order``."""
-        if self.lambda2.is_one():
-            return self.lambda1 if order is None else self.lambda1.truncate(order)
-        if order is None:
-            if self.lambda1.exact and self.lambda2.exact:
-                order = self.lambda1.order + self.lambda2.order
-            else:
-                order = min(
-                    s.order for s in (self.lambda1, self.lambda2) if not s.exact
-                )
-        return series_mul(self.lambda1, series_inverse(self.lambda2, order))
 
 
 def canonical_polynomial_weights(mu: RationalFn) -> HighestWeightGL2:
@@ -439,20 +425,3 @@ def basis_monomials(max_level: int, max_degree: int) -> list[Monomial]:
 
     extend([], 1, max_degree)
     return sorted(out, key=_mono_sort_key)
-
-
-WeightInfo = namedtuple("WeightInfo", ["level", "eigenvalue"])
-
-
-def weight_of(v: ModuleVector, hw: HighestWeightGL2) -> WeightInfo:
-    """Level and t_11^(1) - t_22^(1) eigenvalue of a homogeneous vector.
-
-    Level-k monomials all have eigenvalue lambda1^(1) - lambda2^(1) - 2k;
-    mixed-level (or zero) vectors are rejected.
-    """
-    levels = v.levels()
-    if len(levels) != 1:
-        raise InputError("weight is defined only for nonzero single-level vectors")
-    k = levels[0]
-    base = hw.coeff(1, 1) - hw.coeff(2, 1)
-    return WeightInfo(level=k, eigenvalue=base - 2 * k)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import yverma.cli as cli
+import yverma.recurrence as recurrence
 
 
 def run_cli(argv, monkeypatch=None, env=None):
@@ -142,6 +143,34 @@ class TestReportContract:
         )
         assert code == 0
         assert json.loads(out)["finite_dimensional"] is True
+
+    def test_verdict_detects_each_series_component_once(self, capsys, monkeypatch):
+        calls = []
+        inner = recurrence.detect_recurrence
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(recurrence, "detect_recurrence", counting)
+        code, out, _ = call_main(
+            capsys,
+            [
+                "verdict",
+                "--mu", "series:1,1,1,1,1,1,1,1",
+                "--mu", "(u+2)/(u+1)",
+                "--mu", "series:1,2,6,24,120,720,5040,40320",
+                "--budget", "2",
+            ],
+        )
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["reducible"], obj["weight_finiteness"]) == (
+            "reducible",
+            "not_finite_up_to_budget",
+        )
+        # the rational component needs no detection; each series needs one
+        assert len(calls) == 2
 
     def test_series_weight_syntax(self, capsys):
         code, out, _ = call_main(

@@ -15,7 +15,6 @@ from yverma import (
     expand_rational,
     parse_rational_fn,
     render_series,
-    series_eq_through,
     series_from_tail,
     series_inverse,
     series_mul,
@@ -54,11 +53,6 @@ class TestSeriesU:
         assert not SeriesU([1, 1], exact=True).is_one()
         assert not series_from_tail([]).is_one()  # inexact window of order 0
 
-    def test_truncate(self):
-        a = series_from_tail([1, 2, 3])
-        assert a.truncate(1).coeffs == (Fraction(1), Fraction(1))
-        assert a.truncate(5).order == 3  # cannot extend a window
-
     def test_equality_is_canonical(self):
         assert SeriesU([1, 2], exact=True) == SeriesU([1, 2, 0], exact=True)
         assert SeriesU([1, 2], exact=True) != SeriesU([1, 2], exact=False)
@@ -92,7 +86,7 @@ class TestMul:
             assert series_mul(a, b) == series_mul(b, a)
             lhs = series_mul(series_mul(a, b), c)
             rhs = series_mul(a, series_mul(b, c))
-            assert series_eq_through(lhs, rhs, 5)
+            assert [lhs.coeff(r) for r in range(6)] == [rhs.coeff(r) for r in range(6)]
 
 
 class TestInverse:
@@ -129,7 +123,7 @@ class TestShiftArgument:
         once = series_shift_argument(a, 1, order=6)
         twice = series_shift_argument(series_shift_argument(a, 1, order=12), 1, order=6)
         direct = series_shift_argument(a, 2, order=6)
-        assert series_eq_through(twice, direct, 6)
+        assert [twice.coeff(r) for r in range(7)] == [direct.coeff(r) for r in range(7)]
 
     def test_shift_is_multiplicative(self):
         a = SeriesU([1, 1], exact=True)
@@ -139,7 +133,7 @@ class TestShiftArgument:
             series_shift_argument(a, -1, order=6),
             series_shift_argument(b, -1, order=6),
         )
-        assert series_eq_through(lhs, rhs, 6)
+        assert [lhs.coeff(r) for r in range(7)] == [rhs.coeff(r) for r in range(7)]
 
     def test_truncation_guard(self):
         a = series_from_tail([1, 2])

@@ -1,12 +1,16 @@
 """Singular-vector search and the canonical one-parameter family."""
 
+import json
 import random
+import subprocess
+import sys
+import time
 
 import pytest
 
 from yverma import linalg
 from yverma.errors import InputError, InsufficientDataError, TruncationError
-from yverma.gauss import as_gl2_weights, e_series
+from yverma.gauss import act_h, as_gl2_weights, e_series
 from yverma.rational import parse_rational_fn
 from yverma.series import expand_rational
 from yverma.singular import (
@@ -158,12 +162,30 @@ class TestSearch:
         assert res.fbasis == ({(0,): 1, (1,): 1},)
 
     def test_h_classification(self):
-        res = find_singular(MU, level=1, degree_bound=1, classify_h=True)
-        assert res.h_eigen == (True,)
+        # every basis vector is an eigenvector of h^(0)
+        res = find_singular(MU, level=1, degree_bound=3)
+        assert len(res.basis) == 3
+        for w in res.basis:
+            image = act_h(0, w, MU)
+            mono = w.monomials()[0]
+            assert image == w.scaled(image.coefficient(mono) / w.coefficient(mono))
 
     def test_size_cap(self):
-        with pytest.raises(InputError):
-            find_singular(MU, level=3, degree_bound=30, size_cap=10)
+        # level 9 with degree bound 150 has far more candidates than can be
+        # listed; the search stops reading them at the cap of 5000
+        argv = ["singular", "--mu", "(u+2)/(u+1)", "--level", "9", "--degree", "150"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "yverma", *argv], capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == {
+            "code": "input",
+            "message": "candidate space exceeds the cap of 5000 monomials",
+        }
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="exceeds the cap of 5000"):
+            find_singular(MU, level=9, degree_bound=150)
+        assert time.perf_counter() - start < 1.0
 
     def test_truncation_boundaries(self):
         # The weight window decides relation_budget and stabilized in a report.

@@ -23,7 +23,6 @@ from yverma.verma import (
     canonical_polynomial_weights,
     in_tail_submodule,
     monomial,
-    weight_of,
 )
 
 # mu = (u+2)/(u+1) realized with polynomial weight series 1 + 2/u and 1 + 1/u.
@@ -219,32 +218,15 @@ class TestWeights:
         hw = canonical_polynomial_weights(parse_rational_fn("(u+2)/(u+1)"))
         assert hw.lambda1 == SeriesU([1, 2], exact=True)
         assert hw.lambda2 == SeriesU([1, 1], exact=True)
-        assert hw.mu(order=4) == SeriesU(
-            [1, 1, -1, 1, -1], exact=False
-        )
-
-    def test_weight_of_levels(self):
-        base = HW_POLY.coeff(1, 1) - HW_POLY.coeff(2, 1)
-        assert base == 1
-        info = weight_of(ModuleVector.basis([1]), HW_POLY)
-        assert info.level == 1 and info.eigenvalue == -1
-        info0 = weight_of(ModuleVector.highest(), HW_POLY)
-        assert info0.level == 0 and info0.eigenvalue == 1
-
-    def test_weight_of_rejects_mixed(self):
-        mixed = ModuleVector.basis([1]) + ModuleVector.highest()
-        with pytest.raises(InputError):
-            weight_of(mixed, HW_POLY)
-        with pytest.raises(InputError):
-            weight_of(ModuleVector.zero(), HW_POLY)
 
     def test_diagonal_eigenvalue_matches_weight_of(self):
-        # t_11^(1) - t_22^(1) acts diagonally on each level.
+        # t_11^(1) - t_22^(1) acts on level k by lambda1^(1) - lambda2^(1) - 2k.
         cache = ActionCache(HW_POLY)
-        for mono in [(1,), (2,), (1, 1), (1, 3), (1, 1, 2)]:
+        base = HW_POLY.coeff(1, 1) - HW_POLY.coeff(2, 1)
+        assert base == 1
+        for mono in [(), (1,), (2,), (1, 1), (1, 3), (1, 1, 2)]:
             v = ModuleVector.basis(mono)
             out = act_generator(1, 1, 1, v, HW_POLY, cache) - act_generator(
                 2, 2, 1, v, HW_POLY, cache
             )
-            info = weight_of(v, HW_POLY)
-            assert out == v.scaled(info.eigenvalue), mono
+            assert out == v.scaled(base - 2 * len(mono)), mono
