@@ -80,7 +80,6 @@ from .singular import (
     canonical_singular_vector,
     expand_f_monomial,
     expand_f_vector,
-    f_candidates,
     find_singular,
     verify_singular,
 )

@@ -47,6 +47,7 @@ from .verma import (
     Monomial,
     ModuleVector,
     act_generator,
+    bind_cache,
     canonical_polynomial_weights,
     monomial,
 )
@@ -67,21 +68,15 @@ def contravariant_pairing(
     word is applied one index at a time through the memoized level
     recursion, and entries are kept in ``cache`` for later calls.
     """
-    m1 = tuple(m1)
+    m1 = monomial(m1)
     m2 = monomial(m2)
     if len(m1) != len(m2):
         raise InputError("pairing requires equal levels")
-    if cache is None:
-        cache = ActionCache(hw)
-    else:
-        # memo hits skip act_generator, so check the binding here
-        cache.check(hw)
-    return _pairing(m1, m2, hw, cache)
+    # memo hits skip act_generator, so bind here
+    return _pairing(m1, m2, bind_cache(hw, cache))
 
 
-def _pairing(
-    m1: Monomial, m2: Monomial, hw: HighestWeightGL2, cache: ActionCache
-) -> Fraction:
+def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> Fraction:
     """<m1, m2> = sum_m c_m <m1[1:], m> where t_12^(m1[0]) m2 = sum_m c_m m."""
     if not m1:
         return _ONE
@@ -91,9 +86,9 @@ def _pairing(
         return hit
     rest = m1[1:]
     total = _ZERO
-    image = act_generator(1, 2, m1[0], ModuleVector({m2: _ONE}), hw, cache)
+    image = act_generator(1, 2, m1[0], ModuleVector({m2: _ONE}), cache.hw, cache)
     for m, c in image.terms.items():
-        total += c * _pairing(rest, m, hw, cache)
+        total += c * _pairing(rest, m, cache)
     cache.data[key] = total
     return total
 

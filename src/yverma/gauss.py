@@ -42,6 +42,7 @@ from .verma import (
     ModuleVector,
     act_generator,
     act_quantum_det,
+    bind_cache,
     canonical_polynomial_weights,
 )
 
@@ -62,11 +63,7 @@ def as_gl2_weights(mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
     raise InputError(f"not an sl(2) highest weight: {mu!r}")
 
 
-def _t22_solve(
-    source: Iterable[ModuleVector],
-    hw: HighestWeightGL2,
-    cache: Optional[ActionCache],
-) -> Iterator[ModuleVector]:
+def _t22_solve(source: Iterable[ModuleVector], cache: ActionCache) -> Iterator[ModuleVector]:
     """Lazily yield Y_0, Y_1, ... of Y(u) = t_22(u)^{-1} S(u).
 
     S_n is the n-th vector of ``source``, and zero once it runs out.
@@ -76,25 +73,20 @@ def _t22_solve(
         n = len(ys)
         for c in range(1, n + 1):
             if ys[n - c]:
-                y = y - act_generator(2, 2, c, ys[n - c], hw, cache)
+                y = y - act_generator(2, 2, c, ys[n - c], cache.hw, cache)
         ys.append(y)
         yield y
 
 
 def _t_times(
-    i: int,
-    j: int,
-    n: int,
-    ys: Sequence[ModuleVector],
-    hw: HighestWeightGL2,
-    cache: Optional[ActionCache],
+    i: int, j: int, n: int, ys: Sequence[ModuleVector], cache: ActionCache
 ) -> ModuleVector:
     """sum_{b=1}^{n} t_ij^(b) Y_{n-b}: the u^{-n} coefficient of
     (t_ij(u) - delta_ij) Y(u), read from Y_0, ..., Y_{n-1}."""
     out = _ZERO_VECTOR
     for a in range(n):
         if ys[a]:
-            out = out + act_generator(i, j, n - a, ys[a], hw, cache)
+            out = out + act_generator(i, j, n - a, ys[a], cache.hw, cache)
     return out
 
 
@@ -108,10 +100,10 @@ def e_series(
     Each term costs one step of the solve, so reading e^(0..R) v costs no
     more than computing e^(R) v alone.
     """
-    hw = as_gl2_weights(hw_or_mu)
+    cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     # t_12^(0) = 0, so the solve starts at zero and e^(r) v is its term r + 1
-    t12_v = (act_generator(1, 2, b, v, hw, cache) if b else _ZERO_VECTOR for b in count())
-    return islice(_t22_solve(t12_v, hw, cache), 1, None)
+    t12_v = (act_generator(1, 2, b, v, cache.hw, cache) if b else _ZERO_VECTOR for b in count())
+    return islice(_t22_solve(t12_v, cache), 1, None)
 
 
 def act_e(
@@ -135,10 +127,10 @@ def act_f(
     """Apply f^(r), the u^{-r-1} coefficient of f(u), r >= 0."""
     if r < 0:
         raise InputError("f index must be >= 0")
-    hw = as_gl2_weights(hw_or_mu)
+    cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     n = r + 1
-    w = list(islice(_t22_solve([v], hw, cache), n))
-    return _t_times(2, 1, n, w, hw, cache)
+    w = list(islice(_t22_solve([v], cache), n))
+    return _t_times(2, 1, n, w, cache)
 
 
 def act_h(
@@ -150,16 +142,16 @@ def act_h(
     """Apply h^(r), the u^{-r-1} coefficient of h(u), r >= 0."""
     if r < 0:
         raise InputError("h index must be >= 0")
-    hw = as_gl2_weights(hw_or_mu)
+    cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     n = r + 1
-    w = list(islice(_t22_solve([v], hw, cache), n + 1))
+    w = list(islice(_t22_solve([v], cache), n + 1))
     # the t_11 term runs first: on a truncated weight, the order of the terms
     # decides which missing coefficient a TruncationError names
-    out = w[n] + _t_times(1, 1, n, w, hw, cache)
+    out = w[n] + _t_times(1, 1, n, w, cache)
     # t_21^(b) needs b >= 1, so the inner solve stops at index n - 1
-    t12_w = [_t_times(1, 2, m, w, hw, cache) for m in range(n)]
-    z = list(islice(_t22_solve(t12_w, hw, cache), n))
-    return out - _t_times(2, 1, n, z, hw, cache)
+    t12_w = [_t_times(1, 2, m, w, cache) for m in range(n)]
+    z = list(islice(_t22_solve(t12_w, cache), n))
+    return out - _t_times(2, 1, n, z, cache)
 
 
 def act_h_via_quantum_det(
@@ -177,16 +169,16 @@ def act_h_via_quantum_det(
     """
     if r < 0:
         raise InputError("h index must be >= 0")
-    hw = as_gl2_weights(hw_or_mu)
+    cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     n = r + 1
-    qdet_v = [act_quantum_det(z, v, hw, cache) if z else v for z in range(n + 1)]
+    qdet_v = [act_quantum_det(z, v, cache.hw, cache) if z else v for z in range(n + 1)]
     # the u^{-m} coefficient of t_22(u-1)^{-1} qdet(u) v, for m = 0..n
     middle = list(qdet_v)
     for z, vz in enumerate(qdet_v):
-        inv = list(islice(_t22_solve([vz], hw, cache), n - z + 1))
+        inv = list(islice(_t22_solve([vz], cache), n - z + 1))
         for w in range(1, n - z + 1):
             for s in range(1, w + 1):
                 coef = shifted_power_coeff(s, w, Fraction(-1))
                 if coef:
                     middle[z + w] = middle[z + w] + inv[s].scaled(coef)
-    return next(islice(_t22_solve(middle, hw, cache), n, None))
+    return next(islice(_t22_solve(middle, cache), n, None))

@@ -9,8 +9,10 @@ Positive roots are generated level by level using root strings: for a
 root alpha of height h and a simple root alpha_i, the string through
 alpha in direction alpha_i satisfies q = p - <alpha, alpha_i^vee> with
 p the depth of the string below alpha, and alpha + alpha_i is a root iff
-q >= 1.  Here <alpha, alpha_i^vee> = sum_j alpha_j A[i][j].  Systems that
-keep producing roots past a height cap are rejected as non-finite.
+q >= 1.  Here <alpha, alpha_i^vee> = sum_j alpha_j A[i][j].  Before any
+root is generated, the matrix must be of finite type: diag(d) A is then
+positive definite, so every pivot of its exact elimination is positive.
+On any other matrix the strings never stop, so it is rejected up front.
 
 ``spanning_count`` counts the ordered PBW monomials in the negative root
 vectors f_alpha^(r) available below a polynomial highest weight: the pair
@@ -135,32 +137,45 @@ def root_height(alpha: Root) -> int:
     return sum(alpha)
 
 
-#: Roots still appearing at this height reject the matrix as not of finite type.
-_MAX_HEIGHT = 100
+def _positive_definite(m: list[list[int]]) -> bool:
+    """True iff the symmetric matrix m is positive definite.
+
+    Eliminates without row exchanges, exactly; m is positive definite iff
+    every pivot is positive.  Zero multipliers are skipped, so a sparse
+    Dynkin diagram costs O(n^2).
+    """
+    s = [[Fraction(x) for x in row] for row in m]
+    n = len(s)
+    for k in range(n):
+        pivot = s[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = s[i][k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    s[i][j] -= f * s[k][j]
+    return True
 
 
 def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
     """Generate all positive roots by root strings; reject non-finite systems.
 
-    Roots are returned sorted by (height, coordinates).  If generation is
-    still producing new roots at height 100 the matrix is not of finite
-    type and ``InputError`` is raised.
+    Roots are returned sorted by (height, coordinates).  A matrix whose
+    symmetrization diag(d) A is not positive definite is not of finite
+    type, and ``InputError`` is raised before any root is generated.
     """
-    rows = validate_cartan(a)
-    n = len(rows)
+    data = CartanData.from_matrix(a)
+    rows, n = data.matrix, data.rank
+    if not _positive_definite([[di * x for x in row] for di, row in zip(data.d, rows)]):
+        raise InputError("Cartan matrix is not of finite type")
     roots: set[Root] = set()
     frontier: list[Root] = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         roots.add(e)
         frontier.append(e)
-    height = 1
     while frontier:
-        if height >= _MAX_HEIGHT:
-            raise InputError(
-                f"root generation exceeded height {_MAX_HEIGHT}; "
-                "Cartan matrix is not of finite type"
-            )
         nxt: list[Root] = []
         for alpha in frontier:
             for i in range(n):
@@ -180,7 +195,6 @@ def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
                         roots.add(cand)
                         nxt.append(cand)
         frontier = nxt
-        height += 1
     ordered = sorted(roots, key=lambda r: (root_height(r), r))
     return RootSystem(rank=n, positive=tuple(ordered))
 

@@ -37,6 +37,7 @@ from .verma import (
     act_generator,
     act_quantum_det,
     basis_monomials,
+    bind_cache,
     canonical_polynomial_weights,
     in_tail_submodule,
 )
@@ -61,8 +62,7 @@ def rtt_relation_defect(
     The expansion is sum over a = 1..min(r,s) of
     (t_kj^(a-1) t_il^(r+s-a) - t_kj^(r+s-a) t_il^(a-1)) vec.
     """
-    if cache is None:
-        cache = ActionCache(hw)
+    cache = bind_cache(hw, cache)
     lhs = act_generator(i, j, r, act_generator(k, l, s, vec, hw, cache), hw, cache)
     lhs -= act_generator(k, l, s, act_generator(i, j, r, vec, hw, cache), hw, cache)
     rhs = ModuleVector.zero()

@@ -30,7 +30,7 @@ from . import linalg
 from .errors import InputError, InsufficientDataError, TruncationError
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
 from .rational import RationalFn, format_rat, rat
-from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key
+from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,11 +45,6 @@ FVector = dict[FMonomial, Fraction]
 _SIZE_CAP = 5000
 #: Relation rounds added past the initial bound before a search stops unstabilized.
 _MAX_EXTRA_RELATIONS = 32
-
-
-def f_candidates(level: int, degree_bound: int) -> list[FMonomial]:
-    """All ordered f-monomials of the given level with exponent sum <= bound."""
-    return list(_f_monomials(level, degree_bound))
 
 
 def _f_monomials(level: int, degree_bound: int) -> Iterator[FMonomial]:
@@ -81,6 +76,7 @@ def expand_f_monomial(
     cache: Optional[ActionCache] = None,
 ) -> ModuleVector:
     """PBW expansion of f^(r_1) ... f^(r_k) 1 (rightmost factor acts first)."""
+    cache = bind_cache(hw, cache)
     v = ModuleVector.highest()
     for r in reversed(fmono):
         v = act_f(r, v, hw, cache)
@@ -93,6 +89,7 @@ def expand_f_vector(
     cache: Optional[ActionCache] = None,
 ) -> ModuleVector:
     hw = as_gl2_weights(mu_or_hw)
+    cache = bind_cache(hw, cache)
     out = ModuleVector.zero()
     for fmono, c in fvec.items():
         out = out + expand_f_monomial(tuple(fmono), hw, cache).scaled(c)
@@ -242,7 +239,5 @@ def verify_singular(
     """Check e^(r) zeta = 0 exactly for every r = 0..rmax."""
     if rmax < 0:
         raise InputError("rmax must be >= 0")
-    hw = as_gl2_weights(mu)
-    if cache is None:
-        cache = ActionCache(hw)
-    return all(img.is_zero() for img in islice(e_series(zeta, hw, cache), rmax + 1))
+    # e_series binds the cache to the weight
+    return all(img.is_zero() for img in islice(e_series(zeta, mu, cache), rmax + 1))

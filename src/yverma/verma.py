@@ -117,10 +117,6 @@ class ModuleVector:
     def levels(self) -> list[int]:
         return sorted({len(m) for m in self._terms})
 
-    def max_degree(self) -> int:
-        """Largest index sum among supported monomials (-1 for zero)."""
-        return max((sum(m) for m in self._terms), default=-1)
-
     def monomials(self) -> list[Monomial]:
         return sorted(self._terms, key=_mono_sort_key)
 
@@ -230,10 +226,12 @@ def canonical_polynomial_weights(mu: RationalFn) -> HighestWeightGL2:
 class ActionCache:
     """Memo for single-generator actions on basis monomials.
 
-    Bound to one highest weight; keys are (i, j, r, monomial) and values
-    are the resulting coefficient dicts, which are never mutated after
-    insertion.  ``contravariant_pairing`` stores its level recursion in
-    the same dict, under keys (m1, m2) with Fraction values.
+    Every generator application runs in one, bound to the highest weight
+    ``hw`` that the kernels read (see ``bind_cache``).  Keys are
+    (i, j, r, monomial) and values are the resulting coefficient dicts,
+    which are never mutated after insertion.  ``contravariant_pairing``
+    stores its level recursion in the same dict, under keys (m1, m2) with
+    Fraction values.
 
     ``_tail`` is the projection degree, ``None`` by default.  Only
     ``irreducible_weight_dims`` sets it, to p = deg(mu) on the canonical
@@ -251,9 +249,18 @@ class ActionCache:
         self.data: dict = {}
         self._tail: Optional[int] = None
 
-    def check(self, hw: HighestWeightGL2) -> None:
-        if self.hw is not hw and self.hw != hw:
-            raise InputError("action cache is bound to a different highest weight")
+
+def bind_cache(hw: HighestWeightGL2, cache: Optional[ActionCache]) -> ActionCache:
+    """The cache a computation on weight hw runs in: ``cache``, or a fresh one.
+
+    Every public entry that takes a cache calls this once, so the kernels
+    below read the weight from ``cache.hw`` alone.
+    """
+    if cache is None:
+        return ActionCache(hw)
+    if cache.hw is not hw and cache.hw != hw:
+        raise InputError("action cache is bound to a different highest weight")
+    return cache
 
 
 def _check_indices(i: int, j: int, r: int) -> None:
@@ -271,15 +278,12 @@ def _add_into(acc: dict, mono: Monomial, c: Fraction) -> None:
         del acc[mono]
 
 
-def _act_mono(
-    i: int, j: int, r: int, mono: Monomial, hw: HighestWeightGL2, cache
-) -> dict:
+def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dict:
     """Action of t_ij^(r) on one basis monomial, as a coefficient dict."""
-    if cache is not None:
-        key = (i, j, r, mono)
-        hit = cache.data.get(key)
-        if hit is not None:
-            return hit
+    key = (i, j, r, mono)
+    hit = cache.data.get(key)
+    if hit is not None:
+        return hit
     if r == 0:
         res = {mono: _ONE} if i == j else {}
     elif i == 2 and j == 1:
@@ -288,39 +292,38 @@ def _act_mono(
         if i == 1 and j == 2:
             res = {}
         else:
-            c = hw.coeff(i, r)
+            c = cache.hw.coeff(i, r)
             res = {(): c} if c else {}
     else:
         s = mono[0]
         rest = mono[1:]
         acc: dict = {}
-        for m2, c in _act_mono(i, j, r, rest, hw, cache).items():
+        for m2, c in _act_mono(i, j, r, rest, cache).items():
             _add_into(acc, _insert(m2, s), c)
         for a in range(1, min(r, s) + 1):
             x, y = a - 1, r + s - a
             # [t_ij^(r), t_21^(s)] = sum_a ( t_2j^(a-1) t_i1^(r+s-a)
             #                                - t_2j^(r+s-a) t_i1^(a-1) )
-            _compose_into(acc, (2, j, x), (i, 1, y), rest, hw, cache, _ONE)
-            _compose_into(acc, (2, j, y), (i, 1, x), rest, hw, cache, _MINUS_ONE)
+            _compose_into(acc, (2, j, x), (i, 1, y), rest, cache, _ONE)
+            _compose_into(acc, (2, j, y), (i, 1, x), rest, cache, _MINUS_ONE)
         res = acc
-    if cache is not None:
-        tail = cache._tail
-        if tail is not None:
-            # monomials are sorted, so m[-1] is the largest index
-            res = {m: c for m, c in res.items() if not m or m[-1] <= tail}
-        cache.data[key] = res
+    tail = cache._tail
+    if tail is not None:
+        # monomials are sorted, so m[-1] is the largest index
+        res = {m: c for m, c in res.items() if not m or m[-1] <= tail}
+    cache.data[key] = res
     return res
 
 
 def _compose_into(
-    acc: dict, outer: tuple, inner: tuple, mono: Monomial, hw, cache, sign: Fraction
+    acc: dict, outer: tuple, inner: tuple, mono: Monomial, cache, sign: Fraction
 ) -> None:
     """Accumulate sign * (outer generator)(inner generator) mono into acc."""
     i2, j2, r2 = inner
     i1, j1, r1 = outer
-    for m1, c1 in _act_mono(i2, j2, r2, mono, hw, cache).items():
+    for m1, c1 in _act_mono(i2, j2, r2, mono, cache).items():
         cs = c1 * sign
-        for m2, c2 in _act_mono(i1, j1, r1, m1, hw, cache).items():
+        for m2, c2 in _act_mono(i1, j1, r1, m1, cache).items():
             _add_into(acc, m2, cs * c2)
 
 
@@ -338,11 +341,10 @@ def act_generator(
     the identity (i == j) or zero (i != j).
     """
     _check_indices(i, j, r)
-    if cache is not None:
-        cache.check(hw)
+    cache = bind_cache(hw, cache)
     acc: dict = {}
     for mono, c in v.terms.items():
-        for m2, c2 in _act_mono(i, j, r, mono, hw, cache).items():
+        for m2, c2 in _act_mono(i, j, r, mono, cache).items():
             _add_into(acc, m2, c * c2)
     out = ModuleVector()
     out._terms = acc
@@ -366,29 +368,24 @@ def act_quantum_det(
     """
     if r < 0:
         raise InputError("quantum determinant degree must be >= 0")
+    cache = bind_cache(hw, cache)
     if r == 0:
         return v
-    if cache is not None:
-        cache.check(hw)
     acc: dict = {}
     for mono, c0 in v.terms.items():
         for y in range(0, r + 1):
             x = r - y
             if x == 0:
-                for m2, c2 in _act_mono(1, 1, y, mono, hw, cache).items():
+                for m2, c2 in _act_mono(1, 1, y, mono, cache).items():
                     _add_into(acc, m2, c0 * c2)
                 continue
             for s in range(1, x + 1):
                 w = shifted_power_coeff(s, x, _MINUS_ONE)
                 if not w:
                     continue
-                _compose_into(
-                    acc, (1, 1, y), (2, 2, s), mono, hw, cache, c0 * w
-                )
+                _compose_into(acc, (1, 1, y), (2, 2, s), mono, cache, c0 * w)
                 if y >= 1:
-                    _compose_into(
-                        acc, (2, 1, y), (1, 2, s), mono, hw, cache, -c0 * w
-                    )
+                    _compose_into(acc, (2, 1, y), (1, 2, s), mono, cache, -c0 * w)
     out = ModuleVector()
     out._terms = acc
     return out

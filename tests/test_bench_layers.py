@@ -1,27 +1,46 @@
-"""Every function the benchmark tracer wraps exists in the package.
+"""The package keeps what the benchmark tracer hooks into.
 
 ``bench/tracing.py`` looks each name of its ``LAYERS`` table up with
-``getattr`` when ``--trace 1`` installs it, so a deleted or renamed
-public function would break traced benchmark runs.  The benchmark's own
-tests are not part of this suite; this one is.
+``getattr`` when ``--trace 1`` installs it, rebinds those names in every
+``yverma`` namespace, and wraps ``ActionCache.__init__`` to count cache
+entries.  A deleted or renamed public function, or an action path that
+no longer builds an ``ActionCache``, would break traced benchmark runs.
+The benchmark's own tests are not part of this suite; these are.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+import yverma.character as character
+import yverma.cli as cli
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
+_JOBS = (
+    ["gram", "--mu", "(u+3)(u+5)/((u+1)(u+2))", "--max-level", "3"],
+    ["singular", "--mu", "(u+2)/(u+1)", "--level", "1", "--degree", "2"],
+)
 
-def _layers() -> dict:
+
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
+
+
+def _run_cli(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
 
 
 def test_every_traced_name_resolves():
-    layers = _layers()
+    layers = _tracing().LAYERS
     assert layers
     missing = [
         f"yverma.{layer}.{name}"
@@ -30,3 +49,24 @@ def test_every_traced_name_resolves():
         if not callable(getattr(importlib.import_module(f"yverma.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_jobs_report_unchanged_and_count_cache_entries():
+    tracing = _tracing()
+    plain = [_run_cli(argv) for argv in _JOBS]
+    original = character.act_generator
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = []
+        for job, argv in enumerate(_JOBS):
+            tracer.begin_job(job)
+            traced.append(_run_cli(argv))
+            tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert character.act_generator is original
+    assert traced == plain
+    spans, counts = tracer.take()
+    assert tracing.counter_metrics(counts)["verma.cache_entries"] > 0
+    assert tracing.layer_metrics(spans)["verma"]["calls"] > 0

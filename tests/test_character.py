@@ -52,6 +52,18 @@ class TestPairing:
         with pytest.raises(InputError):
             contravariant_pairing((1,), (1, 2), hw)
 
+    def test_left_index_below_one_rejected(self):
+        hw = canonical_polynomial_weights(MU1)
+        with pytest.raises(InputError):
+            contravariant_pairing((0,), (1,), hw)
+
+    def test_unsorted_left_monomial_shares_memo_key(self):
+        hw = canonical_polynomial_weights(MU_PROD)
+        cache = ActionCache(hw)
+        sorted_value = contravariant_pairing((1, 2), (1, 2), hw, cache)
+        assert contravariant_pairing((2, 1), (1, 2), hw, cache) == sorted_value
+        assert all(key[0] != (2, 1) for key in cache.data if len(key) == 2)
+
     def test_symmetry(self):
         hw = canonical_polynomial_weights(MU_PROD)
         cache = ActionCache(hw)

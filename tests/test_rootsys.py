@@ -123,6 +123,19 @@ class TestPositiveRoots:
         with pytest.raises(InputError):
             positive_roots([[2, -2], [-2, 2]])
 
+    def test_indefinite_matrices_rejected(self):
+        for matrix in (
+            [[2, -3], [-3, 2]],
+            [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        ):
+            with pytest.raises(InputError, match="not of finite type"):
+                positive_roots(matrix)
+
+    def test_highest_root_past_height_100(self):
+        system = positive_roots(cartan_matrix("B51"))
+        assert system.count() == 51**2
+        assert root_height(system.highest()) == 101
+
     def test_larger_types(self):
         assert positive_roots(cartan_matrix("F4")).count() == 24
         assert positive_roots(cartan_matrix("D4")).count() == 12

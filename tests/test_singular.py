@@ -14,10 +14,10 @@ from yverma.gauss import act_h, as_gl2_weights, e_series
 from yverma.rational import parse_rational_fn
 from yverma.series import expand_rational
 from yverma.singular import (
+    _f_monomials,
     canonical_singular_vector,
     expand_f_monomial,
     expand_f_vector,
-    f_candidates,
     find_singular,
     fvector_to_obj,
     verify_singular,
@@ -35,7 +35,7 @@ def _reference_find_singular(mu, level, degree_bound, max_extra_relations=32):
     """
     hw = as_gl2_weights(mu)
     cache = ActionCache(hw)
-    cands = f_candidates(level, degree_bound)
+    cands = list(_f_monomials(level, degree_bound))
     try:
         vectors = [expand_f_monomial(fm, hw, cache) for fm in cands]
     except TruncationError as exc:
@@ -100,22 +100,22 @@ def _outcome(search, *args):
 
 class TestCandidates:
     def test_level_one(self):
-        assert f_candidates(1, 3) == [(0,), (1,), (2,), (3,)]
+        assert find_singular(MU, 1, 3).candidates == ((0,), (1,), (2,), (3,))
 
     def test_level_two_ordered(self):
-        cands = f_candidates(2, 3)
-        assert cands == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
+        cands = find_singular(MU, 2, 3).candidates
+        assert cands == ((0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2))
         for mono in cands:
             assert list(mono) == sorted(mono)
 
     def test_level_zero(self):
-        assert f_candidates(0, 5) == [()]
+        assert find_singular(MU, 0, 5).candidates == ((),)
 
     def test_rejects_negative(self):
         with pytest.raises(InputError):
-            f_candidates(-1, 2)
+            find_singular(MU, -1, 2)
         with pytest.raises(InputError):
-            f_candidates(1, -2)
+            find_singular(MU, 1, -2)
 
 
 class TestSearch:

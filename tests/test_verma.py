@@ -84,7 +84,6 @@ class TestModuleVector:
     def test_levels_sorted(self):
         v = ModuleVector.basis([1, 2]) + ModuleVector.basis([3]) + ModuleVector.highest()
         assert v.levels() == [0, 1, 2]
-        assert v.max_degree() == 3
 
     def test_serialization_round_trip(self):
         v = ModuleVector.basis([1, 4]).scaled(Fraction(-3, 7)) + ModuleVector.highest()
