@@ -15,9 +15,17 @@ The radical of the form is the maximal proper submodule.  For a rational
 weight mu of degree p on its canonical polynomial weights, monomials
 with an index > p span a submodule N (the tail submodule) inside that
 radical.  So the monomials with all indices in {1..p} span the
-irreducible quotient, the rank of their exact Gram matrix at level k is
-the dimension of its weight space mu^(0) - 2k, and the Gram route works
-in M/N: its cache drops every monomial of N from every action result.
+irreducible quotient L, and the Gram route works in M/N: its cache drops
+every monomial of N from every action result.
+
+The spanning set is carried from level to level.  If the images of the
+monomials B_{k-1} form a basis of L_{k-1}, the monomials
+S_k = {b with r inserted : b in B_{k-1}, 1 <= r <= p}, the images
+t_21^(r) b, span L_k, since t_21^(r) maps the radical into itself.  The
+form is nondegenerate on L_k, so the exact rank of Gram[S_k x S_k] is
+dim L_k, and the pivot columns of that symmetric matrix index a basis
+B_k.  The matrix thus stays at most p * dim L_{k-1} square, and every
+level past the first empty B_k costs nothing.
 
 *Product-formula route.*  Writing mu(u) = prod_i (u + a_i) / (u + b_i)
 with the pairs greedily reordered so that a_1 - b_1, ..., a_l - b_l are
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from math import comb
 from typing import Optional, Sequence
 
 from . import linalg
@@ -46,6 +54,7 @@ from .verma import (
     HighestWeightGL2,
     Monomial,
     ModuleVector,
+    _insert,
     act_generator,
     bind_cache,
     canonical_polynomial_weights,
@@ -95,7 +104,13 @@ def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> Fraction:
 
 @dataclass(frozen=True)
 class GramReport:
-    """Exact Gram data of the level-k spanning set of the irreducible quotient."""
+    """Gram data of level k of the irreducible quotient.
+
+    ``spanning_size`` is C(p+k-1, k), the number of level-k monomials with
+    all indices in {1..p}: the full spanning set, not the size of the
+    matrix built from the carried basis.  ``rank`` is the exact rank of
+    the form on that level, the dimension of the weight space.
+    """
 
     level: int
     spanning_size: int
@@ -105,12 +120,14 @@ class GramReport:
 def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     """dim of the weight space mu^(0) - 2k of the irreducible quotient, k <= max_level.
 
-    Uses the canonical polynomial realization: level-k monomials with all
-    indices in {1..p} span the quotient's weight space, and the exact rank
-    of their Gram matrix is its dimension.  The cache projects onto M/N,
-    dropping every monomial with an index > p = deg(mu): N lies in the
-    radical, so no entry changes.  Levels run upward, so each level-k
-    entry recurses once into level-(k-1) entries already memoized.
+    Uses the canonical polynomial realization and a cache projected onto
+    M/N, dropping every monomial with an index > p = deg(mu): N lies in
+    the radical, so no entry changes.  Level k pairs only the monomials
+    S_k built from the previous level's basis B_{k-1} (B_0 = [()]), fills
+    the upper triangle of the symmetric Gram matrix and mirrors it, and
+    takes B_k from the pivot columns of its echelon; the rank is |B_k|.
+    Levels run upward, so each level-k entry recurses once into
+    level-(k-1) entries already memoized.
     """
     if max_level < 0:
         raise InputError("max_level must be >= 0")
@@ -119,12 +136,21 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     cache = ActionCache(hw)
     cache._tail = p
     reports = []
+    basis: list[Monomial] = []
     for k in range(max_level + 1):
-        monos = list(combinations_with_replacement(range(1, p + 1), k))
-        gram = [[contravariant_pairing(m1, m2, hw, cache) for m2 in monos] for m1 in monos]
-        reports.append(
-            GramReport(level=k, spanning_size=len(monos), rank=linalg.rank(gram))
-        )
+        monos = sorted({_insert(b, r) for b in basis for r in range(1, p + 1)}) if k else [()]
+        n = len(monos)
+        gram = [[_ZERO] * n for _ in range(n)]
+        for i, m1 in enumerate(monos):
+            row = gram[i]
+            for j in range(i, n):
+                row[j] = gram[j][i] = contravariant_pairing(m1, monos[j], hw, cache)
+        echelon = linalg.RowEchelon()
+        for row in gram:
+            echelon.add(row)
+        basis = [monos[c] for c in echelon.pivots]
+        spanning = comb(p + k - 1, k) if k else 1
+        reports.append(GramReport(level=k, spanning_size=spanning, rank=len(basis)))
     return reports
 
 

@@ -2,12 +2,13 @@
 
 All routines work on lists of rows of ``Fraction`` and never introduce
 rounding.  ``RowEchelon`` is the only elimination: it grows an echelon
-basis one row at a time, so callers can read the rank after every added
-row, and back-substitutes on demand to the reduced row echelon form.
-``rref``, ``rank`` and ``nullspace`` feed a whole matrix through it.  The
-reduced form is canonical for the row space, so the nullspace basis
-returned here is canonical for the solution space: two constraint systems
-have equal solution spaces iff these bases match.
+basis one row at a time, so callers can read the rank and the pivot
+columns after every added row, and back-substitutes on demand to the
+reduced row echelon form.  ``rref``, ``rank`` and ``nullspace`` feed a
+whole matrix through it.  The reduced form is canonical for the row
+space, so the nullspace basis returned here is canonical for the
+solution space: two constraint systems have equal solution spaces iff
+these bases match.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
+    @property
+    def pivots(self) -> list[int]:
+        """Sorted pivot columns of the rows added so far (no back-substitution)."""
+        return sorted(self._rows)
+
     def add(self, row: Sequence[Fraction]) -> None:
         """Add ``row`` to the span (the rank grows iff it was not in it)."""
         v = list(row)
@@ -54,7 +60,7 @@ class RowEchelon:
         Clears every pivot column above its pivot, from the last pivot
         back; the stored rows stay a basis of the same span.
         """
-        pivots = sorted(self._rows)
+        pivots = self.pivots
         for i, p in reversed(list(enumerate(pivots))):
             below = self._rows[p]
             for q in pivots[:i]:

@@ -9,10 +9,12 @@ Positive roots are generated level by level using root strings: for a
 root alpha of height h and a simple root alpha_i, the string through
 alpha in direction alpha_i satisfies q = p - <alpha, alpha_i^vee> with
 p the depth of the string below alpha, and alpha + alpha_i is a root iff
-q >= 1.  Here <alpha, alpha_i^vee> = sum_j alpha_j A[i][j].  Before any
-root is generated, the matrix must be of finite type: diag(d) A is then
-positive definite, so every pivot of its exact elimination is positive.
-On any other matrix the strings never stop, so it is rejected up front.
+q >= 1.  Here <alpha, alpha_i^vee> = sum_j alpha_j A[i][j], and p is
+carried from alpha - alpha_i, one height lower, instead of walking the
+string.  Before any root is generated, the matrix must be of finite
+type: diag(d) A is then positive definite, so every pivot of its exact
+elimination is positive.  On any other matrix the strings never stop,
+so it is rejected up front.
 
 ``spanning_count`` counts the ordered PBW monomials in the negative root
 vectors f_alpha^(r) available below a polynomial highest weight: the pair
@@ -169,33 +171,28 @@ def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
     rows, n = data.matrix, data.rank
     if not _positive_definite([[di * x for x in row] for di, row in zip(data.d, rows)]):
         raise InputError("Cartan matrix is not of finite type")
-    roots: set[Root] = set()
-    frontier: list[Root] = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        roots.add(e)
-        frontier.append(e)
+    # nonzero entries of each row: <alpha, alpha_i^vee> reads only those
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    # depth[alpha][i]: how far the alpha_i-string runs below alpha, nonzero only
+    depth: dict[Root, dict[int, int]] = {
+        tuple(1 if j == i else 0 for j in range(n)): {} for i in range(n)
+    }
+    frontier = list(depth)
     while frontier:
-        nxt: list[Root] = []
+        # a new root beta is reached from beta - alpha_i for every i where
+        # that is a root, so each nonzero depth of beta is carried from there
+        nxt: dict[Root, dict[int, int]] = {}
         for alpha in frontier:
-            for i in range(n):
-                pairing = sum(alpha[j] * rows[i][j] for j in range(n))
-                depth = 0
-                below = list(alpha)
-                while True:
-                    below[i] -= 1
-                    if below[i] < 0 or tuple(below) not in roots:
-                        break
-                    depth += 1
-                if depth - pairing >= 1:
+            below = depth[alpha]
+            for i, row in enumerate(sparse):
+                p = below.get(i, 0)
+                if p - sum(alpha[j] * x for j, x in row) >= 1:
                     up = list(alpha)
                     up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    ordered = sorted(roots, key=lambda r: (root_height(r), r))
+                    nxt.setdefault(tuple(up), {})[i] = p + 1
+        depth.update(nxt)
+        frontier = list(nxt)
+    ordered = sorted(depth, key=lambda r: (root_height(r), r))
     return RootSystem(rank=n, positive=tuple(ordered))
 
 

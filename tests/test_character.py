@@ -1,17 +1,20 @@
 """Irreducible-quotient weight dimensions: Gram ranks vs product formula."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
 from yverma.character import (
+    GramReport,
     character_formula,
     contravariant_pairing,
     irreducible_weight_dims,
     reorder_strings,
 )
 from yverma.errors import InputError
+from yverma.linalg import rank
 from yverma.rational import parse_rational_fn
 from yverma.verma import (
     ActionCache,
@@ -143,6 +146,72 @@ def _projecting_cache(hw, p):
     cache = ActionCache(hw)
     cache._tail = p
     return cache
+
+
+def _reference_dims(mu, max_level):
+    """The full route: rank of the Gram matrix on every level-k monomial over {1..p}."""
+    p = mu.degree
+    hw = canonical_polynomial_weights(mu)
+    cache = _projecting_cache(hw, p)
+    reports = []
+    for k in range(max_level + 1):
+        monos = list(combinations_with_replacement(range(1, p + 1), k))
+        gram = [[contravariant_pairing(m1, m2, hw, cache) for m2 in monos] for m1 in monos]
+        reports.append(GramReport(level=k, spanning_size=len(monos), rank=rank(gram)))
+    return reports
+
+
+def _split_weight(rng, p, offset):
+    """prod (u + a_i) / prod (u + b_i) with a_i - b_i in {1..4} + offset, roots disjoint."""
+    while True:
+        betas = rng.sample(range(0, 8), p)
+        alphas = [b + rng.randint(1, 4) + offset for b in betas]
+        if len(set(alphas)) == p and not set(alphas) & set(betas):
+            num = "".join(f"(u+{a})" for a in alphas)
+            den = "".join(f"(u+{b})" for b in betas)
+            return parse_rational_fn(f"{num}/({den})")
+
+
+class TestCarriedBasis:
+    """Gram ranks on the carried basis equal the full spanning-set route."""
+
+    @pytest.mark.parametrize("offset", [Fraction(0), Fraction(1, 2)], ids=["sat", "gen"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_full_spanning_route_on_seeded_split_weights(self, p, offset):
+        rng = random.Random(100 * p + offset.denominator)
+        max_level = 5 if p < 3 else 4
+        for _ in range(3):
+            mu = _split_weight(rng, p, offset)
+            got = irreducible_weight_dims(mu, max_level)
+            assert got == _reference_dims(mu, max_level), str(mu)
+            assert tuple(r.rank for r in got) == character_formula(mu, max_level).dims
+
+    def test_basis_is_pivot_columns_not_a_prefix(self):
+        # at level 4 an early monomial of S_4 is dependent; carrying the
+        # first rank(S_4) monomials instead of the pivots loses a dimension
+        mu = parse_rational_fn("(u+3)(u+6)(u+11)/(u(u+2)(u+7))")
+        reports = irreducible_weight_dims(mu, max_level=5)
+        assert [r.rank for r in reports] == [1, 3, 5, 7, 9, 10]
+        assert reports == _reference_dims(mu, 5)
+
+    def test_degree_zero_weight(self):
+        mu = parse_rational_fn("1")
+        assert irreducible_weight_dims(mu, 3) == _reference_dims(mu, 3)
+
+    def test_p5_matches_character_formula(self):
+        mu = parse_rational_fn(
+            "(u+3)(u+5)(u+9)(u+10)(u+14)/((u+1)(u+2)(u+4)(u+7)(u+11))"
+        )
+        reports = irreducible_weight_dims(mu, max_level=4)
+        assert [r.rank for r in reports] == [1, 5, 13, 24, 35]
+        assert [r.spanning_size for r in reports] == [1, 5, 15, 35, 70]
+        assert tuple(r.rank for r in reports) == character_formula(mu, 4).dims
+
+    def test_empty_basis_stays_empty_with_full_spanning_count(self):
+        mu = parse_rational_fn("(u+3)(u+4)/((u+1)(u+2))")
+        reports = irreducible_weight_dims(mu, max_level=10)
+        assert [r.rank for r in reports] == [1, 2, 2, 2, 1] + [0] * 6
+        assert [r.spanning_size for r in reports] == [k + 1 for k in range(11)]
 
 
 class TestTailProjection:

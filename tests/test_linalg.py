@@ -171,6 +171,17 @@ class TestRowEchelon:
                 assert echelon.reduced() == _reference_rref(rows[:k]), rows[:k]
                 assert echelon.rank == len(echelon.reduced()[1])
 
+    def test_pivots_match_rref_and_leave_reduced_unchanged(self):
+        for rows, _ in _matrices(seed=17, count=200):
+            read, unread = RowEchelon(), RowEchelon()
+            assert read.pivots == []
+            for k, row in enumerate(rows, 1):
+                read.add(row)
+                unread.add(row)
+                assert read.pivots == rref(rows[:k])[1], rows[:k]
+            assert read.reduced() == unread.reduced(), rows
+            assert read.pivots == rref(rows)[1]
+
 
 class TestAgainstReference:
     """rref, rank and nullspace agree with the Gauss-Jordan reference."""

@@ -21,6 +21,33 @@ B2 = [[2, -1], [-2, 2]]
 G2 = [[2, -1], [-3, 2]]
 
 
+def _reference_roots(a):
+    """The plain string walk: for every root and direction, step down one root at a time."""
+    rows = [list(r) for r in a]
+    n = len(rows)
+    roots = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+    frontier = list(roots)
+    while frontier:
+        nxt = []
+        for alpha in frontier:
+            for i in range(n):
+                pairing = sum(alpha[j] * rows[i][j] for j in range(n))
+                depth = 0
+                below = list(alpha)
+                while True:
+                    below[i] -= 1
+                    if below[i] < 0 or tuple(below) not in roots:
+                        break
+                    depth += 1
+                up = list(alpha)
+                up[i] += 1
+                if depth - pairing >= 1 and tuple(up) not in roots:
+                    roots.add(tuple(up))
+                    nxt.append(tuple(up))
+        frontier = nxt
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
 class TestValidation:
     def test_accepts_standard_matrices(self):
         for m in (A1, A2, B2, G2):
@@ -140,6 +167,20 @@ class TestPositiveRoots:
         assert positive_roots(cartan_matrix("F4")).count() == 24
         assert positive_roots(cartan_matrix("D4")).count() == 12
         assert positive_roots(cartan_matrix("E6")).count() == 36
+
+    @pytest.mark.parametrize(
+        "label, count, height",
+        [("A60", 1830, 60), ("B30", 900, 59), ("C30", 900, 59), ("D40", 1560, 77)],
+    )
+    def test_large_classical_counts_and_highest_heights(self, label, count, height):
+        system = positive_roots(cartan_matrix(label))
+        assert system.count() == count
+        assert root_height(system.highest()) == height
+
+    @pytest.mark.parametrize("label", ["E6", "E7", "E8", "F4", "G2", "B4", "C5", "D6", "A7"])
+    def test_roots_and_order_match_string_walk(self, label):
+        matrix = cartan_matrix(label)
+        assert positive_roots(matrix).positive == _reference_roots(matrix)
 
 
 class TestCartanLabels:
