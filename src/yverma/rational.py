@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
 from .errors import InputError
@@ -169,68 +169,201 @@ POLY_ONE = PolyQ((1,))
 POLY_U = PolyQ((0, 1))
 
 
+# The prime 2^61 - 1 of the modular coprimality certificate in poly_gcd.
+_PRIME = (1 << 61) - 1
+
+
+def _primitive_ints(coeffs: tuple[Fraction, ...]) -> list[int]:
+    """The coefficients times the positive rational that makes them coprime integers."""
+    d = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (d // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _rem_mod_prime(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of ``a`` by ``b`` over GF(_PRIME); ``b[-1]`` is nonzero."""
+    r = list(a)
+    inv = pow(b[-1], -1, _PRIME)
+    db = len(b) - 1
+    while len(r) > db:
+        c = r.pop() * inv % _PRIME
+        k = len(r) - db
+        for j in range(db):
+            r[k + j] = (r[k + j] - c * b[j]) % _PRIME
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _coprime_mod_prime(a: PolyQ, b: PolyQ) -> bool:
+    """True only if gcd(a, b) = 1, certified by a constant gcd modulo _PRIME.
+
+    When both integer images keep their degree mod the prime, the integer
+    gcd's leading coefficient (which divides theirs) survives too, so a
+    common factor over Q would leave a common factor of the same degree
+    mod the prime.  False means "unknown", never "not coprime".
+    """
+    images = []
+    for f in (a, b):
+        img = [c % _PRIME for c in _primitive_ints(f.coeffs)]
+        if img[-1] == 0:
+            return False
+        images.append(img)
+    x, y = images
+    while y:
+        x, y = y, _rem_mod_prime(x, y)
+    return len(x) == 1
+
+
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    """Monic greatest common divisor (gcd(0, 0) = 0)."""
+    """Monic greatest common divisor (gcd(0, 0) = 0).
+
+    A modular certificate settles coprime pairs in word-size arithmetic;
+    any other pair runs Euclid over Q.
+    """
+    if a and b and _coprime_mod_prime(a, b):
+        return POLY_ONE
     while b:
         a, b = b, a % b
     return a.monic()
 
 
 def poly_pow(base: PolyQ, n: int) -> PolyQ:
+    """``base ** n`` by repeated squaring."""
     if n < 0:
         raise InputError("negative polynomial power")
     out = POLY_ONE
-    for _ in range(n):
-        out = out * base
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
     return out
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _sturm_chain(g: PolyQ) -> list[list[int]]:
+    """The Sturm chain g, g', -(g mod g'), ... as primitive integer coefficient lists.
+
+    Each entry is rescaled by a positive constant only, so sign-change
+    counts are those of the chain over Q.  The last entry is gcd(g, g') up
+    to a constant factor.
+    """
+    chain = [g, PolyQ([k * c for k, c in enumerate(g.coeffs)][1:])]
+    while r := chain[-2] % chain[-1]:
+        chain.append(-r)
+    return [_primitive_ints(f.coeffs) for f in chain]
+
+
+def _int_eval(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _sign_changes(chain: list[list[int]], x: int) -> int:
+    count, last = 0, 0
+    for cs in chain:
+        v = _int_eval(cs, x)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
+
+
+def _simple_integer_root(g: list[int], lo: int, hi: int) -> Optional[int]:
+    """The one root of ``g`` in (lo, hi], a simple root, if it is an integer.
+
+    Bisects on the sign of ``g`` alone: the sign changes once, at the root.
+    """
+    g_hi = _int_eval(g, hi)
+    while g_hi and hi - lo > 1:
+        mid = (lo + hi) // 2
+        g_mid = _int_eval(g, mid)
+        if g_mid and (g_mid > 0) != (g_hi > 0):
+            lo = mid
+        else:
+            hi, g_hi = mid, g_mid
+    return hi if g_hi == 0 else None
+
+
+def _integer_roots(chain: list[list[int]]) -> Optional[list[int]]:
+    """The roots of the square-free integer polynomial chain[0], if all are integers.
+
+    Sturm counts on integer intervals (lo, hi] inside (-B, B], where
+    B - 1 >= 2 max |g_(n-i)|^(1/i) is Fujiwara's root bound, rounded up
+    to powers of two (|g_n| >= 1).  An interval with no root is dropped,
+    one with a single root is searched by ``_simple_integer_root``, and
+    one with more is bisected.  Returns None as soon as a non-real root,
+    or a real root that is not an integer, is certain.
+    """
+    g = chain[0]
+    n = len(g) - 1
+    bound = 1 + 2 * max(
+        1 << -(-abs(c).bit_length() // (n - i)) for i, c in enumerate(g[:-1])
+    )
+    v_lo, v_hi = _sign_changes(chain, -bound), _sign_changes(chain, bound)
+    if v_lo - v_hi < n:
+        return None  # fewer distinct real roots than the degree
+    found = []
+    stack = [(-bound, bound, v_lo, v_hi)]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 1:
+            y = _simple_integer_root(g, lo, hi)
+            if y is None:
+                return None
+            found.append(y)
+        elif count > 1:
+            if hi - lo == 1:
+                return None  # hi is the only integer in (lo, hi]
+            mid = (lo + hi) // 2
+            v_mid = _sign_changes(chain, mid)
+            stack.append((lo, mid, v_lo, v_mid))
+            stack.append((mid, hi, v_mid, v_hi))
+    return found
 
 
 def rational_roots(p: PolyQ) -> Optional[list[Fraction]]:
     """All roots with multiplicity if ``p`` splits over Q, else ``None``.
 
-    Uses the rational root bound on the integer-rescaled polynomial and
-    deflates exactly on each hit.  The returned list is sorted.
+    Zero roots are stripped first.  The rest, cleared to a primitive
+    integer a_0..a_n, is rescaled to the monic integer polynomial
+    h(y) = sum a_i a_n^(n-1-i) y^i, whose rational roots are exactly the
+    integers y = a_n r.  Sturm isolation finds the integer roots of the
+    square-free part h / gcd(h, h') (see ``_integer_roots``), in time
+    polynomial in the bit size of ``p``.  Each root r = y / a_n gets its
+    multiplicity from exact deflation of ``p``, so every returned root is
+    verified; if the deflated ``p`` keeps positive degree, ``p`` does not
+    split.  The returned list is sorted.
     """
     if not p:
         raise InputError("zero polynomial has no root list")
-    roots: list[Fraction] = []
-    while p.degree > 0:
-        # strip root 0 cheaply
-        if p.coeff(0) == 0:
-            roots.append(_ZERO)
-            p = PolyQ(p.coeffs[1:])
-            continue
-        denom_lcm = lcm(*(c.denominator for c in p.coeffs))
-        ints = [int(c * denom_lcm) for c in p.coeffs]
-        found = None
-        for num in _divisors(ints[0]):
-            for den in _divisors(ints[-1]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * num, den)
-                    if p(cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        roots.append(found)
-        p = p // PolyQ((-found, _ONE))
+    zeros = next(i for i, c in enumerate(p.coeffs) if c)
+    roots = [_ZERO] * zeros
+    p = PolyQ(p.coeffs[zeros:])
+    if p.degree == 0:
+        return roots
+    a = _primitive_ints(p.coeffs)
+    lead, n = a[-1], p.degree
+    h = PolyQ([c * lead ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1])
+    chain = _sturm_chain(h)
+    if len(chain[-1]) > 1:  # repeated roots: isolate those of h / gcd(h, h')
+        chain = _sturm_chain(h // PolyQ(chain[-1]))
+    ys = _integer_roots(chain)
+    if ys is None:
+        return None
+    for y in ys:
+        r = Fraction(y, lead)
+        while p(r) == 0:
+            roots.append(r)
+            p = p // PolyQ((-r, _ONE))
+    if p.degree > 0:
+        return None
     return sorted(roots)
 
 

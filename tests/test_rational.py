@@ -1,7 +1,12 @@
 """Exact polynomial and rational-function layer."""
 
+import json
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,6 +24,85 @@ from yverma import (
     render_poly,
     render_rational_fn,
 )
+from yverma.rational import poly_pow
+
+PRIME = (1 << 61) - 1  # the modulus of poly_gcd's coprimality certificate
+
+
+def _divisors(n):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _reference_roots(p):
+    """Trial division: every +-num/den with num | a_0 and den | a_n, deflating on a hit."""
+    roots = []
+    while p.degree > 0:
+        if p.coeff(0) == 0:
+            roots.append(Fraction(0))
+            p = PolyQ(p.coeffs[1:])
+            continue
+        denom_lcm = lcm(*(c.denominator for c in p.coeffs))
+        ints = [int(c * denom_lcm) for c in p.coeffs]
+        found = next(
+            (
+                Fraction(sign * num, den)
+                for num in _divisors(ints[0])
+                for den in _divisors(ints[-1])
+                for sign in (1, -1)
+                if p(Fraction(sign * num, den)) == 0
+            ),
+            None,
+        )
+        if found is None:
+            return None
+        roots.append(found)
+        p = p // PolyQ([-found, 1])
+    return sorted(roots)
+
+
+def _reference_gcd(a, b):
+    """Euclid over Q, with no modular certificate."""
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def _product(factors):
+    out = POLY_ONE
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _oracle_case(rng, i):
+    """A seeded polynomial of degree <= 6 and its roots, or None if it cannot split.
+
+    Linear factors have denominators <= 7; some roots repeat, some are 0,
+    the whole product is scaled by a non-unit constant, and every third
+    case carries an irreducible u^2 + c or u^2 - prime.
+    """
+    irreducible = i % 3 == 0
+    roots = [Fraction(rng.randint(-12, 12), rng.randint(1, 7))
+             for _ in range(rng.randint(0, 4 if irreducible else 6))]
+    if roots and len(roots) < (4 if irreducible else 6) and rng.random() < 0.4:
+        roots.append(rng.choice(roots))  # a repeated root
+    if len(roots) < (4 if irreducible else 6) and rng.random() < 0.3:
+        roots.append(Fraction(0))
+    factors = [PolyQ([-r, 1]) for r in roots]
+    if irreducible:
+        c = rng.choice([rng.randint(1, 9), -rng.choice([2, 3, 5, 7, 11, 13])])
+        factors.append(PolyQ([c, 0, 1]))
+    p = _product(factors).scaled(rng.choice([1, -1, 2, -3, Fraction(5, 4), Fraction(-7, 2)]))
+    return p, None if irreducible else sorted(roots)
 
 
 class TestPolyQ:
@@ -116,6 +200,98 @@ class TestRationalRoots:
 
     def test_constant(self):
         assert rational_roots(POLY_ONE) == []
+
+    def test_matches_trial_division(self):
+        rng = random.Random(10)
+        for i in range(360):
+            p, expected = _oracle_case(rng, i)
+            assert p.degree <= 6
+            got = rational_roots(p)
+            assert got == expected, (i, str(p))
+            assert got == _reference_roots(p), (i, str(p))
+
+    def test_repeated_irrational_factor_is_none(self):
+        # square-free part u^2 - 2 has real, non-integer roots
+        p = poly_pow(PolyQ([-2, 0, 1]), 2) * PolyQ([1, 1])
+        assert rational_roots(p) is None
+        assert rational_roots(PolyQ([1, 0, 1]) * PolyQ([-1, 0, 1])) is None
+
+    @pytest.mark.parametrize(
+        "factors, roots",
+        [
+            ([PolyQ([10**18, 1]), PolyQ([1, 1])], [-(10**18), -1]),
+            (
+                [PolyQ([999999999999999989, 1]), PolyQ([Fraction(-3, 7), 1]),
+                 PolyQ([Fraction(12345678901, 13), 1])],
+                [-999999999999999989, Fraction(-12345678901, 13), Fraction(3, 7)],
+            ),
+            ([PolyQ([Fraction(-5, 10**18), 1]), PolyQ([3, 1])], [-3, Fraction(5, 10**18)]),
+        ],
+    )
+    def test_huge_roots_are_fast(self, factors, roots):
+        # trial division of constant terms near 1e18 never finished
+        start = time.perf_counter()
+        assert rational_roots(_product(factors)) == [Fraction(r) for r in roots]
+        assert time.perf_counter() - start < 1.0
+
+    def test_many_roots_are_fast(self):
+        # the monic rescaling of the second has coefficients of over 2000
+        # bits; trial division ran for minutes on the first at degree 20
+        for roots in ([Fraction(-k) for k in range(1, 31)],
+                      [Fraction(-3 * k - 1, 7) for k in range(1, 31)]):
+            p = _product(PolyQ([-r, 1]) for r in roots)
+            start = time.perf_counter()
+            assert rational_roots(p) == sorted(roots)
+            assert time.perf_counter() - start < 1.0
+
+    def test_cli_character_with_root_near_1e18(self):
+        argv = ["character", "--mu", "(u+1000000000000000000)/(u+1)", "--max-level", "4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "yverma", *argv], capture_output=True, text=True, timeout=20
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dims"] == [1, 1, 1, 1, 1]
+
+
+class TestPowAndGcd:
+    def test_pow_matches_repeated_multiplication(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            size = rng.randint(0, 4)
+            base = PolyQ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(size)])
+            n = rng.randint(0, 9)
+            expected = POLY_ONE
+            for _ in range(n):
+                expected = expected * base
+            assert poly_pow(base, n) == expected
+        with pytest.raises(InputError):
+            poly_pow(POLY_U, -1)
+
+    def test_gcd_matches_euclid(self):
+        rng = random.Random(12)
+        for i in range(60):
+            def rand_poly(deg):
+                return PolyQ([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
+                             + [rng.choice([1, -2, Fraction(3, 5)])])
+            common = rand_poly(rng.randint(1, 3)) if i % 2 else POLY_ONE
+            a = rand_poly(rng.randint(0, 4)) * common
+            b = rand_poly(rng.randint(0, 4)) * common
+            g = poly_gcd(a, b)
+            assert g == _reference_gcd(a, b)
+            assert a % g == POLY_ZERO and b % g == POLY_ZERO
+            if i % 2:
+                assert g.degree >= common.degree
+
+    def test_leading_coefficient_divisible_by_the_prime_falls_back(self):
+        # mod 2^61 - 1 the image of P*u + 1 is the constant 1, which would
+        # certify a false coprimality if the degree check were skipped
+        shared = PolyQ([1, PRIME])
+        a, b = shared, shared * PolyQ([2, 1])
+        assert poly_gcd(a, b) == PolyQ([Fraction(1, PRIME), 1])
+        assert poly_gcd(b, a) == PolyQ([Fraction(1, PRIME), 1])
+        f = RationalFn(b, shared * PolyQ([3, 1]))
+        assert (f.num, f.den) == (PolyQ([2, 1]), PolyQ([3, 1]))
+        assert poly_gcd(PolyQ([1, PRIME]), PolyQ([1, 1])) == POLY_ONE
 
 
 class TestRationalFn:
