@@ -61,16 +61,13 @@ from .verma import (
     monomial,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def contravariant_pairing(
     m1: Monomial,
     m2: Monomial,
     hw: HighestWeightGL2,
     cache: Optional[ActionCache] = None,
-) -> Fraction:
+) -> int | Fraction:
     """<m1, m2>: the 1-coefficient of the t_12-word of m1 applied to m2.
 
     Defined for monomials of equal level; the t_12^(r) commute, so the
@@ -85,17 +82,22 @@ def contravariant_pairing(
     return _pairing(m1, m2, bind_cache(hw, cache))
 
 
-def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> Fraction:
-    """<m1, m2> = sum_m c_m <m1[1:], m> where t_12^(m1[0]) m2 = sum_m c_m m."""
+def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
+    """<m1, m2> = sum_m c_m <m1[1:], m> where t_12^(m1[0]) m2 = sum_m c_m m.
+
+    Starts from an int unit vector, so on integral weights every entry is an int.
+    """
     if not m1:
-        return _ONE
+        return 1
     key = (m1, m2)
     hit = cache.data.get(key)
     if hit is not None:
         return hit
     rest = m1[1:]
-    total = _ZERO
-    image = act_generator(1, 2, m1[0], ModuleVector({m2: _ONE}), cache.hw, cache)
+    total = 0
+    unit = ModuleVector()
+    unit._terms = {m2: 1}
+    image = act_generator(1, 2, m1[0], unit, cache.hw, cache)
     for m, c in image.terms.items():
         total += c * _pairing(rest, m, cache)
     cache.data[key] = total
@@ -140,7 +142,7 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     for k in range(max_level + 1):
         monos = sorted({_insert(b, r) for b in basis for r in range(1, p + 1)}) if k else [()]
         n = len(monos)
-        gram = [[_ZERO] * n for _ in range(n)]
+        gram = [[0] * n for _ in range(n)]
         for i, m1 in enumerate(monos):
             row = gram[i]
             for j in range(i, n):

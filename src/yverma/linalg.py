@@ -51,7 +51,7 @@ class RowEchelon:
                 v = [a - f * b for a, b in zip(v, self._rows[p])]
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is not None:
-            inv = 1 / v[lead]
+            inv = _ONE / v[lead]
             self._rows[lead] = [x * inv for x in v]
 
     def reduced(self) -> tuple[Matrix, list[int]]:

@@ -2,7 +2,11 @@
 
 Conventions used throughout the package:
 
-* scalars are ``fractions.Fraction`` (arbitrary precision, always reduced);
+* scalars are ``fractions.Fraction`` (arbitrary precision, always reduced),
+  except that the action kernel and the Gram entries hold Python ``int``
+  until a value with a denominator enters (the two mix through the numeric
+  tower); division goes only through ``Fraction``, so no value is ever a
+  ``float``;
 * ``PolyQ`` stores coefficients ascending by degree, with no trailing zeros;
 * ``RationalFn`` is a ratio P(u)/Q(u) of *monic* polynomials of equal degree
   with gcd(P, Q) = 1.  Equal degrees and equal (monic) leading coefficients

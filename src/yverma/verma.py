@@ -70,19 +70,12 @@ class ModuleVector:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        data: dict[Monomial, Fraction] = {}
+        data: dict[Monomial, int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coef in items:
                 c = rat(coef) if not isinstance(coef, Fraction) else coef
-                if c:
-                    key = tuple(mono)
-                    prev = data.get(key)
-                    total = c if prev is None else prev + c
-                    if total:
-                        data[key] = total
-                    elif prev is not None:
-                        del data[key]
+                _add_into(data, tuple(mono), c)
         self._terms = data
 
     # -- construction ----------------------------------------------------
@@ -102,7 +95,7 @@ class ModuleVector:
     # -- queries -----------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, int | Fraction]:
         return self._terms
 
     def coefficient(self, mono: Iterable[int]) -> Fraction:
@@ -125,11 +118,7 @@ class ModuleVector:
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            total = acc.get(m, _ZERO) + c
-            if total:
-                acc[m] = total
-            elif m in acc:
-                del acc[m]
+            _add_into(acc, m, c)
         out = ModuleVector()
         out._terms = acc
         return out
@@ -228,10 +217,11 @@ class ActionCache:
 
     Every generator application runs in one, bound to the highest weight
     ``hw`` that the kernels read (see ``bind_cache``).  Keys are
-    (i, j, r, monomial) and values are the resulting coefficient dicts,
-    which are never mutated after insertion.  ``contravariant_pairing``
-    stores its level recursion in the same dict, under keys (m1, m2) with
-    Fraction values.
+    (i, j, r, monomial) and values are the resulting dicts of int or
+    Fraction coefficients (all int on an integral weight), which are never
+    mutated after insertion.  ``contravariant_pairing`` stores its level
+    recursion in the same dict, under keys (m1, m2) with int or Fraction
+    values.
 
     ``_tail`` is the projection degree, ``None`` by default.  Only
     ``irreducible_weight_dims`` sets it, to p = deg(mu) on the canonical
@@ -270,11 +260,13 @@ def _check_indices(i: int, j: int, r: int) -> None:
         raise InputError(f"generator degree must be >= 0, got {r}")
 
 
-def _add_into(acc: dict, mono: Monomial, c: Fraction) -> None:
-    total = acc.get(mono, _ZERO) + c
+def _add_into(acc: dict, mono: Monomial, c: int | Fraction) -> None:
+    # start from the first term: 0 + Fraction would take Fraction.__radd__
+    prev = acc.get(mono)
+    total = c if prev is None else prev + c
     if total:
         acc[mono] = total
-    elif mono in acc:
+    elif prev is not None:
         del acc[mono]
 
 
@@ -285,15 +277,16 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
     if hit is not None:
         return hit
     if r == 0:
-        res = {mono: _ONE} if i == j else {}
+        res = {mono: 1} if i == j else {}
     elif i == 2 and j == 1:
-        res = {_insert(mono, r): _ONE}
+        res = {_insert(mono, r): 1}
     elif not mono:
         if i == 1 and j == 2:
             res = {}
         else:
             c = cache.hw.coeff(i, r)
-            res = {(): c} if c else {}
+            # integral weights keep the whole kernel in int arithmetic
+            res = {(): c.numerator if c.denominator == 1 else c} if c else {}
     else:
         s = mono[0]
         rest = mono[1:]
@@ -304,8 +297,8 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
             x, y = a - 1, r + s - a
             # [t_ij^(r), t_21^(s)] = sum_a ( t_2j^(a-1) t_i1^(r+s-a)
             #                                - t_2j^(r+s-a) t_i1^(a-1) )
-            _compose_into(acc, (2, j, x), (i, 1, y), rest, cache, _ONE)
-            _compose_into(acc, (2, j, y), (i, 1, x), rest, cache, _MINUS_ONE)
+            _compose_into(acc, (2, j, x), (i, 1, y), rest, cache, 1)
+            _compose_into(acc, (2, j, y), (i, 1, x), rest, cache, -1)
         res = acc
     tail = cache._tail
     if tail is not None:
@@ -316,7 +309,7 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
 
 
 def _compose_into(
-    acc: dict, outer: tuple, inner: tuple, mono: Monomial, cache, sign: Fraction
+    acc: dict, outer: tuple, inner: tuple, mono: Monomial, cache, sign: int | Fraction
 ) -> None:
     """Accumulate sign * (outer generator)(inner generator) mono into acc."""
     i2, j2, r2 = inner

@@ -6,7 +6,8 @@ cache bound to another weight is rejected, also when its memo already
 holds the keys the call would read.
 """
 
-from itertools import islice
+from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -24,7 +25,13 @@ from yverma.rational import parse_rational_fn
 from yverma.selftest import rtt_relation_defect
 from yverma.series import expand_rational
 from yverma.singular import expand_f_monomial, expand_f_vector, verify_singular
-from yverma.verma import ActionCache, ModuleVector, act_generator, act_quantum_det
+from yverma.verma import (
+    ActionCache,
+    ModuleVector,
+    act_generator,
+    act_quantum_det,
+    canonical_polynomial_weights,
+)
 
 _V = ModuleVector.basis([1, 2]) + ModuleVector.highest()
 
@@ -80,3 +87,50 @@ def test_cache_of_another_weight_rejected(entry, weight):
     call(other, other_hw, foreign)  # now the memo holds every key the call reads
     with pytest.raises(InputError, match="different highest weight"):
         call(mu, as_gl2_weights(mu), foreign)
+
+
+def _pair_level(hw, cache, level, top):
+    """Pair every two level-``level`` monomials with indices <= top in ``cache``."""
+    monos = list(combinations_with_replacement(range(1, top + 1), level))
+    for m1 in monos:
+        for m2 in monos:
+            contravariant_pairing(m1, m2, hw, cache)
+
+
+def _cached_values(cache):
+    """Every cached pairing and every coefficient of every cached action."""
+    for key, value in cache.data.items():
+        if len(key) == 2:  # pairing memo (m1, m2)
+            yield value
+        else:
+            yield from value.values()
+
+
+def test_integral_weight_caches_only_ints():
+    # every kernel value of an integral weight stays a Python int; a stray
+    # Fraction constant anywhere in the kernel would turn some of them
+    hw = canonical_polynomial_weights(parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))"))
+    cache = ActionCache(hw)
+    _pair_level(hw, cache, 3, 4)
+    values = list(_cached_values(cache))
+    assert len(values) > 400
+    assert all(type(x) is int for x in values)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        parse_rational_fn("(u+7/2)(u+3)/((u+1)(u+2))"),
+        expand_rational(parse_rational_fn("(u+5/3)/(u+2)"), 16),
+    ],
+    ids=["half-integral", "series"],
+)
+def test_other_weights_cache_ints_and_fractions_never_floats(weight):
+    hw = as_gl2_weights(weight)
+    cache = ActionCache(hw)
+    _pair_level(hw, cache, 3, 3)
+    for call in ENTRIES.values():
+        call(weight, hw, cache)
+    values = list(_cached_values(cache))
+    assert any(type(x) is Fraction for x in values)
+    assert all(type(x) in (int, Fraction) for x in values)

@@ -5,11 +5,14 @@ import os
 import stat
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import yverma.cli as cli
 import yverma.recurrence as recurrence
+from yverma.rational import format_rat
 
 
 def run_cli(argv, monkeypatch=None, env=None):
@@ -513,3 +516,62 @@ class TestSelftestCommand:
         a = run_cli(["selftest", "--seed", "2"])
         b = run_cli(["selftest", "--seed", "2"])
         assert a == b
+
+
+INTEGRAL = "(u+3)(u+5)/((u+1)(u+2))"
+HALF_INTEGRAL = "(u+7/2)(u+3)/((u+1)(u+2))"
+SERIES = "series:1,-1/2,1/3,-1/4,1/5,-1/6,1/7,-1/8,1/9,-1/10,1/11,-1/12"
+GENERATORS = ("t11", "t12", "t21", "t22", "e", "f", "h", "qdet")
+
+
+def _no_float(text):
+    raise AssertionError(f"float in report: {text}")
+
+
+def _coefs(obj):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if key == "coef":
+                yield value
+            else:
+                yield from _coefs(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _coefs(item)
+
+
+def _report_argvs():
+    for mu in (INTEGRAL, HALF_INTEGRAL, SERIES):
+        for gen in GENERATORS:
+            yield ["act", "--gen", gen, "--r", "2", "--mono", "1,2", "--mu", mu]
+        yield ["singular", "--mu", mu, "--level", "1", "--degree", "3"]
+        yield ["verdict", "--mu", mu, "--budget", "4"]
+    for mu in (INTEGRAL, HALF_INTEGRAL):
+        yield ["gram", "--mu", mu, "--max-level", "3"]
+        yield ["character", "--mu", mu, "--max-level", "3"]
+    yield ["selftest", "--seed", "0"]
+
+
+class TestExactReports:
+    """Integral kernel values are ints internally; reports stay exact strings."""
+
+    def test_reports_hold_no_floats_and_exact_coefs(self, capsys):
+        seen = 0
+        for argv in _report_argvs():
+            code, out, _ = call_main(capsys, argv)
+            assert code == 0, argv
+            for coef in _coefs(json.loads(out, parse_float=_no_float)):
+                assert format_rat(Fraction(coef)) == coef, (argv, coef)
+                seen += 1
+        assert seen > 50  # the 24 act reports alone carry 79
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((Path(__file__).parent / "data" / "kernel_goldens.json").read_text()),
+        ids=lambda case: " ".join(case["argv"][:3] + case["argv"][-1:]),
+    )
+    def test_kernel_reports_match_pinned_bytes(self, capsys, case):
+        # pinned from the Fraction-only kernel; the int fast path reproduces them
+        code, out, _ = call_main(capsys, case["argv"])
+        assert code == 0
+        assert out == case["stdout"]

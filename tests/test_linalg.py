@@ -194,3 +194,30 @@ class TestAgainstReference:
             assert rank(rows) == len(expected[1]), rows
             assert nullspace(rows, ncols) == _reference_nullspace(rows, ncols), rows
             assert rows == before
+
+
+class TestIntRows:
+    """Int rows (integral Gram matrices) give the exact Fraction results, never floats."""
+
+    @staticmethod
+    def _int_matrices():
+        yield [[2, 1], [1, 3]], 2
+        yield [[2, 1]], 2
+        rng = random.Random(23)
+        for _ in range(60):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            yield [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)], m
+
+    def test_int_rows_match_fraction_reference(self):
+        for rows, ncols in self._int_matrices():
+            reduced, pivots = rref(rows)
+            assert (reduced, pivots) == _reference_rref(_frac_rows(rows)), rows
+            basis = nullspace(rows, ncols)
+            assert basis == _reference_nullspace(_frac_rows(rows), ncols), rows
+            entries = [x for row in reduced for x in row] + [x for v in basis for x in v]
+            assert all(type(x) is Fraction for x in entries), rows
+
+    def test_examples_that_used_float_division(self):
+        assert rref([[2, 1], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+        assert nullspace([[2, 1]], 2) == [(Fraction(-1, 2), Fraction(1))]
+        assert type(nullspace([[2, 1]], 2)[0][0]) is Fraction
