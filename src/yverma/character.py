@@ -18,6 +18,12 @@ radical.  So the monomials with all indices in {1..p} span the
 irreducible quotient L, and the Gram route works in M/N: its cache drops
 every monomial of N from every action result.
 
+Every Gram entry is an ``int``.  With D the lcm of the coefficient
+denominators of both polynomial weights, T^(r) = D^r t^(r) satisfy the
+defining relations with hbar = D and act on the highest vector by the
+integers D^r lambda_i^(r).  In the T-monomials the Gram matrix is S G S,
+S = diag(D^|m|), so its rank and pivot columns are those of G.
+
 The spanning set is carried from level to level.  If the images of the
 monomials B_{k-1} form a basis of L_{k-1}, the monomials
 S_k = {b with r inserted : b in B_{k-1}, 1 <= r <= p}, the images
@@ -43,12 +49,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import InputError
 from .rational import RationalFn, rational_roots
+from .series import SeriesU
 from .verma import (
     ActionCache,
     HighestWeightGL2,
@@ -122,21 +129,26 @@ class GramReport:
 def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     """dim of the weight space mu^(0) - 2k of the irreducible quotient, k <= max_level.
 
-    Uses the canonical polynomial realization and a cache projected onto
-    M/N, dropping every monomial with an index > p = deg(mu): N lies in
-    the radical, so no entry changes.  Level k pairs only the monomials
-    S_k built from the previous level's basis B_{k-1} (B_0 = [()]), fills
-    the upper triangle of the symmetric Gram matrix and mirrors it, and
-    takes B_k from the pivot columns of its echelon; the rank is |B_k|.
-    Levels run upward, so each level-k entry recurses once into
-    level-(k-1) entries already memoized.
+    Uses the canonical polynomial realization, rescaled to integers, and
+    a cache in Y_D projected onto M/N: it drops every monomial with an
+    index > p = deg(mu), and N lies in the radical.  Level k pairs only
+    the monomials S_k built from the previous level's basis B_{k-1}
+    (B_0 = [()]), fills the upper triangle of the symmetric Gram matrix
+    and mirrors it, and takes B_k from the pivot columns of its echelon;
+    the rank is |B_k|.  Levels run upward, so each level-k entry recurses
+    once into level-(k-1) entries already memoized.
     """
     if max_level < 0:
         raise InputError("max_level must be >= 0")
     hw = canonical_polynomial_weights(mu)
     p = mu.degree
+    lams = (hw.lambda1, hw.lambda2)
+    d = lcm(*(c.denominator for lam in lams for c in lam.coeffs))
+    hw = HighestWeightGL2(*(SeriesU([c * d**k for k, c in enumerate(lam.coeffs)], exact=True)
+                            for lam in lams))
     cache = ActionCache(hw)
     cache._tail = p
+    cache.hbar = d
     reports = []
     basis: list[Monomial] = []
     for k in range(max_level + 1):

@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals: one incremental row echelon.
 
-All routines work on lists of rows of ``Fraction`` and never introduce
-rounding.  ``RowEchelon`` is the only elimination: it grows an echelon
-basis one row at a time, so callers can read the rank and the pivot
-columns after every added row, and back-substitutes on demand to the
-reduced row echelon form.  ``rref``, ``rank`` and ``nullspace`` feed a
-whole matrix through it.  The reduced form is canonical for the row
-space, so the nullspace basis returned here is canonical for the
-solution space: two constraint systems have equal solution spaces iff
-these bases match.
+All routines work on lists of rows of ``int`` or ``Fraction`` (the two
+mix through the numeric tower; pivots divide only through ``Fraction``)
+and never introduce rounding.  ``RowEchelon`` is the only elimination:
+it grows an echelon basis one row at a time, so callers can read the
+rank and the pivot columns after every added row, and back-substitutes
+on demand to the reduced row echelon form.  ``rref``, ``rank`` and
+``nullspace`` feed a whole matrix through it.  The reduced form is
+canonical for the row space, so the nullspace basis returned here is
+canonical for the solution space: two constraint systems have equal
+solution spaces iff these bases match.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Conventions used throughout the package:
 
 * scalars are ``fractions.Fraction`` (arbitrary precision, always reduced),
-  except that the action kernel and the Gram entries hold Python ``int``
-  until a value with a denominator enters (the two mix through the numeric
-  tower); division goes only through ``Fraction``, so no value is ever a
-  ``float``;
+  except that the action kernel holds Python ``int`` until a value with a
+  denominator enters (the two mix through the numeric tower), and the Gram
+  route rescales its weight so that every entry is an ``int``; division
+  goes only through ``Fraction``, so no value is ever a ``float``;
 * ``PolyQ`` stores coefficients ascending by degree, with no trailing zeros;
 * ``RationalFn`` is a ratio P(u)/Q(u) of *monic* polynomials of equal degree
   with gcd(P, Q) = 1.  Equal degrees and equal (monic) leading coefficients
@@ -111,12 +111,16 @@ class PolyQ:
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         if not self or not other:
             return PolyQ()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyQ(out)
+        # convolve integers cleared of denominators, divide once when rebuilding
+        da, a = _cleared(self.coeffs)
+        db, b = _cleared(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        d = da * db
+        return PolyQ(Fraction(c, d) for c in out)
 
     def scaled(self, c: Scalar) -> "PolyQ":
         c = rat(c)
@@ -177,10 +181,15 @@ POLY_U = PolyQ((0, 1))
 _PRIME = (1 << 61) - 1
 
 
+def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """The lcm d of the denominators and the integer coefficients times d."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
 def _primitive_ints(coeffs: tuple[Fraction, ...]) -> list[int]:
     """The coefficients times the positive rational that makes them coprime integers."""
-    d = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (d // c.denominator) for c in coeffs]
+    ints = _cleared(coeffs)[1]
     g = gcd(*ints)
     return [c // g for c in ints]
 

@@ -230,14 +230,20 @@ class ActionCache:
     action result drops them before it is stored and the cache computes
     in M/N.  A cache with ``_tail`` set gives pairings equal to a plain
     cache but not PBW normal forms of M.
+
+    ``hbar`` scales every commutator term, 1 by default, so the kernel
+    computes in Y_hbar: on ``hw`` with coefficients hbar^r lambda_i^(r) it
+    acts by the generators T^(r) = hbar^r t^(r) of M(lambda).  Only
+    ``irreducible_weight_dims`` sets it, as it sets ``_tail``.
     """
 
-    __slots__ = ("hw", "data", "_tail")
+    __slots__ = ("hw", "data", "_tail", "hbar")
 
     def __init__(self, hw: HighestWeightGL2):
         self.hw = hw
         self.data: dict = {}
         self._tail: Optional[int] = None
+        self.hbar = 1
 
 
 def bind_cache(hw: HighestWeightGL2, cache: Optional[ActionCache]) -> ActionCache:
@@ -290,15 +296,16 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
     else:
         s = mono[0]
         rest = mono[1:]
+        hbar = cache.hbar
         acc: dict = {}
         for m2, c in _act_mono(i, j, r, rest, cache).items():
             _add_into(acc, _insert(m2, s), c)
         for a in range(1, min(r, s) + 1):
             x, y = a - 1, r + s - a
-            # [t_ij^(r), t_21^(s)] = sum_a ( t_2j^(a-1) t_i1^(r+s-a)
-            #                                - t_2j^(r+s-a) t_i1^(a-1) )
-            _compose_into(acc, (2, j, x), (i, 1, y), rest, cache, 1)
-            _compose_into(acc, (2, j, y), (i, 1, x), rest, cache, -1)
+            # [t_ij^(r), t_21^(s)] = hbar sum_a ( t_2j^(a-1) t_i1^(r+s-a)
+            #                                     - t_2j^(r+s-a) t_i1^(a-1) )
+            _compose_into(acc, (2, j, x), (i, 1, y), rest, cache, hbar)
+            _compose_into(acc, (2, j, y), (i, 1, x), rest, cache, -hbar)
         res = acc
     tail = cache._tail
     if tail is not None:

@@ -7,7 +7,8 @@ holds the keys the call would read.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
+from math import lcm
 
 import pytest
 
@@ -23,10 +24,11 @@ from yverma.gauss import (
 )
 from yverma.rational import parse_rational_fn
 from yverma.selftest import rtt_relation_defect
-from yverma.series import expand_rational
+from yverma.series import SeriesU, expand_rational
 from yverma.singular import expand_f_monomial, expand_f_vector, verify_singular
 from yverma.verma import (
     ActionCache,
+    HighestWeightGL2,
     ModuleVector,
     act_generator,
     act_quantum_det,
@@ -134,3 +136,72 @@ def test_other_weights_cache_ints_and_fractions_never_floats(weight):
     values = list(_cached_values(cache))
     assert any(type(x) is Fraction for x in values)
     assert all(type(x) in (int, Fraction) for x in values)
+
+
+# -- the hbar slot: the kernel in Y_hbar ---------------------------------------
+
+#: non-integral weights; the lcm D of their coefficient denominators is 2 and 9
+RESCALED = {
+    "half-integral": parse_rational_fn("(u+7/2)(u+3)/((u+1/2)(u+2))"),
+    "third-integral": parse_rational_fn("(u+5/3)(u+1/3)/((u+2/3)(u+4))"),
+}
+
+
+def _rescaled(mu):
+    """(D, the canonical weights of mu(u/D)): lambda_i(u/D) has coefficients D^r lambda_i^(r)."""
+    hw = canonical_polynomial_weights(mu)
+    lams = (hw.lambda1, hw.lambda2)
+    d = lcm(*(c.denominator for lam in lams for c in lam.coeffs))
+    scaled = [SeriesU([c * d**r for r, c in enumerate(lam.coeffs)], exact=True) for lam in lams]
+    assert d > 1 and all(c.denominator == 1 for lam in scaled for c in lam.coeffs)
+    return d, HighestWeightGL2(*scaled)
+
+
+def _hbar_cache(hw, hbar):
+    cache = ActionCache(hw)
+    cache.hbar = hbar
+    return cache
+
+
+def _monomials(max_level, top):
+    indices = range(1, top + 1)
+    return [m for k in range(max_level + 1) for m in combinations_with_replacement(indices, k)]
+
+
+@pytest.mark.parametrize("mu", RESCALED.values(), ids=RESCALED)
+def test_hbar_cache_satisfies_the_scaled_relations(mu):
+    # [T_ij^(r), T_kl^(s)] = D sum_a (T_kj^(a-1) T_il^(r+s-a) - T_kj^(r+s-a) T_il^(a-1))
+    d, hw = _rescaled(mu)
+    cache = _hbar_cache(hw, d)
+
+    def act(i, j, r, v):
+        return act_generator(i, j, r, v, hw, cache)
+
+    gens = [(i, j) for i in (1, 2) for j in (1, 2)]
+    nonzero = 0
+    for mono in _monomials(2, 3):
+        v = ModuleVector.basis(mono)
+        for (i, j), (k, l) in product(gens, gens):
+            for r, s in product(range(1, 4), range(1, 4)):
+                lhs = act(i, j, r, act(k, l, s, v)) - act(k, l, s, act(i, j, r, v))
+                rhs = ModuleVector.zero()
+                for a in range(1, min(r, s) + 1):
+                    rhs += act(k, j, a - 1, act(i, l, r + s - a, v))
+                    rhs -= act(k, j, r + s - a, act(i, l, a - 1, v))
+                assert lhs == rhs.scaled(d), (mono, (i, j, r), (k, l, s))
+                nonzero += not lhs.is_zero()
+    assert nonzero > 500
+
+
+@pytest.mark.parametrize("mu", RESCALED.values(), ids=RESCALED)
+def test_hbar_cache_pairing_is_rescaled_plain_pairing(mu):
+    # T_12-words and T_21-monomials are D^|m| times the t-words: <m1, m2>
+    # in Y_D on the rescaled weight is D^(|m1| + |m2|) <m1, m2> in Y(gl2)
+    d, scaled = _rescaled(mu)
+    hw = canonical_polynomial_weights(mu)
+    cache, plain = _hbar_cache(scaled, d), ActionCache(hw)
+    for m1, m2 in product(_monomials(3, 3), repeat=2):
+        if len(m1) == len(m2):
+            got = contravariant_pairing(m1, m2, scaled, cache)
+            assert type(got) is int
+            assert got == d ** (sum(m1) + sum(m2)) * contravariant_pairing(m1, m2, hw, plain)

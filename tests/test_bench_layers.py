@@ -21,6 +21,8 @@ _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 _JOBS = (
     ["gram", "--mu", "(u+3)(u+5)/((u+1)(u+2))", "--max-level", "3"],
+    # a half-integral weight runs the Gram route on a cache with hbar = 2
+    ["gram", "--mu", "(u+7/2)(u+5)/((u+1/2)(u+2))", "--max-level", "3"],
     ["singular", "--mu", "(u+2)/(u+1)", "--level", "1", "--degree", "2"],
 )
 

@@ -1,11 +1,16 @@
 """Irreducible-quotient weight dimensions: Gram ranks vs product formula."""
 
+import json
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+import yverma.character as character
 from yverma.character import (
     GramReport,
     character_formula,
@@ -172,6 +177,24 @@ def _split_weight(rng, p, offset):
             return parse_rational_fn(f"{num}/({den})")
 
 
+def _shifted_split_weight(rng, p, den):
+    """A split weight whose shifts have denominator den, roots disjoint.
+
+    Each pair (a, b) shares a random shift with denominator den; about
+    half of the differences a - b are integers in {1..4} and the rest are
+    off by 1/den, so the ranks saturate on some strings and not others.
+    """
+    while True:
+        betas = [b + Fraction(rng.randrange(den), den) for b in rng.sample(range(0, 8), p)]
+        alphas = [b + rng.randint(1, 4) + rng.choice([0, Fraction(1, den)]) for b in betas]
+        if len(set(alphas)) == p and not set(alphas) & set(betas):
+            num = "".join(f"(u+{a})" for a in alphas)
+            den_text = "".join(f"(u+{b})" for b in betas)
+            mu = parse_rational_fn(f"{num}/({den_text})")
+            if any(c.denominator > 1 for c in mu.num.coeffs + mu.den.coeffs):
+                return mu
+
+
 class TestCarriedBasis:
     """Gram ranks on the carried basis equal the full spanning-set route."""
 
@@ -212,6 +235,69 @@ class TestCarriedBasis:
         reports = irreducible_weight_dims(mu, max_level=10)
         assert [r.rank for r in reports] == [1, 2, 2, 2, 1] + [0] * 6
         assert [r.spanning_size for r in reports] == [k + 1 for k in range(11)]
+
+
+class TestIntegerGram:
+    """On a non-integral weight the Gram route pairs in Y_D, all in ints."""
+
+    @pytest.mark.parametrize("den", [2, 3, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_reference_and_formula(self, p, den):
+        rng = random.Random(1000 * den + p)
+        max_level = 5 if p < 4 else 4
+        for _ in range(2):
+            mu = _shifted_split_weight(rng, p, den)
+            got = irreducible_weight_dims(mu, max_level)
+            assert got == _reference_dims(mu, max_level), str(mu)
+            assert tuple(r.rank for r in got) == character_formula(mu, max_level).dims
+
+    def test_non_split_weight_matches_reference(self):
+        # numerator roots -7/2 +- i sqrt2, denominator roots -3/2 +- i sqrt2
+        mu = parse_rational_fn("(u^2+7u+57/4)(u+7/3)/((u^2+3u+17/4)(u+1/3))")
+        with pytest.raises(InputError):
+            character_formula(mu, 5)
+        reports = irreducible_weight_dims(mu, max_level=5)
+        assert [r.rank for r in reports] == [1, 3, 6, 7, 6, 3]
+        assert reports == _reference_dims(mu, 5)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(u+7/2)(u+11/2)(u+9)/((u+1/2)(u+2)(u+4))",
+            "(u+7/3)(u+5)/((u+1/3)(u+2))",
+            "(u^2+7u+57/4)(u+7/3)/((u^2+3u+17/4)(u+1/3))",
+        ],
+    )
+    def test_gram_cache_holds_only_ints(self, monkeypatch, text):
+        caches = []
+
+        class Recording(ActionCache):
+            def __init__(self, hw):
+                super().__init__(hw)
+                caches.append(self)
+
+        monkeypatch.setattr(character, "ActionCache", Recording)
+        irreducible_weight_dims(parse_rational_fn(text), max_level=4)
+        (cache,) = caches
+        assert cache.hbar > 1
+        values = [
+            x
+            for key, value in cache.data.items()
+            for x in ([value] if len(key) == 2 else value.values())
+        ]
+        assert len(values) > 100
+        assert all(type(x) is int for x in values)
+
+    def test_cli_gram_with_denominator_1e9_plus_7(self):
+        # D = 10^9 + 7 scales every entry; finding D must not factor anything
+        argv = ["gram", "--mu", "(u+1/1000000007)/(u+1)", "--max-level", "4"]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "yverma", *argv], capture_output=True, text=True, timeout=20
+        )
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 0, proc.stderr
+        assert [lv["rank"] for lv in json.loads(proc.stdout)["levels"]] == [1] * 5
 
 
 class TestTailProjection:

@@ -571,7 +571,9 @@ class TestExactReports:
         ids=lambda case: " ".join(case["argv"][:3] + case["argv"][-1:]),
     )
     def test_kernel_reports_match_pinned_bytes(self, capsys, case):
-        # pinned from the Fraction-only kernel; the int fast path reproduces them
+        # the act cases were pinned from the Fraction-only kernel and the gram
+        # cases of non-integral weights from the Gram route before it paired
+        # in Y_D; the int kernel reproduces both
         code, out, _ = call_main(capsys, case["argv"])
         assert code == 0
         assert out == case["stdout"]

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -130,6 +130,29 @@ class TestPolyQ:
         assert b - a == PolyQ([1])
         assert (-a) + a == POLY_ZERO
         assert a.scaled(Fraction(1, 2)) == PolyQ([Fraction(1, 2), Fraction(1, 2)])
+
+    def test_product_matches_fraction_convolution(self):
+        # the product clears each operand to integers and divides once
+        rng = random.Random(5)
+        for _ in range(60):
+            a, b = (
+                [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**9 + 7]))
+                 for _ in range(rng.randint(0, 6))]
+                for _ in range(2)
+            )
+            expected = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    expected[i + j] += x * y
+            got = PolyQ(a) * PolyQ(b)
+            assert got == PolyQ(expected)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_large_powers_are_binomial(self):
+        n = 400
+        assert poly_pow(PolyQ([1, 1]), n).coeffs == tuple(comb(n, k) for k in range(n + 1))
+        half = poly_pow(PolyQ([Fraction(1, 2), 1]), n)
+        assert half.coeffs == tuple(Fraction(comb(n, k), 2 ** (n - k)) for k in range(n + 1))
 
     def test_eval(self):
         p = PolyQ([2, 3, 1])
