@@ -153,7 +153,7 @@ def _parse_cartan(value: Union[str, list]) -> list[list[int]]:
         if stripped.startswith("["):
             try:
                 value = json.loads(stripped)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # malformed, or an int past the digit limit
                 raise InputError(f"bad cartan matrix JSON: {exc}") from exc
         else:
             return cartan_matrix(stripped)
@@ -463,7 +463,7 @@ def _load_job(path: str, default_output: Optional[str]) -> tuple[str, dict, Opti
         raise InputError(f"cannot read job file: {exc}") from exc
     try:
         job = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an int past the digit limit
         raise InputError(f"job file is not valid JSON: {exc}") from exc
     if not isinstance(job, dict):
         raise InputError("job file must contain a JSON object")

@@ -12,9 +12,19 @@ Three failure classes matter to callers and to the CLI exit-code mapping:
 Anything else escaping the library is a bug, not a usage error.
 """
 
+import sys
+
 
 class InputError(ValueError):
     """Malformed or unsupported input (precondition violation)."""
+
+
+def digit_limit_error(what: str) -> InputError:
+    """``what`` is an integer past the interpreter's int/str conversion limit."""
+    return InputError(
+        f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's limit for converting between int and str"
+    )
 
 
 class TruncationError(ArithmeticError):

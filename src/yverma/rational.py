@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * scalars are ``fractions.Fraction`` (arbitrary precision, always reduced),
   except that the action kernel holds Python ``int`` until a value with a
-  denominator enters (the two mix through the numeric tower), and the Gram
-  route rescales its weight so that every entry is an ``int``; division
-  goes only through ``Fraction``, so no value is ever a ``float``;
+  denominator enters (the two mix through the numeric tower), the Gram
+  route rescales its weight so that every entry is an ``int``, and the
+  parser, Sturm chains and gcds compute on integer coefficient lists (Z[u]);
+  division goes only through ``Fraction``, so no value is ever a ``float``;
 * ``PolyQ`` stores coefficients ascending by degree, with no trailing zeros;
 * ``RationalFn`` is a ratio P(u)/Q(u) of *monic* polynomials of equal degree
   with gcd(P, Q) = 1.  Equal degrees and equal (monic) leading coefficients
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .errors import InputError
+from .errors import InputError, digit_limit_error
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -46,9 +48,12 @@ def rat(x: Scalar) -> Fraction:
 
 def format_rat(q: Fraction) -> str:
     """Render exactly: ``3``, ``-3``, or ``3/2`` (never a float)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise digit_limit_error("a report value") from None
 
 
 @dataclass(frozen=True)
@@ -109,18 +114,11 @@ class PolyQ:
         return PolyQ(-c for c in self.coeffs)
 
     def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if not self or not other:
-            return PolyQ()
         # convolve integers cleared of denominators, divide once when rebuilding
         da, a = _cleared(self.coeffs)
         db, b = _cleared(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
         d = da * db
-        return PolyQ(Fraction(c, d) for c in out)
+        return PolyQ(Fraction(c, d) for c in _convolve(a, b))
 
     def scaled(self, c: Scalar) -> "PolyQ":
         c = rat(c)
@@ -187,11 +185,46 @@ def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     return d, [c.numerator * (d // c.denominator) for c in coeffs]
 
 
-def _primitive_ints(coeffs: tuple[Fraction, ...]) -> list[int]:
-    """The coefficients times the positive rational that makes them coprime integers."""
-    ints = _cleared(coeffs)[1]
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The product of two integer coefficient lists; [] is the zero polynomial."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _primitive(ints: list[int]) -> list[int]:
+    """The integers divided by their (positive) content."""
     g = gcd(*ints)
     return [c // g for c in ints]
+
+
+def _primitive_ints(coeffs: tuple[Fraction, ...]) -> list[int]:
+    """The coefficients times the positive rational that makes them coprime integers."""
+    return _primitive(_cleared(coeffs)[1])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of a mod b (b nonzero) by pseudo-division over Z.
+
+    Each step scales the remainder by |lc(b)| > 0, so the sign is that of
+    a mod b over Q."""
+    r = list(a)
+    scale, sign, db = abs(b[-1]), 1 if b[-1] > 0 else -1, len(b) - 1
+    while len(r) > db:
+        c = sign * r.pop()
+        k = len(r) - db
+        if scale != 1:
+            r = [x * scale for x in r]
+        for j in range(db):
+            r[k + j] -= c * b[j]
+        while r and r[-1] == 0:
+            r.pop()
+    return _primitive(r)
 
 
 def _rem_mod_prime(a: list[int], b: list[int]) -> list[int]:
@@ -233,40 +266,28 @@ def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
     """Monic greatest common divisor (gcd(0, 0) = 0).
 
     A modular certificate settles coprime pairs in word-size arithmetic;
-    any other pair runs Euclid over Q.
+    any other pair runs the primitive remainder sequence over Z (Collins
+    1967), whose last nonzero entry is the gcd up to a constant.
     """
     if a and b and _coprime_mod_prime(a, b):
         return POLY_ONE
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    x, y = _primitive_ints(a.coeffs), _primitive_ints(b.coeffs)
+    while y:
+        x, y = y, _prem(x, y)
+    return PolyQ(x).monic()
 
 
-def poly_pow(base: PolyQ, n: int) -> PolyQ:
-    """``base ** n`` by repeated squaring."""
-    if n < 0:
-        raise InputError("negative polynomial power")
-    out = POLY_ONE
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
-
-
-def _sturm_chain(g: PolyQ) -> list[list[int]]:
+def _sturm_chain(g: list[int]) -> list[list[int]]:
     """The Sturm chain g, g', -(g mod g'), ... as primitive integer coefficient lists.
 
-    Each entry is rescaled by a positive constant only, so sign-change
-    counts are those of the chain over Q.  The last entry is gcd(g, g') up
-    to a constant factor.
+    ``g`` has positive degree.  Each ``_prem`` entry is the chain over Q
+    rescaled by a positive constant only, so sign-change counts are those
+    of the chain over Q.  The last entry is gcd(g, g') up to a constant.
     """
-    chain = [g, PolyQ([k * c for k, c in enumerate(g.coeffs)][1:])]
-    while r := chain[-2] % chain[-1]:
-        chain.append(-r)
-    return [_primitive_ints(f.coeffs) for f in chain]
+    chain = [_primitive(g), _primitive([k * c for k, c in enumerate(g)][1:])]
+    while r := _prem(chain[-2], chain[-1]):
+        chain.append([-c for c in r])
+    return chain
 
 
 def _int_eval(cs: list[int], x: int) -> int:
@@ -363,10 +384,10 @@ def rational_roots(p: PolyQ) -> Optional[list[Fraction]]:
         return roots
     a = _primitive_ints(p.coeffs)
     lead, n = a[-1], p.degree
-    h = PolyQ([c * lead ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1])
+    h = [c * lead ** (n - 1 - i) for i, c in enumerate(a[:-1])] + [1]
     chain = _sturm_chain(h)
     if len(chain[-1]) > 1:  # repeated roots: isolate those of h / gcd(h, h')
-        chain = _sturm_chain(h // PolyQ(chain[-1]))
+        chain = _sturm_chain(_primitive_ints((PolyQ(h) // PolyQ(chain[-1])).coeffs))
     ys = _integer_roots(chain)
     if ys is None:
         return None
@@ -475,9 +496,10 @@ def render_rational_fn(f: RationalFn) -> str:
 # factor := atom ('^' uint)?
 # atom   := 'u' | uint | '(' expr ')' | '-' factor
 #
-# Values during parsing are exact fractions of polynomials, so inputs like
-# "(u+2)^2/(u+1)^2" or "1+1/(u+1)" all work; the final pair is handed to
-# RationalFn, which enforces the monic equal-degree normalization.
+# Values during parsing are fractions of polynomials over Z, pairs of integer
+# coefficient lists, so inputs like "(u+2)^2/(u+1)^2" or "1+1/(u+1)" all
+# work; only the final pair becomes PolyQ, handed to RationalFn, which
+# enforces the monic equal-degree normalization.
 
 
 class _Tok:
@@ -491,9 +513,9 @@ class _Tok:
             elif ch in "()+-*/^u":
                 self.toks.append(ch)
                 i += 1
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
                 self.toks.append(text[i:j])
                 i = j
@@ -512,80 +534,82 @@ class _Tok:
         return t
 
 
-_PFrac = tuple[PolyQ, PolyQ]  # numerator, denominator (denominator nonzero)
+_ZFrac = tuple[list[int], list[int]]  # numerator, denominator (denominator nonzero)
 
 
-def _pf_add(a: _PFrac, b: _PFrac, sign: int) -> _PFrac:
-    if sign > 0:
-        return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
-    return a[0] * b[1] - b[0] * a[1], a[1] * b[1]
+def _int_token(t: str) -> int:
+    try:
+        return int(t)
+    except ValueError:
+        raise digit_limit_error("an integer literal") from None
 
 
-def _pf_mul(a: _PFrac, b: _PFrac) -> _PFrac:
-    return a[0] * b[0], a[1] * b[1]
-
-
-def _pf_div(a: _PFrac, b: _PFrac) -> _PFrac:
-    if not b[0]:
-        raise InputError("division by zero in rational-function expression")
-    return a[0] * b[1], a[1] * b[0]
-
-
-def _parse_expr(tk: _Tok) -> _PFrac:
-    if tk.peek() in ("+", "-"):
-        sign = tk.take()
-        value = _parse_term(tk)
-        if sign == "-":
-            value = (-value[0], value[1])
-    else:
-        value = _parse_term(tk)
+def _parse_expr(tk: _Tok) -> _ZFrac:
+    sign = tk.take() if tk.peek() in ("+", "-") else "+"
+    num, den = _parse_term(tk)
+    if sign == "-":
+        num = [-c for c in num]
     while tk.peek() in ("+", "-"):
-        op = tk.take()
-        value = _pf_add(value, _parse_term(tk), 1 if op == "+" else -1)
-    return value
+        sign = 1 if tk.take() == "+" else -1
+        b_num, b_den = _parse_term(tk)
+        num, rhs = _convolve(num, b_den), _convolve(b_num, den)
+        num = [x + sign * y for x, y in zip_longest(num, rhs, fillvalue=0)]
+        while num and num[-1] == 0:
+            num.pop()
+        den = _convolve(den, b_den)
+    return num, den
 
 
-def _parse_term(tk: _Tok) -> _PFrac:
-    value = _parse_factor(tk)
+def _parse_term(tk: _Tok) -> _ZFrac:
+    num, den = _parse_factor(tk)
     while True:
         nxt = tk.peek()
-        if nxt in ("*", "/"):
-            op = tk.take()
-            rhs = _parse_factor(tk)
-            value = _pf_mul(value, rhs) if op == "*" else _pf_div(value, rhs)
-        elif nxt == "u" or nxt == "(" or (nxt is not None and nxt.isdigit()):
-            # juxtaposition: "3u", "2(u+1)"
-            value = _pf_mul(value, _parse_factor(tk))
+        if nxt in ("*", "/", "u", "(") or (nxt and nxt.isdecimal()):
+            # "/", "*" or juxtaposition: "3u", "2(u+1)"
+            op = tk.take() if nxt in ("*", "/") else "*"
+            b_num, b_den = _parse_factor(tk)
+            if op == "/":
+                if not b_num:
+                    raise InputError("division by zero in rational-function expression")
+                b_num, b_den = b_den, b_num
+            num, den = _convolve(num, b_num), _convolve(den, b_den)
         else:
-            return value
+            return num, den
 
 
-def _parse_factor(tk: _Tok) -> _PFrac:
-    base = _parse_atom(tk)
+def _parse_factor(tk: _Tok) -> _ZFrac:
+    num, den = _parse_atom(tk)
     while tk.peek() == "^":
         tk.take()
         exp_tok = tk.take()
-        if not exp_tok.isdigit():
+        if not exp_tok.isdecimal():
             raise InputError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
-        n = int(exp_tok)
-        base = (poly_pow(base[0], n), poly_pow(base[1], n))
-    return base
+        n, pows = _int_token(exp_tok), ([1], [1])
+        while n:  # repeated squaring
+            if n & 1:
+                pows = _convolve(pows[0], num), _convolve(pows[1], den)
+            n >>= 1
+            if n:
+                num, den = _convolve(num, num), _convolve(den, den)
+        num, den = pows
+    return num, den
 
 
-def _parse_atom(tk: _Tok) -> _PFrac:
+def _parse_atom(tk: _Tok) -> _ZFrac:
     t = tk.take()
     if t == "u":
-        return POLY_U, POLY_ONE
+        return [0, 1], [1]
     if t == "(":
         inner = _parse_expr(tk)
         if tk.take() != ")":
             raise InputError("unbalanced parentheses")
         return inner
     if t == "-":
-        inner = _parse_factor(tk)
-        return -inner[0], inner[1]
-    if t.isdigit():
-        return PolyQ((int(t),)), POLY_ONE
+        num, den = _parse_factor(tk)
+        return [-c for c in num], den
+    if t.isdecimal():
+        n = _int_token(t)
+        return [n] if n else [], [1]
     raise InputError(f"unexpected token {t!r}")
 
 
@@ -602,4 +626,4 @@ def parse_rational_fn(text: str) -> RationalFn:
     num, den = _parse_expr(tk)
     if tk.peek() is not None:
         raise InputError(f"trailing input at token {tk.peek()!r}")
-    return RationalFn(num, den)
+    return RationalFn(PolyQ(num), PolyQ(den))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, digit_limit_error
 
 CartanMatrix = tuple[tuple[int, ...], ...]
 
@@ -201,9 +201,12 @@ def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
 # C_n is its transpose, G2 is [[2,-1],[-3,2]] (d = (3,1)).
 def cartan_matrix(label: str) -> CartanMatrix:
     label = label.strip().upper()
-    if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdigit():
+    if len(label) < 2 or label[0] not in "ABCDEFG" or not label[1:].isdecimal():
         raise InputError(f"unknown Cartan type {label!r}")
-    family, n = label[0], int(label[1:])
+    try:
+        family, n = label[0], int(label[1:])
+    except ValueError:
+        raise digit_limit_error("the Cartan rank") from None
     mins = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
     maxs = {"E": 8, "F": 4, "G": 2}
     if n < mins[family] or (family in maxs and n > maxs[family]):

@@ -377,6 +377,50 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["code"] == "input"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--mu", "(u+²)/(u+1)", "--order", "3"],
+            ["expand", "--mu", "(u+1)^²/(u+2)^²", "--order", "3"],
+            ["roots", "--cartan", "A²"],
+        ],
+        ids=["digit", "exponent", "cartan-label"],
+    )
+    def test_superscript_digits_are_input_errors(self, argv):
+        # str.isdigit accepts "²", which int() rejects
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["code"] == "input"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["expand", "--mu", f"(u+{'7' * 4400})/(u+1)", "--order", "3"],
+            ["expand", "--mu", f"(u+1)^{'7' * 4400}/(u+2)^2", "--order", "3"],
+            ["expand", "--mu", "(u+2)/(u+1/1000000007)", "--order", "500"],
+            ["roots", "--cartan", f"A{'7' * 4400}"],
+            ["roots", "--cartan", f"[[{'7' * 4400}]]"],
+        ],
+        ids=["literal", "exponent", "report-coefficient", "cartan-rank", "cartan-json"],
+    )
+    def test_integers_past_the_str_digit_limit_are_input_errors(self, argv):
+        # Python refuses int/str conversions of more than 4300 digits
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input"
+        assert "4300 digits" in error["message"]
+
+    def test_job_file_integer_past_the_str_digit_limit(self, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(
+            '{"command":"expand","parameters":{"mu":"u/u","order":%s}}' % ("7" * 4400)
+        )
+        code, out, err = run_cli(["job", str(job)])
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "4300 digits" in error["message"]
+
 
 class TestJobMode:
     def test_job_file(self, tmp_path, capsys):
@@ -574,6 +618,19 @@ class TestExactReports:
         # the act cases were pinned from the Fraction-only kernel and the gram
         # cases of non-integral weights from the Gram route before it paired
         # in Y_D; the int kernel reproduces both
+        code, out, _ = call_main(capsys, case["argv"])
+        assert code == 0
+        assert out == case["stdout"]
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads((Path(__file__).parent / "data" / "rational_goldens.json").read_text()),
+        ids=lambda case: " ".join(case["argv"][:3]),
+    )
+    def test_rational_layer_reports_match_pinned_bytes(self, capsys, case):
+        # pinned from the Fraction parser and the Q-remainder Sturm chain and
+        # gcd: fractional shifts, powers, shared factors, roots near 1e6 and
+        # 1e18, verdicts and detect reconstructions
         code, out, _ = call_main(capsys, case["argv"])
         assert code == 0
         assert out == case["stdout"]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from yverma import (
     render_poly,
     render_rational_fn,
 )
-from yverma.rational import poly_pow
+from yverma.rational import _primitive_ints, _sturm_chain
 
 PRIME = (1 << 61) - 1  # the modulus of poly_gcd's coprimality certificate
 
@@ -74,6 +75,138 @@ def _reference_gcd(a, b):
     while b:
         a, b = b, a % b
     return a.monic()
+
+
+def _reference_sturm_chain(g):
+    """The Sturm chain by remainders over Q, each entry then made primitive."""
+    chain = [g, PolyQ([k * c for k, c in enumerate(g.coeffs)][1:])]
+    while r := chain[-2] % chain[-1]:
+        chain.append(-r)
+    return [_primitive_ints(f.coeffs) for f in chain]
+
+
+def _reference_pow(base, n):
+    out = POLY_ONE
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
+class _RefTok:
+    def __init__(self, text):
+        self.toks, i = [], 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+            elif ch in "()+-*/^u":
+                self.toks.append(ch)
+                i += 1
+            elif ch.isdecimal():
+                j = i
+                while j < len(text) and text[j].isdecimal():
+                    j += 1
+                self.toks.append(text[i:j])
+                i = j
+            else:
+                raise InputError(f"unexpected character {ch!r} in {text!r}")
+        self.pos = 0
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def take(self):
+        t = self.peek()
+        if t is None:
+            raise InputError("unexpected end of expression")
+        self.pos += 1
+        return t
+
+
+def _reference_parse(text):
+    """The parser over PolyQ pairs (Fraction arithmetic) that the Z[u] parser replaced.
+
+    Its digits are ``str.isdecimal`` like the new tokenizer's; with
+    ``str.isdigit`` a superscript digit reached ``int()`` and raised ValueError.
+    """
+
+    def expr(tk):
+        sign = tk.take() if tk.peek() in ("+", "-") else "+"
+        num, den = term(tk)
+        if sign == "-":
+            num = -num
+        while tk.peek() in ("+", "-"):
+            op = tk.take()
+            b = term(tk)
+            num = num * b[1] + b[0] * den if op == "+" else num * b[1] - b[0] * den
+            den = den * b[1]
+        return num, den
+
+    def term(tk):
+        value = factor(tk)
+        while True:
+            nxt = tk.peek()
+            if nxt in ("*", "/"):
+                op = tk.take()
+                rhs = factor(tk)
+                if op == "*":
+                    value = value[0] * rhs[0], value[1] * rhs[1]
+                else:
+                    if not rhs[0]:
+                        raise InputError("division by zero in rational-function expression")
+                    value = value[0] * rhs[1], value[1] * rhs[0]
+            elif nxt == "u" or nxt == "(" or (nxt is not None and nxt.isdecimal()):
+                rhs = factor(tk)
+                value = value[0] * rhs[0], value[1] * rhs[1]
+            else:
+                return value
+
+    def factor(tk):
+        base = atom(tk)
+        while tk.peek() == "^":
+            tk.take()
+            exp_tok = tk.take()
+            if not exp_tok.isdecimal():
+                raise InputError(f"exponent must be a nonnegative integer, got {exp_tok!r}")
+            n = int(exp_tok)
+            base = (_reference_pow(base[0], n), _reference_pow(base[1], n))
+        return base
+
+    def atom(tk):
+        t = tk.take()
+        if t == "u":
+            return POLY_U, POLY_ONE
+        if t == "(":
+            inner = expr(tk)
+            if tk.take() != ")":
+                raise InputError("unbalanced parentheses")
+            return inner
+        if t == "-":
+            inner = factor(tk)
+            return -inner[0], inner[1]
+        if t.isdecimal():
+            return PolyQ((int(t),)), POLY_ONE
+        raise InputError(f"unexpected token {t!r}")
+
+    tk = _RefTok(text)
+    if tk.peek() is None:
+        raise InputError("empty rational-function expression")
+    num, den = expr(tk)
+    if tk.peek() is not None:
+        raise InputError(f"trailing input at token {tk.peek()!r}")
+    return RationalFn(num, den)
+
+
+def _outcome(parse, text):
+    """The parsed RationalFn, or the text of its InputError; any other exception propagates."""
+    try:
+        return parse(text)
+    except InputError as exc:
+        return f"InputError: {exc}"
 
 
 def _product(factors):
@@ -150,8 +283,9 @@ class TestPolyQ:
 
     def test_large_powers_are_binomial(self):
         n = 400
-        assert poly_pow(PolyQ([1, 1]), n).coeffs == tuple(comb(n, k) for k in range(n + 1))
-        half = poly_pow(PolyQ([Fraction(1, 2), 1]), n)
+        whole = parse_rational_fn(f"(u+1)^{n}/(u+2)^{n}").num
+        assert whole.coeffs == tuple(comb(n, k) for k in range(n + 1))
+        half = parse_rational_fn(f"(u+1/2)^{n}/(u+3)^{n}").num
         assert half.coeffs == tuple(Fraction(comb(n, k), 2 ** (n - k)) for k in range(n + 1))
 
     def test_eval(self):
@@ -235,7 +369,7 @@ class TestRationalRoots:
 
     def test_repeated_irrational_factor_is_none(self):
         # square-free part u^2 - 2 has real, non-integer roots
-        p = poly_pow(PolyQ([-2, 0, 1]), 2) * PolyQ([1, 1])
+        p = PolyQ([-2, 0, 1]) * PolyQ([-2, 0, 1]) * PolyQ([1, 1])
         assert rational_roots(p) is None
         assert rational_roots(PolyQ([1, 0, 1]) * PolyQ([-1, 0, 1])) is None
 
@@ -278,17 +412,20 @@ class TestRationalRoots:
 
 class TestPowAndGcd:
     def test_pow_matches_repeated_multiplication(self):
+        # parser powers square repeatedly; "B^n" must equal "B*B*...*B"
         rng = random.Random(11)
         for _ in range(20):
             size = rng.randint(0, 4)
             base = PolyQ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(size)])
+            shift = PolyQ([Fraction(rng.randint(-5, 5), rng.randint(1, 3)), 1])
+            num, den = f"({base})*u+1", f"u*({base})+({shift})"  # equal leading terms
             n = rng.randint(0, 9)
-            expected = POLY_ONE
-            for _ in range(n):
-                expected = expected * base
-            assert poly_pow(base, n) == expected
-        with pytest.raises(InputError):
-            poly_pow(POLY_U, -1)
+            powered = _outcome(parse_rational_fn, f"({num})^{n}/({den})^{n}")
+            repeated = "*".join([f"({num})"] * n or ["1"]), "*".join([f"({den})"] * n or ["1"])
+            assert powered == _outcome(parse_rational_fn, f"({repeated[0]})/({repeated[1]})")
+            assert powered == _outcome(_reference_parse, f"({num})^{n}/({den})^{n}")
+        with pytest.raises(InputError, match="exponent must be a nonnegative integer"):
+            parse_rational_fn("(u+1)^-1/(u+2)^-1")
 
     def test_gcd_matches_euclid(self):
         rng = random.Random(12)
@@ -315,6 +452,95 @@ class TestPowAndGcd:
         f = RationalFn(b, shared * PolyQ([3, 1]))
         assert (f.num, f.den) == (PolyQ([2, 1]), PolyQ([3, 1]))
         assert poly_gcd(PolyQ([1, PRIME]), PolyQ([1, 1])) == POLY_ONE
+
+
+def _random_expr(rng, depth):
+    """A seeded expression: sums, quotients, powers, unary minus, juxtaposition, nesting."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["u", "u", str(rng.randint(0, 12)), f"{rng.randint(1, 9)}u"])
+    a, b = _random_expr(rng, depth - 1), _random_expr(rng, depth - 1)
+    kind = rng.randrange(8)
+    if kind == 0:
+        return f"{a}+{b}"
+    if kind == 1:
+        return f"{a}-{b}"
+    if kind == 2:
+        return f"({a})*({b})"
+    if kind == 3:
+        return f"({a})/({b})"
+    if kind == 4:
+        return f"({a})^{rng.randint(0, 3)}"
+    if kind == 5:
+        return f"-({a})"
+    if kind == 6:
+        return f"{rng.randint(1, 9)}({a})"  # juxtaposition
+    return f"(({a})-({a}))" if rng.random() < 0.5 else f"({a})/({b}-{b})"  # zero, zero divisor
+
+
+_PARSE_GRID = [
+    "(u+2)/(u+1)", "1", "u/u", "(u+1/2)/(u-1/3)", "(2u+3)^2/((2u+1)(2u-5))",
+    "1+1/(u+1)-2/(u+3)^2", "-(u+1)/(-(u+2))", "--u/u", "(u+1)^0", "0^0", "(u-u)/u",
+    "u/(u-u)", "u/0", "0", "(u+1)^2^3/(u+2)^6", "3u/(3u+1)", "2(u+1)/(2u)", "u u/u^2",
+    "(u+1)(u+3)/((u+3)(u+2))", "((u+1/2)^2-1/4)/(u^2-1/9)", "(u+1)^150*(u+3)/((u+2)^150*(u+3))",
+    "", " ", "u+", "(u+2", "u)", "u/v", "2^u", "u^-1", "u^", "(u+2)//u", "3..5", "1/2/3",
+    "u^2/(u+1)", "2u/u", "(u+\u00b2)/(u+1)", "(u+1)^\u00b2/(u+2)^\u00b2", "\u0663u/(3u+1)",
+    "(u+\u00bd)/(u+1)", "(u+1)/(u+\u00e9)", "u/u\u3000", "\uff11u/u",
+]
+
+
+class TestReferenceOracles:
+    """The integer parser, pseudo-remainder Sturm chain and PRS gcd against the Fraction routes."""
+
+    def test_parser_grid_matches_fraction_parser(self):
+        for text in _PARSE_GRID:
+            assert _outcome(parse_rational_fn, text) == _outcome(_reference_parse, text), text
+
+    def test_parser_fuzz_matches_fraction_parser(self):
+        rng = random.Random(13)
+        alphabet = "u()+-*/^ 0123456789\u00b2\u0663\u00e9"
+        parsed = 0
+        for i in range(600):
+            text = _random_expr(rng, rng.randint(1, 4))
+            if i % 4:  # a ratio that tends to 1 whenever the expression grows at infinity
+                text = f"({text})/({text}+{rng.randint(1, 9)}/{_random_expr(rng, 1)})"
+            if i % 3 == 0:  # malformed: delete, insert or replace one character
+                k = rng.randrange(len(text) + 1)
+                text = text[:k] + rng.choice(["", rng.choice(alphabet)]) + text[k + 1:]
+            if re.search(r"\^\s*[0-9]{2}", text):
+                continue  # an exponent grown by the mutation: slow, not interesting
+            got = _outcome(parse_rational_fn, text)
+            assert got == _outcome(_reference_parse, text), text
+            parsed += isinstance(got, RationalFn)
+        assert parsed > 100
+
+    def test_sturm_chain_matches_remainders_over_q(self):
+        rng = random.Random(10)
+        for i in range(360):
+            p, _ = _oracle_case(rng, i)
+            a = _primitive_ints(p.coeffs)
+            lead, n = a[-1], p.degree
+            h = [c * lead ** (n - 1 - k) for k, c in enumerate(a[:-1])] + [1]
+            for g in (a, h):  # the primitive case (any leading sign) and its monic rescale
+                if len(g) > 1:
+                    assert _sturm_chain(g) == _reference_sturm_chain(PolyQ(g)), (i, str(p))
+
+    def test_gcd_matches_euclid_on_high_degree_common_factors(self):
+        rng = random.Random(14)
+
+        def rand_poly(deg):
+            return PolyQ([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)]
+                         + [rng.choice([1, -1, 3, Fraction(-2, 7)])])
+
+        for i in range(80):
+            common = _product(rand_poly(1) for _ in range(i % 12)) * rand_poly(i % 3)
+            a, b = rand_poly(rng.randint(0, 6)) * common, rand_poly(rng.randint(0, 6)) * common
+            if i % 10 == 0:
+                b = a * rand_poly(2)
+            g = poly_gcd(a, b)
+            assert g == _reference_gcd(a, b), i
+            assert g.degree >= common.degree
+        for a, b in [(POLY_ZERO, POLY_ZERO), (POLY_ZERO, PolyQ([2, -4])), (PolyQ([3]), POLY_ZERO)]:
+            assert poly_gcd(a, b) == _reference_gcd(a, b)
 
 
 class TestRationalFn:
