@@ -111,6 +111,7 @@ from .verdicts import (
     HighestWeightTuple,
     ReducibilityVerdict,
     WeightFinitenessVerdict,
+    classify,
     shifted_quotient_polynomial,
     verdict_finite_dimensional,
     verdict_reducible,

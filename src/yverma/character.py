@@ -41,14 +41,17 @@ smaller a), the character of the irreducible quotient factors as
     prod_{i<=l} (x^{d_i+1} - x^{-d_i-1})/(x - x^{-1})
     * prod_{i>l} x^{d_i+1}/(x - x^{-1}),        d_i = a_i - b_i,
 
-whose level-k coefficient is a convolution of truncated all-ones
-sequences.  Agreement of the two routes is part of the test suite.
+whose level-k coefficients are window sums: each factor with i <= l sums
+the running coefficients over windows of width d_i + 1, each other
+factor over all lower levels.  Agreement of the two routes is part of
+the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm
 from typing import Optional, Sequence
 
@@ -102,9 +105,7 @@ def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
         return hit
     rest = m1[1:]
     total = 0
-    unit = ModuleVector()
-    unit._terms = {m2: 1}
-    image = act_generator(1, 2, m1[0], unit, cache.hw, cache)
+    image = act_generator(1, 2, m1[0], ModuleVector._of({m2: 1}), cache.hw, cache)
     for m, c in image.terms.items():
         total += c * _pairing(rest, m, cache)
     cache.data[key] = total
@@ -236,12 +237,10 @@ def character_formula(mu: RationalFn, max_level: int) -> CharacterResult:
 
     dims = [1] + [0] * max_level
     for i, (a, b) in enumerate(pairs):
-        if i < l:
-            d = int(a - b)
-            factor = [1] * min(d + 1, max_level + 1)
-        else:
-            factor = [1] * (max_level + 1)
-        dims = _convolve_trunc(dims, factor, max_level)
+        # times 1 + x + ... + x^(width-1), truncated at max_level: window sums
+        width = int(a - b) + 1 if i < l else max_level + 1
+        prefix = list(accumulate(dims, initial=0))
+        dims = [prefix[k + 1] - prefix[max(0, k + 1 - width)] for k in range(max_level + 1)]
     return CharacterResult(
         alphas=tuple(a for a, _ in pairs),
         betas=tuple(b for _, b in pairs),
@@ -249,11 +248,3 @@ def character_formula(mu: RationalFn, max_level: int) -> CharacterResult:
         dims=tuple(dims),
     )
 
-
-def _convolve_trunc(a: list[int], b: list[int], max_k: int) -> list[int]:
-    out = [0] * (max_k + 1)
-    for i, x in enumerate(a[: max_k + 1]):
-        if x:
-            for j, y in enumerate(b[: max_k + 1 - i]):
-                out[i + j] += x * y
-    return out

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -39,8 +40,17 @@ def rat(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.strip()
+        _, e, exp = text.upper().partition("E")
         try:
-            return Fraction(x.strip())
+            power = abs(int(exp)) if e else 0
+        except ValueError:  # not an exponent: Fraction decides
+            power = 0
+        # Fraction builds 10**power before anything else, however large
+        if power > sys.get_int_max_str_digits() > 0:
+            raise digit_limit_error(f"the power of ten 10^{power}")
+        try:
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"not a rational number: {x!r}") from exc
     raise InputError(f"cannot interpret {x!r} as a rational number")

@@ -53,10 +53,6 @@ class RecurrenceWitness:
     recovered: RationalFn
 
 
-def _tail(coeffs: Sequence[Scalar]) -> list[Fraction]:
-    return [rat(x) for x in coeffs]
-
-
 def detect_recurrence(
     coeffs: Sequence[Scalar], max_order: int
 ) -> Optional[RecurrenceWitness]:
@@ -73,7 +69,7 @@ def detect_recurrence(
     """
     if max_order < 0:
         raise InputError("max_order must be >= 0")
-    nu = _tail(coeffs)
+    nu = [rat(x) for x in coeffs]
     L = len(nu)
     if L < 2 * max_order + 2:
         raise InsufficientDataError(
@@ -112,7 +108,7 @@ def reconstruct_rational(
     ``c`` must hold for every r >= tail_start that the window can check
     (verified here before reconstruction).
     """
-    nu = _tail(coeffs)
+    nu = [rat(x) for x in coeffs]
     cvec = [rat(x) for x in c]
     if not any(cvec):
         raise InputError("recurrence coefficients are all zero")

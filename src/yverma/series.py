@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, TruncationError
 from .rational import PolyQ, RationalFn, Scalar, format_rat, rat
@@ -75,23 +75,24 @@ def series_from_tail(tail: Iterable[Scalar], exact: bool = False) -> SeriesU:
 
 def series_mul(a: SeriesU, b: SeriesU) -> SeriesU:
     """Exact product; the window is clamped by inexact operands only."""
-    if a.exact and b.exact:
-        order = a.order + b.order
-        exact = True
-    else:
-        order = min(s.order for s in (a, b) if not s.exact)
-        exact = False
-    out = []
-    for r in range(order + 1):
-        acc = _ZERO
-        for i in range(r + 1):
-            ai = a.coeff(i) if i <= a.order else _ZERO
-            if ai:
-                bj = b.coeff(r - i) if r - i <= b.order else _ZERO
-                if bj:
-                    acc += ai * bj
+    exact = a.exact and b.exact
+    order = a.order + b.order if exact else min(s.order for s in (a, b) if not s.exact)
+    cs = (PolyQ(a.coeffs[: order + 1]) * PolyQ(b.coeffs[: order + 1])).coeffs[: order + 1]
+    # PolyQ drops trailing zeros, which an inexact window keeps
+    return SeriesU(cs + (_ZERO,) * (order + 1 - len(cs)), exact=exact)
+
+
+def _divide(num: Sequence[Fraction], den: Sequence[Fraction], order: int) -> list[Fraction]:
+    """Coefficients 0..order of Y = N / D, for series N, D in u^{-1} with
+    constant term 1 whose coefficients past the given lists are zero."""
+    out = [_ONE]
+    for r in range(1, order + 1):
+        acc = num[r] if r < len(num) else _ZERO
+        for k in range(1, min(r, len(den) - 1) + 1):
+            if den[k]:
+                acc -= den[k] * out[r - k]
         out.append(acc)
-    return SeriesU(out, exact=exact)
+    return out
 
 
 def series_inverse(a: SeriesU, order: Optional[int] = None) -> SeriesU:
@@ -105,15 +106,10 @@ def series_inverse(a: SeriesU, order: Optional[int] = None) -> SeriesU:
         order = a.order
     if a.is_one():
         return SERIES_ONE
-    out = [_ONE]
-    for r in range(1, order + 1):
-        acc = _ZERO
-        for c in range(1, r + 1):
-            ac = a.coeff(c)
-            if ac:
-                acc += ac * out[r - c]
-        out.append(-acc)
-    return SeriesU(out, exact=False)
+    if not a.exact and order > a.order:
+        # the u^{-r} output coefficient needs every input coefficient up to r
+        raise TruncationError(a.order + 1, a.order)
+    return SeriesU(_divide((_ONE,), a.coeffs, order), exact=False)
 
 
 def shifted_power_coeff(s: int, x: int, c: Fraction) -> Fraction:
@@ -169,16 +165,8 @@ def expand_rational(f: RationalFn, order: int) -> SeriesU:
     # descending coefficients: a_k multiplies u^{p-k}
     a = [f.num.coeff(p - k) for k in range(p + 1)]
     b = [f.den.coeff(p - k) for k in range(p + 1)]
-    out = [_ONE]
-    for r in range(1, order + 1):
-        acc = a[r] if r <= p else _ZERO
-        for k in range(1, min(r, p) + 1):
-            if b[k]:
-                acc -= b[k] * out[r - k]
-        out.append(acc)
     den_is_power = all(f.den.coeff(k) == 0 for k in range(p))
-    exact = den_is_power and order >= p
-    return SeriesU(out, exact=exact)
+    return SeriesU(_divide(a, b, order), exact=den_is_power and order >= p)
 
 
 def render_series(s: SeriesU) -> str:

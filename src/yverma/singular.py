@@ -29,11 +29,9 @@ from typing import Iterator, Optional, Union
 from . import linalg
 from .errors import InputError, InsufficientDataError, TruncationError
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
-from .rational import RationalFn, format_rat, rat
+from .rational import RationalFn
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .verma import nondecreasing_tuples, terms_to_obj
 
 #: Exponent tuple of an ordered f-monomial: non-decreasing, entries >= 0.
 FMonomial = tuple[int, ...]
@@ -48,7 +46,7 @@ _MAX_EXTRA_RELATIONS = 32
 
 
 def _f_monomials(level: int, degree_bound: int) -> Iterator[FMonomial]:
-    """Lazily yield the candidates, depth first and hence in lexicographic order.
+    """Lazily yield the candidates, exponent sum <= degree_bound, in lexicographic order.
 
     The arguments are checked at call time, before the first candidate.
     """
@@ -56,18 +54,7 @@ def _f_monomials(level: int, degree_bound: int) -> Iterator[FMonomial]:
         raise InputError("level must be >= 0")
     if degree_bound < 0:
         raise InputError("degree bound must be >= 0")
-
-    def extend(prefix: list[int], smallest: int, budget: int) -> Iterator[FMonomial]:
-        if len(prefix) == level:
-            yield tuple(prefix)
-            return
-        slots_left = level - len(prefix)
-        for r in range(smallest, budget // slots_left + 1):
-            prefix.append(r)
-            yield from extend(prefix, r, budget - r)
-            prefix.pop()
-
-    return extend([], 0, degree_bound)
+    return nondecreasing_tuples(level, 0, degree_bound)
 
 
 def expand_f_monomial(
@@ -97,13 +84,7 @@ def expand_f_vector(
 
 
 def fvector_to_obj(fvec: FVector) -> dict:
-    return {
-        "terms": [
-            {"mono": list(m), "coef": format_rat(rat(c))}
-            for m, c in sorted(fvec.items(), key=lambda kv: _mono_sort_key(kv[0]))
-            if c
-        ]
-    }
+    return terms_to_obj(fvec)
 
 
 @dataclass(frozen=True)

@@ -68,18 +68,22 @@ class WeightFinitenessVerdict:
 
 
 def verdict_reducible(weights: HighestWeightTuple, budget: int) -> ReducibilityVerdict:
-    """Reducible iff some component is rational (certain); otherwise qualified."""
-    return _classify(weights, budget)[0]
+    """Reducible iff some component is rational (certain); otherwise qualified.
+
+    ``classify(...)[0]``, kept because ``bench/tracing.py`` ``LAYERS`` names it."""
+    return classify(weights, budget)[0]
 
 
 def verdict_weight_finiteness(
     weights: HighestWeightTuple, budget: int
 ) -> WeightFinitenessVerdict:
-    """All weight multiplicities finite iff every component is rational."""
-    return _classify(weights, budget)[1]
+    """All weight multiplicities finite iff every component is rational.
+
+    ``classify(...)[1]``, kept because ``bench/tracing.py`` ``LAYERS`` names it."""
+    return classify(weights, budget)[1]
 
 
-def _classify(
+def classify(
     weights: HighestWeightTuple, budget: int
 ) -> tuple[ReducibilityVerdict, WeightFinitenessVerdict]:
     """Both verdicts, from one rationality verdict per component."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError
 from .rational import RationalFn, Scalar, format_rat, rat
@@ -113,30 +113,30 @@ class ModuleVector:
     def monomials(self) -> list[Monomial]:
         return sorted(self._terms, key=_mono_sort_key)
 
+    @classmethod
+    def _of(cls, terms: dict) -> "ModuleVector":
+        """Wrap a dict of nonzero coefficients as is: no copy, no coercion."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         acc = dict(self._terms)
         for m, c in other._terms.items():
             _add_into(acc, m, c)
-        out = ModuleVector()
-        out._terms = acc
-        return out
+        return ModuleVector._of(acc)
 
     def __neg__(self) -> "ModuleVector":
-        out = ModuleVector()
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return ModuleVector._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return self + (-other)
 
     def scaled(self, c: Scalar) -> "ModuleVector":
         c = rat(c)
-        out = ModuleVector()
-        if c:
-            out._terms = {m: c * v for m, v in self._terms.items()}
-        return out
+        return ModuleVector._of({m: c * v for m, v in self._terms.items()} if c else {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModuleVector):
@@ -149,12 +149,7 @@ class ModuleVector:
     # -- serialization ------------------------------------------------------
 
     def to_obj(self) -> dict:
-        return {
-            "terms": [
-                {"mono": list(m), "coef": format_rat(c)}
-                for m, c in sorted(self._terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
-            ]
-        }
+        return terms_to_obj(self._terms)
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "ModuleVector":
@@ -162,6 +157,12 @@ class ModuleVector:
             return cls({tuple(t["mono"]): rat(t["coef"]) for t in obj["terms"]})
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed vector object: {exc}") from exc
+
+
+def terms_to_obj(terms: Mapping) -> dict:
+    """JSON form of monomial -> coefficient: (level, lex) order, zeros dropped, exact strings."""
+    items = sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+    return {"terms": [{"mono": list(m), "coef": format_rat(c)} for m, c in items if c]}
 
 
 def format_vector(v: ModuleVector) -> str:
@@ -346,9 +347,7 @@ def act_generator(
     for mono, c in v.terms.items():
         for m2, c2 in _act_mono(i, j, r, mono, cache).items():
             _add_into(acc, m2, c * c2)
-    out = ModuleVector()
-    out._terms = acc
-    return out
+    return ModuleVector._of(acc)
 
 
 def act_quantum_det(
@@ -386,9 +385,7 @@ def act_quantum_det(
                 _compose_into(acc, (1, 1, y), (2, 2, s), mono, cache, c0 * w)
                 if y >= 1:
                     _compose_into(acc, (2, 1, y), (1, 2, s), mono, cache, -c0 * w)
-    out = ModuleVector()
-    out._terms = acc
-    return out
+    return ModuleVector._of(acc)
 
 
 def in_tail_submodule(v: ModuleVector, p: int) -> bool:
@@ -403,22 +400,26 @@ def in_tail_submodule(v: ModuleVector, p: int) -> bool:
     return all(any(idx > p for idx in m) for m in v.terms)
 
 
+def nondecreasing_tuples(length: int, smallest: int, budget: int) -> Iterator[Monomial]:
+    """Lazily yield, in lexicographic order, the non-decreasing tuples of
+    ``length`` entries, each >= ``smallest``, whose sum is <= ``budget``."""
+    if not length:
+        yield ()
+        return
+    # the remaining entries are all >= r, so r * length <= budget
+    for r in range(smallest, budget // length + 1):
+        for rest in nondecreasing_tuples(length - 1, r, budget - r):
+            yield (r, *rest)
+
+
 def basis_monomials(max_level: int, max_degree: int) -> list[Monomial]:
     """All PBW basis monomials with level <= max_level and degree <= max_degree.
 
     Ordered by (level, lexicographic), starting with the empty monomial
     (the highest vector).
     """
-    out: list[Monomial] = []
-
-    def extend(prefix: list[int], smallest: int, budget: int) -> None:
-        out.append(tuple(prefix))
-        if len(prefix) == max_level:
-            return
-        for r in range(smallest, budget + 1):
-            prefix.append(r)
-            extend(prefix, r, budget - r)
-            prefix.pop()
-
-    extend([], 1, max_degree)
-    return sorted(out, key=_mono_sort_key)
+    if max_level < 0 or max_degree < 0:
+        raise InputError("max_level and max_degree must be >= 0")
+    # indices are >= 1, so no level past max_degree has a monomial
+    levels = range(min(max_level, max_degree) + 1)
+    return [m for k in levels for m in nondecreasing_tuples(k, 1, max_degree)]

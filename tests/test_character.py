@@ -398,3 +398,58 @@ class TestCharacterFormula:
             reports = irreducible_weight_dims(mu, max_level=4)
             res = character_formula(mu, max_level=4)
             assert tuple(r.rank for r in reports) == res.dims, str(mu)
+
+    def test_window_sums_match_former_convolution(self):
+        rng = random.Random(14)
+        checked_wide = 0
+        for _ in range(80):
+            p = rng.randint(1, 4)
+            betas = [Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3])) for _ in range(p)]
+            alphas = [b + rng.choice([rng.randint(1, 70), Fraction(1, 2)]) for b in betas]
+            num = "*".join(f"(u+{a.numerator}/{a.denominator})" for a in alphas)
+            den = "*".join(f"(u+{b.numerator}/{b.denominator})" for b in betas)
+            max_level = rng.randint(0, 60)
+            res = character_formula(parse_rational_fn(f"{num}/({den})"), max_level)
+            pairs = tuple(zip(res.alphas, res.betas))
+            assert res.dims == _reference_character_dims(pairs, res.integer_pair_count, max_level)
+            checked_wide += any(a - b > max_level for a, b in pairs[: res.integer_pair_count])
+        assert checked_wide  # some string is longer than the window
+
+    @pytest.mark.parametrize("max_level", [0, 1, 7, 60])
+    def test_zero_difference_pair_is_the_identity_factor(self, monkeypatch, max_level):
+        # a reduced weight never pairs a shift with itself, so inject one
+        real = character.reorder_strings
+        extra = (Fraction(5), Fraction(5))
+
+        def with_equal_pair(alphas, betas):
+            pairs, l = real(alphas, betas)
+            return (extra,) + pairs, l + 1
+
+        monkeypatch.setattr(character, "reorder_strings", with_equal_pair)
+        res = character_formula(parse_rational_fn("(u+3)(u+1/2)/((u+1)(u-1/3))"), max_level)
+        pairs = tuple(zip(res.alphas, res.betas))
+        assert pairs[0] == extra
+        assert res.dims == _reference_character_dims(pairs, res.integer_pair_count, max_level)
+        monkeypatch.undo()
+        assert res.dims == character_formula(
+            parse_rational_fn("(u+3)(u+1/2)/((u+1)(u-1/3))"), max_level
+        ).dims
+
+
+def _reference_convolve_trunc(a, b, max_k):
+    """The former ``character._convolve_trunc``."""
+    out = [0] * (max_k + 1)
+    for i, x in enumerate(a[: max_k + 1]):
+        if x:
+            for j, y in enumerate(b[: max_k + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _reference_character_dims(pairs, l, max_level):
+    """Level dimensions by the former loop: one truncated all-ones convolution per pair."""
+    dims = [1] + [0] * max_level
+    for i, (a, b) in enumerate(pairs):
+        width = min(int(a - b) + 1, max_level + 1) if i < l else max_level + 1
+        dims = _reference_convolve_trunc(dims, [1] * width, max_level)
+    return tuple(dims)

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import yverma.recurrence as recurrence
 from yverma.rational import format_rat
 
 
-def run_cli(argv, monkeypatch=None, env=None):
+def run_cli(argv, monkeypatch=None, env=None, timeout=None):
     """Invoke the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
     full_env = dict(os.environ)
     full_env.pop("VERMA_WORKERS", None)
@@ -26,6 +27,7 @@ def run_cli(argv, monkeypatch=None, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -420,6 +422,65 @@ class TestExitCodes:
         assert code == 2 and out == ""
         error = json.loads(err)["error"]
         assert error["code"] == "input" and "4300 digits" in error["message"]
+
+    @pytest.mark.parametrize("exponent", ["100000000", "-100000000", "4301"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--coeffs", "1e{},1", "--max-order", "0"],
+            ["verdict", "--mu", "series:1,2E{},3", "--budget", "0"],
+        ],
+        ids=["detect", "series-weight"],
+    )
+    def test_exponent_literals_past_the_str_digit_limit(self, argv, exponent):
+        # Fraction("1e100000000") builds 10**100000000 before anything else
+        argv = [a.format(exponent) for a in argv]
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "4300 digits" in error["message"]
+
+    def test_job_file_exponent_literal_past_the_str_digit_limit(self, tmp_path):
+        job = tmp_path / "job.json"
+        params = {"coeffs": "1e-100000000,1", "max_order": 0}
+        job.write_text(json.dumps({"command": "detect", "parameters": params}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["job", str(job)], timeout=60)
+        assert time.perf_counter() - start < 10
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "4300 digits" in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (
+                ["act", "--mu", "series:1e3,0.5,-3/2,2.5E-1", "--gen", "h", "--r", "2",
+                 "--mono", "1"],
+                '{"gen":"h","mono":[1],"mu":"series:1e3,0.5,-3/2,2.5E-1","r":2,"schema":"verma/1",'
+                '"vector":{"terms":[{"coef":"3991/2","mono":[1]},{"coef":"-1996","mono":[2]},'
+                '{"coef":"-2","mono":[3]}]}}\n',
+            ),
+            (
+                ["detect", "--coeffs", "5e-1,2.5e-1,1.25e-1,6.25e-2,3.125e-2,1.5625e-2",
+                 "--max-order", "2"],
+                '{"max_order":2,"rational":"(u)/(u-1/2)","schema":"verma/1",'
+                '"witness":{"N":1,"c":["-1/2","1"]}}\n',
+            ),
+            (
+                ["detect", "--coeffs", "1e3,0.5,-3/2,1e3,0.5,-3/2,1e3,0.5", "--max-order", "3"],
+                '{"max_order":3,"rational":"(u^3+1000*u^2+1/2*u-5/2)/(u^3-1)","schema":"verma/1",'
+                '"witness":{"N":1,"c":["-1","0","0","1"]}}\n',
+            ),
+        ],
+        ids=["act-series", "detect-geometric", "detect-periodic"],
+    )
+    def test_small_exponents_decimals_and_fractions_keep_their_reports(self, capsys, argv, stdout):
+        # pinned before the exponent check was added
+        code, out, _ = call_main(capsys, argv)
+        assert code == 0 and out == stdout
 
 
 class TestJobMode:

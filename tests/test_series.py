@@ -206,3 +206,117 @@ class TestExpandRational:
 def test_render_series():
     assert render_series(SeriesU([1, 2], exact=True)) == "1 + 2*u^-1"
     assert render_series(series_from_tail([1])).endswith("...")
+
+
+def _random_series(rng):
+    """A seeded series: exact or truncated, small fractions, zeros and trailing zeros."""
+    tail = [
+        rng.choice([0, 0, rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 6))])
+        for _ in range(rng.randint(0, 7))
+    ]
+    return SeriesU([1, *tail], exact=rng.random() < 0.5)
+
+
+def _outcome(fn, *args):
+    """The result of fn, or the (needed, order) of the TruncationError it raised."""
+    try:
+        return fn(*args)
+    except TruncationError as exc:
+        return ("TruncationError", exc.needed, exc.order)
+
+
+class TestReferenceLoops:
+    """The series operations agree with the Fraction loops they replaced."""
+
+    def test_mul_matches_former_loop(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            a, b = _random_series(rng), _random_series(rng)
+            got = series_mul(a, b)
+            assert got == _reference_series_mul(a, b), (a, b)
+            assert all(type(c) is Fraction for c in got.coeffs)
+
+    def test_inverse_matches_former_loop(self):
+        rng = random.Random(15)
+        for _ in range(200):
+            a = _random_series(rng)
+            for order in [None, *range(-1, a.order + 4)]:
+                args = (a,) if order is None else (a, order)
+                assert _outcome(series_inverse, *args) == _outcome(
+                    _reference_series_inverse, *args
+                ), (a, order)
+
+    def test_inverse_past_a_truncated_window_raises_like_before(self):
+        a = series_from_tail([1, 2])
+        assert _outcome(series_inverse, a, 5) == ("TruncationError", 3, 2)
+        assert _outcome(_reference_series_inverse, a, 5) == ("TruncationError", 3, 2)
+
+    def test_expand_rational_matches_former_loop(self):
+        rng = random.Random(16)
+        seen = 0
+        while seen < 60:
+            deg = rng.randint(0, 4)
+            num = PolyQ([Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(deg)] + [1])
+            # every third denominator is the pure power u^deg, whose expansion terminates
+            den = PolyQ([0] * deg + [1]) if seen % 3 == 0 else PolyQ(
+                [rng.randint(-6, 6) for _ in range(deg)] + [1]
+            )
+            try:
+                f = RationalFn(num, den)
+            except InputError:
+                continue
+            seen += 1
+            for order in range(13):
+                assert expand_rational(f, order) == _reference_expand_rational(f, order), (f, order)
+
+
+def _reference_series_mul(a, b):
+    """The former ``series_mul``: the windowed Cauchy product in Fractions."""
+    if a.exact and b.exact:
+        order, exact = a.order + b.order, True
+    else:
+        order, exact = min(s.order for s in (a, b) if not s.exact), False
+    out = []
+    for r in range(order + 1):
+        acc = Fraction(0)
+        for i in range(r + 1):
+            ai = a.coeff(i) if i <= a.order else Fraction(0)
+            if ai:
+                bj = b.coeff(r - i) if r - i <= b.order else Fraction(0)
+                if bj:
+                    acc += ai * bj
+        out.append(acc)
+    return SeriesU(out, exact=exact)
+
+
+def _reference_series_inverse(a, order=None):
+    """The former ``series_inverse`` loop."""
+    if order is None:
+        order = a.order
+    if a.is_one():
+        return SERIES_ONE
+    out = [Fraction(1)]
+    for r in range(1, order + 1):
+        acc = Fraction(0)
+        for c in range(1, r + 1):
+            ac = a.coeff(c)
+            if ac:
+                acc += ac * out[r - c]
+        out.append(-acc)
+    return SeriesU(out, exact=False)
+
+
+def _reference_expand_rational(f, order):
+    """The former ``expand_rational`` loop."""
+    p = f.degree
+    a = [f.num.coeff(p - k) for k in range(p + 1)]
+    b = [f.den.coeff(p - k) for k in range(p + 1)]
+    out = [Fraction(1)]
+    for r in range(1, order + 1):
+        acc = a[r] if r <= p else Fraction(0)
+        for k in range(1, min(r, p) + 1):
+            if b[k]:
+                acc -= b[k] * out[r - k]
+        out.append(acc)
+    exact = all(f.den.coeff(k) == 0 for k in range(p)) and order >= p
+    return SeriesU(out, exact=exact)

@@ -5,13 +5,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from yverma import linalg
 from yverma.errors import InputError, InsufficientDataError, TruncationError
 from yverma.gauss import act_h, as_gl2_weights, e_series
-from yverma.rational import parse_rational_fn
+from yverma.rational import format_rat, parse_rational_fn, rat
 from yverma.series import expand_rational
 from yverma.singular import (
     _f_monomials,
@@ -116,6 +117,18 @@ class TestCandidates:
             find_singular(MU, -1, 2)
         with pytest.raises(InputError):
             find_singular(MU, 1, -2)
+
+    def test_matches_recursive_reference_on_grid(self):
+        for level in range(6):
+            for degree_bound in range(10):
+                assert list(_f_monomials(level, degree_bound)) == list(
+                    _reference_f_monomials(level, degree_bound)
+                ), (level, degree_bound)
+
+    @pytest.mark.parametrize("level, degree_bound", [(-1, 3), (2, -1)])
+    def test_bounds_checked_at_call_time(self, level, degree_bound):
+        with pytest.raises(InputError):
+            _f_monomials(level, degree_bound)  # before the first candidate is drawn
 
 
 class TestSearch:
@@ -300,3 +313,41 @@ class TestFormatting:
 
     def test_fvector_to_obj_drops_zeros(self):
         assert fvector_to_obj({(0,): 0}) == {"terms": []}
+
+    def test_fvector_to_obj_bytes_match_former_serializer(self):
+        rng = random.Random(14)
+        pool = list(_f_monomials(3, 6))
+        for _ in range(60):
+            fvec = {
+                m: rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                for m in rng.sample(pool, rng.randint(0, 8))
+            }
+            got = json.dumps(fvector_to_obj(fvec), sort_keys=True)
+            assert got == json.dumps(_reference_fvector_obj(fvec), sort_keys=True)
+
+
+def _reference_f_monomials(level, degree_bound):
+    """The former recursive enumerator, depth first."""
+
+    def extend(prefix, smallest, budget):
+        if len(prefix) == level:
+            yield tuple(prefix)
+            return
+        slots_left = level - len(prefix)
+        for r in range(smallest, budget // slots_left + 1):
+            prefix.append(r)
+            yield from extend(prefix, r, budget - r)
+            prefix.pop()
+
+    return extend([], 0, degree_bound)
+
+
+def _reference_fvector_obj(fvec):
+    """The former ``fvector_to_obj`` body."""
+    return {
+        "terms": [
+            {"mono": list(m), "coef": format_rat(rat(c))}
+            for m, c in sorted(fvec.items(), key=lambda kv: _mono_sort_key(kv[0]))
+            if c
+        ]
+    }

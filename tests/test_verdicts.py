@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import yverma
 from yverma.errors import InputError
 from yverma.rational import POLY_ONE, PolyQ, RationalFn, parse_rational_fn
 from yverma.rootsys import CartanData
 from yverma.series import SeriesU, expand_rational
 from yverma.verdicts import (
     HighestWeightTuple,
+    classify,
     shifted_quotient_polynomial,
     verdict_finite_dimensional,
     verdict_reducible,
@@ -83,6 +85,29 @@ class TestWeightFiniteness:
         weights = HighestWeightTuple([SeriesU([1, 1], exact=False)])
         v = verdict_weight_finiteness(weights, budget=3)
         assert v.kind == "undetermined"
+
+
+class TestClassify:
+    @pytest.mark.parametrize(
+        "components, kinds",
+        [
+            ([RAT, RAT], ("reducible", "finite")),
+            ([RAT, _factorial_series(12)], ("reducible", "not_finite_up_to_budget")),
+            ([_factorial_series(12)], ("irreducible_up_to_budget", "not_finite_up_to_budget")),
+            ([SeriesU([1, 1], exact=False)], ("undetermined", "undetermined")),
+        ],
+    )
+    def test_both_verdicts_from_one_pass(self, components, kinds):
+        weights = HighestWeightTuple(components)
+        reducible, finiteness = classify(weights, budget=3)
+        assert (reducible.kind, finiteness.kind) == kinds
+        assert reducible.components == finiteness.components
+        # the named wrappers are its two halves
+        assert verdict_reducible(weights, budget=3) == reducible
+        assert verdict_weight_finiteness(weights, budget=3) == finiteness
+
+    def test_exported_from_the_package(self):
+        assert yverma.classify is classify
 
 
 class TestFiniteDimensional:

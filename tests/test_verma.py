@@ -1,12 +1,13 @@
 """Verma module vectors and the generator action on the creation basis."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from yverma.errors import InputError
-from yverma.rational import parse_rational_fn
+from yverma.rational import format_rat, parse_rational_fn
 from yverma.series import (
     SERIES_ONE,
     SeriesU,
@@ -19,10 +20,13 @@ from yverma.verma import (
     ModuleVector,
     act_generator,
     act_quantum_det,
+    _mono_sort_key,
     basis_monomials,
     canonical_polynomial_weights,
     in_tail_submodule,
     monomial,
+    nondecreasing_tuples,
+    terms_to_obj,
 )
 
 # mu = (u+2)/(u+1) realized with polynomial weight series 1 + 2/u and 1 + 1/u.
@@ -61,6 +65,43 @@ class TestMonomials:
             assert len(mono) <= 3
             assert sum(mono) <= 6
 
+    @pytest.mark.parametrize("max_level, max_degree", [(-1, 3), (2, -1), (-1, -1)])
+    def test_negative_bounds_rejected(self, max_level, max_degree):
+        with pytest.raises(InputError):
+            basis_monomials(max_level, max_degree)
+
+    def test_matches_recursive_reference_on_grid(self):
+        for max_level in range(6):
+            for max_degree in range(10):
+                assert basis_monomials(max_level, max_degree) == _reference_basis_monomials(
+                    max_level, max_degree
+                ), (max_level, max_degree)
+
+    def test_generator_is_lazy_and_lexicographic(self):
+        gen = nondecreasing_tuples(3, 0, 10**9)
+        assert [next(gen) for _ in range(3)] == [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+        levels = [list(nondecreasing_tuples(k, 2, 9)) for k in range(5)]
+        assert levels[0] == [()] and levels[4] == [(2, 2, 2, 2), (2, 2, 2, 3)]
+        for tuples in levels:
+            assert tuples == sorted(tuples)
+
+
+def _reference_basis_monomials(max_level, max_degree):
+    """The former enumerator: every prefix depth first, then sorted by (level, lex)."""
+    out = []
+
+    def extend(prefix, smallest, budget):
+        out.append(tuple(prefix))
+        if len(prefix) == max_level:
+            return
+        for r in range(smallest, budget + 1):
+            prefix.append(r)
+            extend(prefix, r, budget - r)
+            prefix.pop()
+
+    extend([], 1, max_degree)
+    return sorted(out, key=_mono_sort_key)
+
 
 class TestModuleVector:
     def test_zero_and_truthiness(self):
@@ -88,6 +129,30 @@ class TestModuleVector:
     def test_serialization_round_trip(self):
         v = ModuleVector.basis([1, 4]).scaled(Fraction(-3, 7)) + ModuleVector.highest()
         assert ModuleVector.from_obj(v.to_obj()) == v
+
+    def test_to_obj_bytes_match_former_serializer(self):
+        rng = random.Random(14)
+        pool = basis_monomials(3, 7)
+        for _ in range(60):
+            terms = {}
+            for m in rng.sample(pool, rng.randint(0, 8)):
+                c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                if c:
+                    terms[m] = c
+            v = ModuleVector._of(terms)  # int and Fraction coefficients, as the kernel keeps them
+            expected = _reference_vector_obj(terms)
+            assert json.dumps(v.to_obj(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+            assert terms_to_obj(terms) == expected
+
+
+def _reference_vector_obj(terms):
+    """The former ``ModuleVector.to_obj`` body."""
+    return {
+        "terms": [
+            {"mono": list(m), "coef": format_rat(c)}
+            for m, c in sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
+        ]
+    }
 
 
 class TestGeneratorAction:
