@@ -1,38 +1,43 @@
 """Exact linear algebra over the rationals: one incremental row echelon.
 
 All routines work on lists of rows of ``int`` or ``Fraction`` (the two
-mix through the numeric tower; pivots divide only through ``Fraction``)
-and never introduce rounding.  ``RowEchelon`` is the only elimination:
-it grows an echelon basis one row at a time, so callers can read the
-rank and the pivot columns after every added row, and back-substitutes
-on demand to the reduced row echelon form.  ``rref``, ``rank`` and
-``nullspace`` feed a whole matrix through it.  The reduced form is
-canonical for the row space, so the nullspace basis returned here is
-canonical for the solution space: two constraint systems have equal
-solution spaces iff these bases match.
+mix through the numeric tower) and never introduce rounding.
+``RowEchelon`` is the only elimination: it grows an echelon basis one
+row at a time, so callers can read the rank and the pivot columns after
+every added row, and back-substitutes on demand to the reduced row
+echelon form (``Fraction`` entries).  A row that is all ``int`` after
+reduction is stored fraction-free, as a primitive integer row; any other
+row is made monic in ``Fraction``.  ``rref``, ``rank`` and ``nullspace``
+feed a whole matrix through it.  The reduced form is canonical for the
+row space, so the nullspace basis returned here is canonical for the
+solution space: two constraint systems have equal solution spaces iff
+these bases match.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int | Fraction]]
 
 
 class RowEchelon:
     """Echelon basis of the span of the rows added so far.
 
-    Each stored row has a leading 1 in its pivot column and zeros before
-    it, so a new row is reduced by the stored rows in ascending pivot
-    order; what remains is zero iff the row was already in the span.
+    Each stored row has zeros before its pivot column.  A row of ``int``
+    is primitive with a positive lead; any other row has a leading 1.  A
+    new row is reduced by the stored rows in ascending pivot order, by
+    ``a - f*b`` against a monic row and by ``lead*a - f*b`` against an
+    integer row; what remains is zero iff the row was already in the span.
     """
 
     def __init__(self) -> None:
-        self._rows: dict[int, list[Fraction]] = {}
+        self._rows: dict[int, list[int | Fraction]] = {}
 
     @property
     def rank(self) -> int:
@@ -43,25 +48,36 @@ class RowEchelon:
         """Sorted pivot columns of the rows added so far (no back-substitution)."""
         return sorted(self._rows)
 
-    def add(self, row: Sequence[Fraction]) -> None:
+    def add(self, row: Sequence[int | Fraction]) -> None:
         """Add ``row`` to the span (the rank grows iff it was not in it)."""
         v = list(row)
         for p in sorted(self._rows):
             f = v[p]
             if f:
-                v = [a - f * b for a, b in zip(v, self._rows[p])]
+                stored = self._rows[p]
+                if type(lead := stored[p]) is int:
+                    v = [lead * a - f * b for a, b in zip(v, stored)]
+                else:
+                    v = [a - f * b for a, b in zip(v, stored)]
         lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
+        if lead is not None and all(type(x) is int for x in v):
+            g = gcd(*v) if v[lead] > 0 else -gcd(*v)
+            self._rows[lead] = [x // g for x in v]
+        elif lead is not None:
             inv = _ONE / v[lead]
             self._rows[lead] = [x * inv for x in v]
 
     def reduced(self) -> tuple[Matrix, list[int]]:
         """Reduced row echelon form of the span and its pivot columns.
 
-        Clears every pivot column above its pivot, from the last pivot
-        back; the stored rows stay a basis of the same span.
+        Makes every integer row monic in ``Fraction``, then clears every
+        pivot column above its pivot, from the last pivot back; the stored
+        rows stay a basis of the same span.
         """
         pivots = self.pivots
+        for p in pivots:
+            if type(lead := self._rows[p][p]) is int:
+                self._rows[p] = [Fraction(x, lead) for x in self._rows[p]]
         for i, p in reversed(list(enumerate(pivots))):
             below = self._rows[p]
             for q in pivots[:i]:

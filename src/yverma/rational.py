@@ -18,6 +18,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,8 @@ def rat(x: Scalar) -> Fraction:
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
+            if any(len(d) > sys.get_int_max_str_digits() > 0 for d in re.findall(r"\d+", text)):
+                raise digit_limit_error("an integer literal") from None
             raise InputError(f"not a rational number: {x!r}") from exc
     raise InputError(f"cannot interpret {x!r} as a rational number")
 

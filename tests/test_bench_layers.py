@@ -5,9 +5,12 @@
 ``yverma`` namespace, and wraps ``ActionCache.__init__`` to count cache
 entries.  A deleted or renamed public function, or an action path that
 no longer builds an ``ActionCache``, would break traced benchmark runs.
+``bench/oracles.py`` imports library functions by name to check each
+report by a second route; a deleted one would fail every benchmark job.
 The benchmark's own tests are not part of this suite; these are.
 """
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -17,7 +20,8 @@ from pathlib import Path
 import yverma.character as character
 import yverma.cli as cli
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACING = _BENCH / "tracing.py"
 
 _JOBS = (
     ["gram", "--mu", "(u+3)(u+5)/((u+1)(u+2))", "--max-level", "3"],
@@ -49,6 +53,23 @@ def test_every_traced_name_resolves():
         for layer, names in layers.items()
         for name in names
         if not callable(getattr(importlib.import_module(f"yverma.{layer}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_every_name_the_oracles_import_resolves():
+    tree = ast.parse((_BENCH / "oracles.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "yverma"
+        for alias in node.names
+    ]
+    assert len(imported) >= 5
+    missing = [
+        f"{module}.{name}"
+        for module, name in imported
+        if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
 

@@ -1,6 +1,7 @@
 """Irreducible-quotient weight dimensions: Gram ranks vs product formula."""
 
 import json
+import math
 import random
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import yverma.character as character
+import yverma.linalg as linalg
 from yverma.character import (
     GramReport,
     character_formula,
@@ -225,10 +227,10 @@ class TestCarriedBasis:
         mu = parse_rational_fn(
             "(u+3)(u+5)(u+9)(u+10)(u+14)/((u+1)(u+2)(u+4)(u+7)(u+11))"
         )
-        reports = irreducible_weight_dims(mu, max_level=4)
-        assert [r.rank for r in reports] == [1, 5, 13, 24, 35]
-        assert [r.spanning_size for r in reports] == [1, 5, 15, 35, 70]
-        assert tuple(r.rank for r in reports) == character_formula(mu, 4).dims
+        reports = irreducible_weight_dims(mu, max_level=6)
+        assert [r.rank for r in reports] == [1, 5, 13, 24, 35, 43, 47]
+        assert [r.spanning_size for r in reports] == [1, 5, 15, 35, 70, 126, 210]
+        assert tuple(r.rank for r in reports) == character_formula(mu, 6).dims
 
     def test_empty_basis_stays_empty_with_full_spanning_count(self):
         mu = parse_rational_fn("(u+3)(u+4)/((u+1)(u+2))")
@@ -287,6 +289,29 @@ class TestIntegerGram:
         ]
         assert len(values) > 100
         assert all(type(x) is int for x in values)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))",
+            "(u+7/2)(u+11/2)(u+9)/((u+1/2)(u+2)(u+4))",
+            "(u^2+7u+57/4)(u+7/3)/((u^2+3u+17/4)(u+1/3))",
+        ],
+    )
+    def test_gram_echelons_hold_only_primitive_int_rows(self, monkeypatch, text):
+        echelons = []
+
+        class Recording(linalg.RowEchelon):
+            def __init__(self):
+                super().__init__()
+                echelons.append(self)
+
+        monkeypatch.setattr(linalg, "RowEchelon", Recording)
+        irreducible_weight_dims(parse_rational_fn(text), max_level=4)
+        rows = [(p, row) for echelon in echelons for p, row in echelon._rows.items()]
+        assert len(echelons) == 5 and len(rows) > 10
+        assert all(type(x) is int for _, row in rows for x in row)
+        assert all(math.gcd(*row) == 1 and row[p] > 0 for p, row in rows)
 
     def test_cli_gram_with_denominator_1e9_plus_7(self):
         # D = 10^9 + 7 scales every entry; finding D must not factor anything

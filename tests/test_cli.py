@@ -454,6 +454,45 @@ class TestExitCodes:
         assert error["code"] == "input" and "4300 digits" in error["message"]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--coeffs", f"{'7' * 4400},1", "--max-order", "0"],
+            ["detect", "--coeffs", f"1/{'7' * 4400},1", "--max-order", "0"],
+            ["detect", "--coeffs", f"{chr(0x667) * 4400},1", "--max-order", "0"],
+            ["act", "--mu", f"series:{'7' * 4400}", "--gen", "h", "--r", "2", "--mono", "1"],
+        ],
+        ids=["detect", "detect-denominator", "detect-arabic-indic-digits", "series-weight"],
+    )
+    def test_coefficient_literals_past_the_str_digit_limit(self, argv):
+        # the message names the limit instead of echoing the 4400 digits
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 400
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "4300 digits" in error["message"]
+
+    def test_job_file_coefficient_literal_past_the_str_digit_limit(self, tmp_path):
+        job = tmp_path / "job.json"
+        params = {"coeffs": f"1,{'7' * 4400}", "max_order": 0}
+        job.write_text(json.dumps({"command": "detect", "parameters": params}))
+        code, out, err = run_cli(["job", str(job)])
+        assert code == 2 and out == ""
+        assert len(err.encode()) < 400
+        error = json.loads(err)["error"]
+        assert error["code"] == "input" and "4300 digits" in error["message"]
+
+    @pytest.mark.parametrize("literal", ["abc", "1/0", "7" * 40 + "x"])
+    def test_short_malformed_coefficients_keep_their_message(self, capsys, literal):
+        argv = ["detect", "--coeffs", f"{literal},1", "--max-order", "0"]
+        code, out, err = call_main(capsys, argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error == {
+            "code": "input",
+            "message": f"bad coefficient: not a rational number: {literal!r}",
+        }
+
+    @pytest.mark.parametrize(
         "argv, stdout",
         [
             (

@@ -221,3 +221,126 @@ class TestIntRows:
         assert rref([[2, 1], [1, 3]]) == ([[1, 0], [0, 1]], [0, 1])
         assert nullspace([[2, 1]], 2) == [(Fraction(-1, 2), Fraction(1))]
         assert type(nullspace([[2, 1]], 2)[0][0]) is Fraction
+
+
+class _ReferenceEchelon:
+    """The all-Fraction echelon: every stored row is made monic on arrival."""
+
+    def __init__(self):
+        self._rows = {}
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    @property
+    def pivots(self):
+        return sorted(self._rows)
+
+    def add(self, row):
+        v = list(row)
+        for p in sorted(self._rows):
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, self._rows[p])]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = Fraction(1) / v[lead]
+            self._rows[lead] = [x * inv for x in v]
+
+    def reduced(self):
+        pivots = self.pivots
+        for i, p in reversed(list(enumerate(pivots))):
+            below = self._rows[p]
+            for q in pivots[:i]:
+                f = self._rows[q][p]
+                if f:
+                    self._rows[q] = [a - f * b for a, b in zip(self._rows[q], below)]
+        return [self._rows[p] for p in pivots], pivots
+
+
+def _mixed_matrices(seed, count):
+    """Seeded int, Fraction and mixed matrices with the cases integer rows must survive.
+
+    Zero rows, repeated rows and multiples of earlier rows, negative
+    leads, entries past 2**64, and rows whose integer form is not
+    primitive.
+    """
+    rng = random.Random(seed)
+    big = 2**64
+    pools = [
+        list(range(-9, 10)),
+        [0, 0, 1, -1, 2, -3],
+        [big + 1, -big - 3, 3 * big, 0, 7, -1],
+        [Fraction(1, 3), Fraction(-5, 7), 0, 4, -2],
+        [Fraction(big, 3), Fraction(-1, big + 1), 2, -6, 0],
+    ]
+    for _ in range(count):
+        n, m = rng.randint(1, 8), rng.randint(1, 7)
+        kind = rng.choice(["int", "fraction", "mixed"])
+        rows = []
+        for _ in range(n):
+            if rows and rng.random() < 0.2:  # a repeat or a multiple of an earlier row
+                k = rng.choice([1, -1, 6, -big])
+                rows.append([k * x for x in rng.choice(rows)])
+                continue
+            if rng.random() < 0.1:
+                rows.append([0] * m)
+                continue
+            row = [rng.choice(rng.choice(pools[:3])) for _ in range(m)]
+            if rng.random() < 0.3:  # not primitive: every entry shares a factor
+                row = [6 * x for x in row]
+            if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+                row = [Fraction(x) + rng.choice([0, 0, rng.choice(pools[3] + pools[4])])
+                       for x in row]
+            rows.append(row)
+        yield rows, m
+
+
+class TestIntegerRows:
+    """The integer-row echelon agrees with the all-Fraction reference on every read."""
+
+    def test_every_read_matches_the_reference(self):
+        rng = random.Random(41)
+        checked = 0
+        for rows, ncols in _mixed_matrices(seed=29, count=400):
+            echelon, ref = RowEchelon(), _ReferenceEchelon()
+            for row in rows:
+                echelon.add(row)
+                ref.add(row)
+                assert echelon.rank == ref.rank, rows
+                assert echelon.pivots == ref.pivots, rows
+                if rng.random() < 0.3:  # later rows are added after a reduced()
+                    got = echelon.reduced()
+                    assert got == ref.reduced(), rows
+                    assert all(type(x) is Fraction for r in got[0] for x in r), rows
+                    checked += 1
+            reduced, pivots = echelon.reduced()
+            assert (reduced, pivots) == ref.reduced(), rows
+            assert all(type(x) is Fraction for r in reduced for x in r), rows
+            expected = _reference_nullspace(_frac_rows(rows), ncols)
+            assert nullspace(rows, ncols) == expected, rows
+        assert checked > 100
+
+    def test_integer_rows_are_stored_primitive_with_positive_lead(self):
+        big = 2**64
+        echelon = RowEchelon()
+        echelon.add([0, -6 * big, 4 * big, -2 * big])
+        echelon.add([-3, 6, 9, 12])
+        echelon.add([1, 2, 3, 4])
+        rows = echelon._rows
+        assert rows[1] == [0, 3, -2, 1]
+        # 3*[-3, 6, 9, 12] - 6*[0, 3, -2, 1] = [-9, 0, 39, 30], over -3
+        assert rows[0] == [3, 0, -13, -10]
+        # 3*[1, 2, 3, 4] - rows[0] = [0, 6, 22, 22]; 3*that - 6*rows[1] = [0, 0, 78, 60]
+        assert rows[2] == [0, 0, 13, 10]
+        assert all(type(x) is int for row in rows.values() for x in row)
+
+    def test_mixed_rows_match_the_reference(self):
+        rows = [[2, 4, 6], [Fraction(1, 2), 0, 1], [0, 3, 5], [1, Fraction(1, 3), 0]]
+        echelon, ref = RowEchelon(), _ReferenceEchelon()
+        for row in rows:
+            echelon.add(row)
+            ref.add(row)
+        assert type(echelon._rows[0][0]) is int  # the first row stayed integral
+        assert echelon.reduced() == ref.reduced()
