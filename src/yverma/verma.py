@@ -35,7 +35,6 @@ from .rational import RationalFn, Scalar, format_rat, rat
 from .series import SeriesU, shifted_power_coeff
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
 
 #: A PBW basis monomial: the sorted tuple of t_21 indices (each >= 1).
@@ -64,7 +63,10 @@ class ModuleVector:
     """Finite exact linear combination of PBW basis monomials.
 
     Treated as immutable: all arithmetic returns fresh vectors and the
-    ``terms`` mapping must not be mutated by callers.
+    ``terms`` mapping must not be mutated by callers.  The constructor
+    stores a coefficient with denominator 1 as an ``int``, and ``basis`` and
+    ``highest`` build ``int`` unit vectors, so the kernel acting on them
+    over an integral weight stays in ``int``.
     """
 
     __slots__ = ("_terms",)
@@ -74,9 +76,8 @@ class ModuleVector:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coef in items:
-                c = rat(coef) if not isinstance(coef, Fraction) else coef
-                _add_into(data, tuple(mono), c)
-        self._terms = data
+                _add_into(data, tuple(mono), rat(coef))
+        self._terms = {m: c.numerator if c.denominator == 1 else c for m, c in data.items()}
 
     # -- construction ----------------------------------------------------
 
@@ -86,11 +87,11 @@ class ModuleVector:
 
     @classmethod
     def basis(cls, mono: Iterable[int]) -> "ModuleVector":
-        return cls({monomial(mono): _ONE})
+        return cls._of({monomial(mono): 1})
 
     @classmethod
     def highest(cls) -> "ModuleVector":
-        return cls({(): _ONE})
+        return cls._of({(): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -98,7 +99,7 @@ class ModuleVector:
     def terms(self) -> dict[Monomial, int | Fraction]:
         return self._terms
 
-    def coefficient(self, mono: Iterable[int]) -> Fraction:
+    def coefficient(self, mono: Iterable[int]) -> int | Fraction:
         return self._terms.get(tuple(mono), _ZERO)
 
     def __bool__(self) -> bool:
@@ -220,9 +221,10 @@ class ActionCache:
     ``hw`` that the kernels read (see ``bind_cache``).  Keys are
     (i, j, r, monomial) and values are the resulting dicts of int or
     Fraction coefficients (all int on an integral weight), which are never
-    mutated after insertion.  ``contravariant_pairing`` stores its level
-    recursion in the same dict, under keys (m1, m2) with int or Fraction
-    values.
+    mutated after insertion.  Unit vectors are ``int`` too, so on an
+    integral weight every action on them stays in ``int``.
+    ``contravariant_pairing`` stores its level recursion in the same dict,
+    under keys (m1, m2) with int or Fraction values.
 
     ``_tail`` is the projection degree, ``None`` by default.  Only
     ``irreducible_weight_dims`` sets it, to p = deg(mu) on the canonical

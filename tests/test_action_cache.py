@@ -7,11 +7,13 @@ holds the keys the call would read.
 """
 
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations_with_replacement, islice, product
 from math import lcm
 
 import pytest
 
+import yverma.cli as cli
 from yverma.character import contravariant_pairing
 from yverma.errors import InputError
 from yverma.gauss import (
@@ -32,7 +34,9 @@ from yverma.verma import (
     ModuleVector,
     act_generator,
     act_quantum_det,
+    basis_monomials,
     canonical_polynomial_weights,
+    nondecreasing_tuples,
 )
 
 _V = ModuleVector.basis([1, 2]) + ModuleVector.highest()
@@ -136,6 +140,97 @@ def test_other_weights_cache_ints_and_fractions_never_floats(weight):
     values = list(_cached_values(cache))
     assert any(type(x) is Fraction for x in values)
     assert all(type(x) in (int, Fraction) for x in values)
+
+
+# -- the int path: unit vectors keep an integral weight in int -----------------
+
+
+def _unit_vector_images(hw, cache):
+    """Every kernel entry applied to the unit vectors of levels <= 2, degrees <= 4."""
+    gens = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    for mono in basis_monomials(max_level=2, max_degree=4):
+        v = ModuleVector.basis(mono)
+        for (i, j), r in product(gens, range(4)):
+            yield act_generator(i, j, r, v, hw, cache)
+        for r in range(3):
+            yield act_e(r, v, hw, cache)
+            yield act_f(r, v, hw, cache)
+            yield act_h(r, v, hw, cache)
+        for (i, j), (k, l) in product(gens, gens):
+            yield rtt_relation_defect(i, j, 2, k, l, 1, v, hw, cache)
+    for level in range(3):
+        for fmono in nondecreasing_tuples(level, 0, 3):
+            yield expand_f_monomial(fmono, hw, cache)
+
+
+@pytest.mark.parametrize("hbar", [1, 2])
+def test_integral_weight_unit_vectors_stay_int(hbar):
+    # with hbar = 2 the defect is the expansion itself, so it is not zero
+    hw = as_gl2_weights(parse_rational_fn("(u+3)(u-1)/((u+1)(u+2))"))
+    cache = _hbar_cache(hw, hbar)
+    coefficients = [c for img in _unit_vector_images(hw, cache) for c in img.terms.values()]
+    assert len(coefficients) > 300
+    assert all(type(c) is int for c in coefficients)
+
+
+def test_unit_vectors_agree_on_int_from_every_constructor():
+    vectors = [
+        ModuleVector.basis([2, 1]),
+        ModuleVector({(1, 2): 1}),
+        ModuleVector({(1, 2): Fraction(3, 3)}),
+        ModuleVector({(1, 2): "2/2"}),
+        ModuleVector.from_obj({"terms": [{"mono": [1, 2], "coef": "1"}]}),
+        ModuleVector([((1, 2), Fraction(1, 2)), ((1, 2), Fraction(1, 2))]),
+    ]
+    for v in vectors:
+        assert v == ModuleVector.basis([1, 2])
+        assert type(v.coefficient([1, 2])) is int
+    assert type(ModuleVector.highest().coefficient(())) is int
+    assert type(ModuleVector({(1,): True}).coefficient((1,))) is int
+
+
+def _coefficients(result):
+    if isinstance(result, ModuleVector):
+        yield from result.terms.values()
+    elif isinstance(result, list):
+        for item in result:
+            yield from _coefficients(item)
+    else:
+        yield result
+
+
+@pytest.mark.parametrize("weight", WEIGHTS)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_entries_give_no_float_or_bool_coefficients(entry, weight):
+    mu = WEIGHTS[weight][0]
+    hw = as_gl2_weights(mu)
+    cache = ActionCache(hw)
+    result = ENTRIES[entry](mu, hw, cache)
+    # verify_singular answers yes or no; its work shows in the cache
+    values = [] if entry == "verify_singular" else list(_coefficients(result))
+    values += _cached_values(cache)
+    assert values
+    assert all(type(x) in (int, Fraction) for x in values)
+
+
+#: sha256 of reports written by the kernel that started from Fraction unit
+#: vectors; the int path must not change a byte
+PINNED_REPORTS = {
+    "selftest --seed 0": "035013bb49de70b8ab85c8b21e5e77bb6cb429ec0ae85cb5ce75d0a560cf126f",
+    "selftest --seed 1": "014afef917e44c520a0d1bd5af971c556b8f31b7e6c5f1e8647ada60df894da1",
+    "selftest --seed 2": "c679683cb342491ae5150d824bd6012c24b0ebaa98db12b5904070fedf86f43f",
+    "selftest --seed 3": "9f320900acca5e6986b5416da5a2f8177802d0836e7aef745cce9be4210af89f",
+    "singular --mu (u+2)/(u+1) --level 3 --degree 7": (
+        "e50ba40082f13f9b6b503bd4db940334140d274ffe4cb3510cc2dfed8ff7d1f8"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PINNED_REPORTS)
+def test_int_path_reports_are_pinned(capsys, command):
+    assert cli.main(command.split()) == 0
+    digest = sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_REPORTS[command]
 
 
 # -- the hbar slot: the kernel in Y_hbar ---------------------------------------

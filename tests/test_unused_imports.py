@@ -1,4 +1,8 @@
-"""Every import in a library module is used; ``__init__`` re-exports are exempt."""
+"""Every import in a library module is used; ``__init__`` re-exports are exempt.
+
+Every module-level private name (``_X = ...``, ``def _f``, ``class _C``) is
+read somewhere in the library, by its own module or by one that imports it.
+"""
 
 import ast
 from pathlib import Path
@@ -38,3 +42,63 @@ def test_guard_sees_unused_and_used_names():
         "x: Opt[int] = os.path.sep\n"
     )
     assert unused_imports(source) == ["Fraction (line 3)", "Sequence (line 4)"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names that no module of ``sources`` reads.
+
+    ``sources`` maps module names to their text.  A name of module ``m`` is
+    read where ``m`` loads it, where another module imports it from ``m``,
+    or where some module reads the attribute ``m._name``.
+    """
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, node.lineno) for name in names if name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source_module = node.module.rpartition(".")[2]
+                read.update((source_module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    return [
+        f"{module}: {name} (line {line})"
+        for module, name, line in defined
+        if (module, name) not in read and not name.startswith("__")
+    ]
+
+
+def test_library_has_no_unread_private_name():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_guard_sees_unread_and_read_private_names():
+    sources = {
+        "a": (
+            "from fractions import Fraction\n"
+            "_ONE = Fraction(1)\n"
+            "_TWO: int = 2\n"
+            "def _helper():\n"
+            "    return _TWO\n"
+            "def _unused():\n"
+            "    pass\n"
+            "class _Spec:\n"
+            "    pass\n"
+            "__all__ = []\n"
+        ),
+        # b reads its own _ONE, which says nothing about a's
+        "b": "from .a import _helper\nfrom . import a\n_ONE = 1\nx = _helper() + a._Spec + _ONE\n",
+    }
+    assert unread_private_names(sources) == ["a: _ONE (line 2)", "a: _unused (line 6)"]
