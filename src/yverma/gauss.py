@@ -29,7 +29,6 @@ truncated ``SeriesU`` (realized as the pair (mu, 1)).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -178,7 +177,7 @@ def act_h_via_quantum_det(
         inv = list(islice(_t22_solve([vz], cache), n - z + 1))
         for w in range(1, n - z + 1):
             for s in range(1, w + 1):
-                coef = shifted_power_coeff(s, w, Fraction(-1))
+                coef = shifted_power_coeff(s, w, -1)
                 if coef:
                     middle[z + w] = middle[z + w] + inv[s].scaled(coef)
     return next(islice(_t22_solve(middle, cache), n, None))

@@ -7,10 +7,12 @@ its tail satisfies a finite linear recurrence
     c_0 nu^(r) + c_1 nu^(r+1) + ... + c_m nu^(r+m) = 0   for all r >= N.
 
 Given such a witness the function itself is recovered exactly: writing
-C(u) = sum_j c_j u^j, H(u) = sum_{t=0}^{N-1} nu^(t) u^{N-t} (nu^(0) = 1)
-and B(u) = sum_{j=1}^{m} b_j u^j with b_j = sum_{k=j}^{m} c_k nu^(N+k-j),
+C(u) = sum_j c_j u^j and nu^(0) = 1, the recurrence at r = N, N+1, ...
+kills the u^0, u^-1, ... coefficients of u^N C(u) nu(u), so that product
+is a polynomial P(u) with
 
-    nu(u) = ( H(u) C(u) + B(u) ) / ( u^N C(u) ),
+    P(u) = sum_{e=1}^{N+m} ( sum_{j >= max(0, e-N)} c_j nu^(N+j-e) ) u^e,
+    nu(u) = P(u) / ( u^N C(u) ),
 
 and both polynomials share degree N + deg C and leading coefficient, so
 the normalized ratio is a valid ``RationalFn``.
@@ -127,16 +129,13 @@ def reconstruct_rational(
             raise InputError(f"recurrence fails at r={r}")
 
     n = tail_start
-    cpoly = PolyQ(cvec)
-    # H(u) = sum_{t=0}^{n-1} nu^(t) u^{n-t}: ascending coeff at u^j is nu^(n-j)
-    hpoly = PolyQ([_ZERO] + [value(n - j) for j in range(1, n + 1)])
-    b = [_ZERO] * (m + 1)
-    for j in range(1, m + 1):
-        b[j] = sum((cvec[k] * value(n + k - j) for k in range(j, m + 1)), _ZERO)
-    bpoly = PolyQ(b)
-    num = hpoly * cpoly + bpoly
-    den = PolyQ([_ZERO] * n + [Fraction(1)]) * cpoly  # u^n * C(u)
-    return RationalFn(num, den)
+    # the u^0 coefficient of u^n C(u) nu(u) is the recurrence at r = n, so 0;
+    # summing it would read nu^(n+m), which a short window may not hold
+    num = [_ZERO] + [
+        sum((cvec[j] * value(n + j - e) for j in range(max(0, e - n), m + 1)), _ZERO)
+        for e in range(1, n + m + 1)
+    ]
+    return RationalFn(PolyQ(num), PolyQ([_ZERO] * n + cvec))  # P(u) / (u^n C(u))
 
 
 @dataclass(frozen=True)

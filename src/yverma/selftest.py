@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 from typing import Callable, Optional
 
@@ -34,6 +35,7 @@ from .verma import (
     ActionCache,
     HighestWeightGL2,
     ModuleVector,
+    Monomial,
     act_generator,
     act_quantum_det,
     basis_monomials,
@@ -124,83 +126,70 @@ def _random_series_weight(rng: random.Random, order: int = 32) -> HighestWeightG
     return HighestWeightGL2(series_from_tail(tail), SERIES_ONE)
 
 
-def _sample_monomials(rng: random.Random, count: int) -> list[tuple[int, ...]]:
-    pool = basis_monomials(max_level=2, max_degree=4)
+def _sample_monomials(
+    rng: random.Random, count: int, skip_highest: bool = False
+) -> list[Monomial]:
+    pool = basis_monomials(max_level=2, max_degree=4)[1 if skip_highest else 0 :]
     rng.shuffle(pool)
     return pool[:count]
 
 
-def _check_rtt_relations(rng: random.Random) -> PropertyResult:
-    weights = [
-        as_gl2_weights(_random_rational_weight(rng)),
-        _random_series_weight(rng),
-    ]
+class _Fail(Exception):
+    """A property's first counterexample; its message is the report detail.
+
+    Each ``_check_*`` draws its instances from its ``rng``, raises this at
+    its first counterexample and otherwise returns its pass detail.
+    """
+
+
+def _check_rtt_relations(rng: random.Random) -> str:
     checked = 0
-    for hw in weights:
+    for hw in (as_gl2_weights(_random_rational_weight(rng)), _random_series_weight(rng)):
         cache = ActionCache(hw)
-        monos = _sample_monomials(rng, 4)
-        for mono in monos:
+        for mono in _sample_monomials(rng, 4):
             vec = ModuleVector.basis(mono)
-            for i, j in _GENERATOR_PAIRS:
-                for k, l in _GENERATOR_PAIRS:
-                    for r in range(1, 4):
-                        for s in range(1, 4):
-                            defect = rtt_relation_defect(
-                                i, j, r, k, l, s, vec, hw, cache
-                            )
-                            if not defect.is_zero():
-                                return PropertyResult(
-                                    "rtt_relations",
-                                    False,
-                                    f"defect at t{i}{j}({r}),t{k}{l}({s}) on {mono}",
-                                )
-                            checked += 1
-    return PropertyResult("rtt_relations", True, f"{checked} commutators")
+            for (i, j), (k, l), r, s in product(
+                _GENERATOR_PAIRS, _GENERATOR_PAIRS, range(1, 4), range(1, 4)
+            ):
+                if not rtt_relation_defect(i, j, r, k, l, s, vec, hw, cache).is_zero():
+                    raise _Fail(f"defect at t{i}{j}({r}),t{k}{l}({s}) on {mono}")
+                checked += 1
+    return f"{checked} commutators"
 
 
-def _check_drinfeld_relations(rng: random.Random) -> PropertyResult:
-    mu = _random_rational_weight(rng)
-    hw = as_gl2_weights(mu)
-    cache = ActionCache(hw)
-    checked = 0
-    monos = _sample_monomials(rng, 3)
-    for mono in monos:
-        vec = ModuleVector.basis(mono)
-        for r in range(0, 3):
-            for s in range(0, 3):
-                lhs = act_e(r, act_f(s, vec, hw, cache), hw, cache)
-                lhs -= act_f(s, act_e(r, vec, hw, cache), hw, cache)
-                if lhs != act_h(r + s, vec, hw, cache):
-                    return PropertyResult(
-                        "ef_commutator_is_h", False, f"[e({r}),f({s})] on {mono}"
-                    )
-                hh = act_h(r, act_h(s, vec, hw, cache), hw, cache)
-                hh -= act_h(s, act_h(r, vec, hw, cache), hw, cache)
-                if not hh.is_zero():
-                    return PropertyResult(
-                        "ef_commutator_is_h", False, f"[h({r}),h({s})] on {mono}"
-                    )
-                checked += 2
-    return PropertyResult("ef_commutator_is_h", True, f"{checked} commutators")
-
-
-def _check_h_route_agreement(rng: random.Random) -> PropertyResult:
-    mu = _random_rational_weight(rng)
-    hw = as_gl2_weights(mu)
+def _check_drinfeld_relations(rng: random.Random) -> str:
+    hw = as_gl2_weights(_random_rational_weight(rng))
     cache = ActionCache(hw)
     checked = 0
     for mono in _sample_monomials(rng, 3):
         vec = ModuleVector.basis(mono)
-        for r in range(0, 3):
+        for r, s in product(range(3), range(3)):
+            lhs = act_e(r, act_f(s, vec, hw, cache), hw, cache)
+            lhs -= act_f(s, act_e(r, vec, hw, cache), hw, cache)
+            if lhs != act_h(r + s, vec, hw, cache):
+                raise _Fail(f"[e({r}),f({s})] on {mono}")
+            hh = act_h(r, act_h(s, vec, hw, cache), hw, cache)
+            hh -= act_h(s, act_h(r, vec, hw, cache), hw, cache)
+            if not hh.is_zero():
+                raise _Fail(f"[h({r}),h({s})] on {mono}")
+            checked += 2
+    return f"{checked} commutators"
+
+
+def _check_h_route_agreement(rng: random.Random) -> str:
+    hw = as_gl2_weights(_random_rational_weight(rng))
+    cache = ActionCache(hw)
+    checked = 0
+    for mono in _sample_monomials(rng, 3):
+        vec = ModuleVector.basis(mono)
+        for r in range(3):
             if act_h(r, vec, hw, cache) != act_h_via_quantum_det(r, vec, hw, cache):
-                return PropertyResult(
-                    "h_two_route_agreement", False, f"h({r}) on {mono}"
-                )
+                raise _Fail(f"h({r}) on {mono}")
             checked += 1
-    return PropertyResult("h_two_route_agreement", True, f"{checked} comparisons")
+    return f"{checked} comparisons"
 
 
-def _check_qdet_central(rng: random.Random) -> PropertyResult:
+def _check_qdet_central(rng: random.Random) -> str:
     hw = _random_series_weight(rng)
     cache = ActionCache(hw)
     checked = 0
@@ -208,44 +197,32 @@ def _check_qdet_central(rng: random.Random) -> PropertyResult:
         vec = ModuleVector.basis(mono)
         for r in range(1, 4):
             dv = act_quantum_det(r, vec, hw, cache)
-            for i, j in _GENERATOR_PAIRS:
-                for s in range(1, 4):
-                    lhs = act_generator(i, j, s, dv, hw, cache)
-                    rhs = act_quantum_det(
-                        r, act_generator(i, j, s, vec, hw, cache), hw, cache
-                    )
-                    if lhs != rhs:
-                        return PropertyResult(
-                            "quantum_det_central",
-                            False,
-                            f"[qdet({r}),t{i}{j}({s})] on {mono}",
-                        )
-                    checked += 1
-    return PropertyResult("quantum_det_central", True, f"{checked} commutators")
+            for (i, j), s in product(_GENERATOR_PAIRS, range(1, 4)):
+                lhs = act_generator(i, j, s, dv, hw, cache)
+                tv = act_generator(i, j, s, vec, hw, cache)
+                if lhs != act_quantum_det(r, tv, hw, cache):
+                    raise _Fail(f"[qdet({r}),t{i}{j}({s})] on {mono}")
+                checked += 1
+    return f"{checked} commutators"
 
 
-def _check_highest_eigen(rng: random.Random) -> PropertyResult:
+def _check_highest_eigen(rng: random.Random) -> str:
     mu = _random_rational_weight(rng)
     hw = as_gl2_weights(mu)
     cache = ActionCache(hw)
     one = ModuleVector.highest()
     mu_series = expand_rational(mu, 8)
-    for r in range(0, 8):
+    for r in range(8):
         if act_h(r, one, hw, cache) != one.scaled(mu_series.coeff(r + 1)):
-            return PropertyResult("highest_vector_eigen", False, f"h({r})1")
-    qdet_series = series_mul(
-        hw.lambda1, series_shift_argument(hw.lambda2, -1, order=6)
-    )
+            raise _Fail(f"h({r})1")
+    qdet_series = series_mul(hw.lambda1, series_shift_argument(hw.lambda2, -1, order=6))
     for r in range(1, 6):
-        expect = one.scaled(qdet_series.coeff(r))
-        if act_quantum_det(r, one, hw, cache) != expect:
-            return PropertyResult("highest_vector_eigen", False, f"qdet({r})1")
-    return PropertyResult(
-        "highest_vector_eigen", True, "h(u)1 to order 8, qdet(u)1 to order 5"
-    )
+        if act_quantum_det(r, one, hw, cache) != one.scaled(qdet_series.coeff(r)):
+            raise _Fail(f"qdet({r})1")
+    return "h(u)1 to order 8, qdet(u)1 to order 5"
 
 
-def _check_tail_submodule(rng: random.Random) -> PropertyResult:
+def _check_tail_submodule(rng: random.Random) -> str:
     mu = _random_rational_weight(rng)
     p = mu.degree
     hw = canonical_polynomial_weights(mu)
@@ -255,20 +232,14 @@ def _check_tail_submodule(rng: random.Random) -> PropertyResult:
         seed_vec = ModuleVector.basis(tuple(idx + p for idx in mono))
         if not in_tail_submodule(seed_vec, p):
             continue
-        for i, j in _GENERATOR_PAIRS:
-            for r in range(0, 4):
-                image = act_generator(i, j, r, seed_vec, hw, cache)
-                if not in_tail_submodule(image, p):
-                    return PropertyResult(
-                        "tail_submodule_stable",
-                        False,
-                        f"t{i}{j}({r}) leaves the tail span on {mono}",
-                    )
-                checked += 1
-    return PropertyResult("tail_submodule_stable", True, f"{checked} images")
+        for (i, j), r in product(_GENERATOR_PAIRS, range(4)):
+            if not in_tail_submodule(act_generator(i, j, r, seed_vec, hw, cache), p):
+                raise _Fail(f"t{i}{j}({r}) leaves the tail span on {mono}")
+            checked += 1
+    return f"{checked} images"
 
 
-def _check_weight_gradation(rng: random.Random) -> PropertyResult:
+def _check_weight_gradation(rng: random.Random) -> str:
     hw = _random_series_weight(rng)
     cache = ActionCache(hw)
     shifts = {(1, 1): 0, (2, 2): 0, (1, 2): -1, (2, 1): 1}
@@ -276,44 +247,32 @@ def _check_weight_gradation(rng: random.Random) -> PropertyResult:
     for mono in _sample_monomials(rng, 4):
         vec = ModuleVector.basis(mono)
         k = len(mono)
-        for (i, j), delta in shifts.items():
-            for r in range(1, 4):
-                image = act_generator(i, j, r, vec, hw, cache)
-                if image.is_zero():
-                    continue
-                if image.levels() != [k + delta]:
-                    return PropertyResult(
-                        "level_gradation",
-                        False,
-                        f"t{i}{j}({r}) maps level {k} to {sorted(image.levels())}",
-                    )
-                checked += 1
-    return PropertyResult("level_gradation", True, f"{checked} images")
-
-
-def _check_pairing(rng: random.Random) -> PropertyResult:
-    mu = _random_rational_weight(rng)
-    hw = canonical_polynomial_weights(mu)
-    cache = ActionCache(hw)
-    monos = [m for m in basis_monomials(max_level=2, max_degree=4) if m]
-    rng.shuffle(monos)
-    monos = monos[:6]
-    checked = 0
-    for m1 in monos:
-        for m2 in monos:
-            if len(m1) != len(m2):
+        for ((i, j), delta), r in product(shifts.items(), range(1, 4)):
+            image = act_generator(i, j, r, vec, hw, cache)
+            if image.is_zero():
                 continue
-            a = contravariant_pairing(m1, m2, hw, cache)
-            b = contravariant_pairing(m2, m1, hw, cache)
-            if a != b:
-                return PropertyResult(
-                    "pairing_symmetric", False, f"<{m1},{m2}> != <{m2},{m1}>"
-                )
+            if image.levels() != [k + delta]:
+                raise _Fail(f"t{i}{j}({r}) maps level {k} to {image.levels()}")
             checked += 1
-    return PropertyResult("pairing_symmetric", True, f"{checked} pairs")
+    return f"{checked} images"
 
 
-def _check_recurrence_roundtrip(rng: random.Random) -> PropertyResult:
+def _check_pairing(rng: random.Random) -> str:
+    hw = canonical_polynomial_weights(_random_rational_weight(rng))
+    cache = ActionCache(hw)
+    checked = 0
+    monos = _sample_monomials(rng, 6, skip_highest=True)
+    for m1, m2 in product(monos, monos):
+        if len(m1) != len(m2):
+            continue
+        a = contravariant_pairing(m1, m2, hw, cache)
+        if a != contravariant_pairing(m2, m1, hw, cache):
+            raise _Fail(f"<{m1},{m2}> != <{m2},{m1}>")
+        checked += 1
+    return f"{checked} pairs"
+
+
+def _check_recurrence_roundtrip(rng: random.Random) -> str:
     for _ in range(6):
         f = _random_rational_weight(rng, max_degree=3)
         deg = f.degree
@@ -321,58 +280,48 @@ def _check_recurrence_roundtrip(rng: random.Random) -> PropertyResult:
         tail = [series.coeff(r) for r in range(1, 2 * deg + 5)]
         witness = detect_recurrence(tail, deg)
         if witness is None or witness.recovered != f:
-            return PropertyResult(
-                "recurrence_roundtrip", False, f"failed to recover {f}"
-            )
-    return PropertyResult("recurrence_roundtrip", True, "6 round trips")
+            raise _Fail(f"failed to recover {f}")
+    return "6 round trips"
 
 
-def _check_singular(rng: random.Random) -> PropertyResult:
+def _check_singular(rng: random.Random) -> str:
     mu = _random_rational_weight(rng)
     p = mu.degree
     cache = ActionCache(as_gl2_weights(mu))
     for s in (p, p + 1):
-        fvec = canonical_singular_vector(mu, s)
-        zeta = expand_f_vector(fvec, mu, cache=cache)
+        zeta = expand_f_vector(canonical_singular_vector(mu, s), mu, cache=cache)
         if zeta != ModuleVector.basis((s + 1,)):
-            return PropertyResult(
-                "canonical_singular", False, f"expansion at s={s} is not t21({s+1})1"
-            )
+            raise _Fail(f"expansion at s={s} is not t21({s+1})1")
         if not verify_singular(zeta, mu, 6, cache):
-            return PropertyResult(
-                "canonical_singular", False, f"e-annihilation fails at s={s}"
-            )
-    return PropertyResult("canonical_singular", True, f"s = {p},{p+1} for {mu}")
+            raise _Fail(f"e-annihilation fails at s={s}")
+    return f"s = {p},{p+1} for {mu}"
 
 
-def _check_gram_vs_character(rng: random.Random) -> PropertyResult:
+def _check_gram_vs_character(rng: random.Random) -> str:
     alpha = rng.randint(1, 3)
     m = rng.randint(1, 3)
     mu = RationalFn(PolyQ([Fraction(alpha + m), 1]), PolyQ([Fraction(alpha), 1]))
     dims = character_formula(mu, 3).dims
     ranks = tuple(r.rank for r in irreducible_weight_dims(mu, 3))
     if dims != ranks:
-        return PropertyResult(
-            "gram_rank_matches_character", False, f"{mu}: {ranks} vs {dims}"
-        )
-    return PropertyResult("gram_rank_matches_character", True, f"{mu}: dims {dims}")
+        raise _Fail(f"{mu}: {ranks} vs {dims}")
+    return f"{mu}: dims {dims}"
 
 
-def _check_root_systems(rng: random.Random) -> PropertyResult:
-    oracle = {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "G2": 6}
-    for label, count in oracle.items():
+def _check_root_systems(rng: random.Random) -> str:
+    for label, count in {"A1": 1, "A2": 3, "A3": 6, "B2": 4, "G2": 6}.items():
         if positive_roots(cartan_matrix(label)).count() != count:
-            return PropertyResult("root_counts", False, f"{label} count")
+            raise _Fail(f"{label} count")
     if symmetrizers([[2, -1], [-3, 2]]) != (3, 1):
-        return PropertyResult("root_counts", False, "G2 symmetrizers")
+        raise _Fail("G2 symmetrizers")
     p = rng.randint(1, 4)
-    for k in range(0, 5):
+    for k in range(5):
         if spanning_count([p], [k], [[2]]) != comb(p + k - 1, k):
-            return PropertyResult("root_counts", False, f"spanning p={p} k={k}")
-    return PropertyResult("root_counts", True, "A1,A2,A3,B2,G2 + spanning counts")
+            raise _Fail(f"spanning p={p} k={k}")
+    return "A1,A2,A3,B2,G2 + spanning counts"
 
 
-_PROPERTIES: tuple[tuple[str, Callable[[random.Random], PropertyResult]], ...] = (
+_PROPERTIES: tuple[tuple[str, Callable[[random.Random], str]], ...] = (
     ("rtt_relations", _check_rtt_relations),
     ("ef_commutator_is_h", _check_drinfeld_relations),
     ("h_two_route_agreement", _check_h_route_agreement),
@@ -392,13 +341,18 @@ def run_selftest(seed: int = 0) -> SelftestReport:
     """Run every property on seeded-random desk-scale instances.
 
     Each property draws from its own ``random.Random(seed, name)`` stream,
-    so the report is a pure function of the seed and the library code.
+    so the report is a pure function of the seed and the library code.  A
+    property fails at its first counterexample, and a property that raises
+    anything else fails with ``raised <exception>``.
     """
     results = []
     for name, check in _PROPERTIES:
         rng = random.Random(f"{seed}:{name}")
         try:
-            results.append(check(rng))
+            passed, detail = True, check(rng)
+        except _Fail as fail:
+            passed, detail = False, str(fail)
         except Exception as exc:  # a crash is a failing property, not a crash
-            results.append(PropertyResult(name, False, f"raised {exc!r}"))
+            passed, detail = False, f"raised {exc!r}"
+        results.append(PropertyResult(name, passed, detail))
     return SelftestReport(seed=seed, properties=tuple(results))

@@ -112,17 +112,18 @@ def series_inverse(a: SeriesU, order: Optional[int] = None) -> SeriesU:
     return SeriesU(_divide((_ONE,), a.coeffs, order), exact=False)
 
 
-def shifted_power_coeff(s: int, x: int, c: Fraction) -> Fraction:
+def shifted_power_coeff(s: int, x: int, c: int | Fraction) -> int | Fraction:
     """Coefficient of u^{-x} in (u + c)^{-s}, for s >= 1 and x >= s.
 
     Expanding (u+c)^{-s} = u^{-s} (1 + c/u)^{-s} gives the weight
-    binom(-s, x-s) c^{x-s} = (-1)^{x-s} binom(x-1, s-1) c^{x-s}.
+    binom(-s, x-s) c^{x-s} = (-1)^{x-s} binom(x-1, s-1) c^{x-s}, an ``int``
+    for an ``int`` shift c.
     """
     if s < 1 or x < s:
         return _ZERO
     j = x - s
     sign = -1 if j % 2 else 1
-    return Fraction(sign * comb(x - 1, s - 1)) * c**j
+    return c**j * (sign * comb(x - 1, s - 1))
 
 
 def series_shift_argument(a: SeriesU, c: Scalar, order: Optional[int] = None) -> SeriesU:

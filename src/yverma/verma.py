@@ -35,7 +35,6 @@ from .rational import RationalFn, Scalar, format_rat, rat
 from .series import SeriesU, shifted_power_coeff
 
 _ZERO = Fraction(0)
-_MINUS_ONE = Fraction(-1)
 
 #: A PBW basis monomial: the sorted tuple of t_21 indices (each >= 1).
 Monomial = tuple[int, ...]
@@ -47,6 +46,11 @@ def monomial(indices: Iterable[int]) -> Monomial:
     if idx and idx[0] < 1:
         raise InputError("t_21 indices must be >= 1")
     return tuple(idx)
+
+
+def _narrow(q: int | Fraction) -> int | Fraction:
+    """q as an ``int`` when its denominator is 1, else q itself."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def _insert(mono: Monomial, r: int) -> Monomial:
@@ -64,9 +68,10 @@ class ModuleVector:
 
     Treated as immutable: all arithmetic returns fresh vectors and the
     ``terms`` mapping must not be mutated by callers.  The constructor
-    stores a coefficient with denominator 1 as an ``int``, and ``basis`` and
-    ``highest`` build ``int`` unit vectors, so the kernel acting on them
-    over an integral weight stays in ``int``.
+    normalizes each key through ``monomial`` and stores a coefficient with
+    denominator 1 as an ``int``, as ``scaled`` stores an integral scalar;
+    ``basis`` and ``highest`` build ``int`` unit vectors, so the kernel
+    acting on them over an integral weight stays in ``int``.
     """
 
     __slots__ = ("_terms",)
@@ -76,8 +81,8 @@ class ModuleVector:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coef in items:
-                _add_into(data, tuple(mono), rat(coef))
-        self._terms = {m: c.numerator if c.denominator == 1 else c for m, c in data.items()}
+                _add_into(data, monomial(mono), rat(coef))
+        self._terms = {m: _narrow(c) for m, c in data.items()}
 
     # -- construction ----------------------------------------------------
 
@@ -136,7 +141,7 @@ class ModuleVector:
         return self + (-other)
 
     def scaled(self, c: Scalar) -> "ModuleVector":
-        c = rat(c)
+        c = _narrow(rat(c))
         return ModuleVector._of({m: c * v for m, v in self._terms.items()} if c else {})
 
     def __eq__(self, other: object) -> bool:
@@ -155,7 +160,7 @@ class ModuleVector:
     @classmethod
     def from_obj(cls, obj: Mapping) -> "ModuleVector":
         try:
-            return cls({tuple(t["mono"]): rat(t["coef"]) for t in obj["terms"]})
+            return cls([(t["mono"], t["coef"]) for t in obj["terms"]])
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed vector object: {exc}") from exc
 
@@ -295,7 +300,7 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
         else:
             c = cache.hw.coeff(i, r)
             # integral weights keep the whole kernel in int arithmetic
-            res = {(): c.numerator if c.denominator == 1 else c} if c else {}
+            res = {(): _narrow(c)} if c else {}
     else:
         s = mono[0]
         rest = mono[1:]
@@ -381,7 +386,7 @@ def act_quantum_det(
                     _add_into(acc, m2, c0 * c2)
                 continue
             for s in range(1, x + 1):
-                w = shifted_power_coeff(s, x, _MINUS_ONE)
+                w = shifted_power_coeff(s, x, -1)
                 if not w:
                     continue
                 _compose_into(acc, (1, 1, y), (2, 2, s), mono, cache, c0 * w)

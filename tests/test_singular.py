@@ -181,7 +181,8 @@ class TestSearch:
         for w in res.basis:
             image = act_h(0, w, MU)
             mono = w.monomials()[0]
-            assert image == w.scaled(image.coefficient(mono) / w.coefficient(mono))
+            # integral coefficients are ints, so divide exactly
+            assert image == w.scaled(Fraction(image.coefficient(mono), w.coefficient(mono)))
 
     def test_size_cap(self):
         # level 9 with degree bound 150 has far more candidates than can be

@@ -130,6 +130,24 @@ class TestModuleVector:
         v = ModuleVector.basis([1, 4]).scaled(Fraction(-3, 7)) + ModuleVector.highest()
         assert ModuleVector.from_obj(v.to_obj()) == v
 
+    def test_constructor_sorts_monomial_keys(self):
+        assert ModuleVector({(2, 1): 1}) == ModuleVector.basis([1, 2])
+        assert ModuleVector({(2, 1): 1, (1, 2): 2}).terms == {(1, 2): 3}
+
+    def test_action_on_an_unsorted_key_is_in_normal_form(self):
+        image = act_generator(2, 1, 1, ModuleVector({(2, 1): 1}), HW_POLY)
+        assert image.terms == {(1, 1, 2): 1}
+        assert image == act_generator(2, 1, 1, ModuleVector.basis([1, 2]), HW_POLY)
+
+    def test_from_obj_normalizes_and_rejects_index_zero(self):
+        obj = {"terms": [{"mono": [3, 1], "coef": "2"}, {"mono": [1, 3], "coef": "1/2"}]}
+        assert ModuleVector.from_obj(obj) == ModuleVector.basis([1, 3]).scaled(Fraction(5, 2))
+        for terms in ({(0,): 1}, {(2, -1): 1}):
+            with pytest.raises(InputError, match="indices must be >= 1"):
+                ModuleVector(terms)
+        with pytest.raises(InputError, match="indices must be >= 1"):
+            ModuleVector.from_obj({"terms": [{"mono": [0], "coef": "1"}]})
+
     def test_to_obj_bytes_match_former_serializer(self):
         rng = random.Random(14)
         pool = basis_monomials(3, 7)
