@@ -5,7 +5,8 @@ mix through the numeric tower) and never introduce rounding.
 ``RowEchelon`` is the only elimination: it grows an echelon basis one
 row at a time, so callers can read the rank and the pivot columns after
 every added row, and back-substitutes on demand to the reduced row
-echelon form (``Fraction`` entries).  A row that is all ``int`` after
+echelon form (``Fraction`` entries; at full column rank the identity,
+with nothing to back-substitute).  A row that is all ``int`` after
 reduction is stored fraction-free, as a primitive integer row; any other
 row is made monic in ``Fraction``.  ``rref``, ``rank`` and ``nullspace``
 feed a whole matrix through it.  The reduced form is canonical for the
@@ -72,9 +73,15 @@ class RowEchelon:
 
         Makes every integer row monic in ``Fraction``, then clears every
         pivot column above its pivot, from the last pivot back; the stored
-        rows stay a basis of the same span.
+        rows stay a basis of the same span.  At full column rank the form
+        is the identity, stored as ``Fraction`` unit rows with no
+        back-substitution.
         """
         pivots = self.pivots
+        if pivots and len(pivots) == len(self._rows[pivots[0]]):  # every column is a pivot
+            for p in pivots:
+                self._rows[p] = [_ONE if c == p else _ZERO for c in pivots]
+            return [self._rows[p] for p in pivots], pivots
         for p in pivots:
             if type(lead := self._rows[p][p]) is int:
                 self._rows[p] = [Fraction(x, lead) for x in self._rows[p]]

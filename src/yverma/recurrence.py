@@ -108,7 +108,8 @@ def reconstruct_rational(
 
     ``coeffs`` lists nu^(1), nu^(2), ...; the recurrence with coefficients
     ``c`` must hold for every r >= tail_start that the window can check
-    (verified here before reconstruction).
+    (verified here before reconstruction).  A ``tail_start`` so far out
+    that the numerator would read past the window is an ``InputError``.
     """
     nu = [rat(x) for x in coeffs]
     cvec = [rat(x) for x in c]
@@ -118,6 +119,11 @@ def reconstruct_rational(
         raise InputError("tail_start must be >= 1")
     m = len(cvec) - 1
     L = len(nu)
+    if tail_start + m - 1 > L:
+        raise InputError(
+            f"tail_start {tail_start} lies past the window: the numerator reads "
+            f"nu^({tail_start + m - 1}), the window ends at nu^({L})"
+        )
 
     def value(idx: int) -> Fraction:
         if idx == 0:

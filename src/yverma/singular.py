@@ -113,8 +113,11 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
     R starts at degree_bound + level + 1 and is raised until the rank of
     the constraint rows is full or two further increments leave it
     unchanged (rows only ever shrink the solution space, so equal ranks
-    mean equal spaces); the space is solved once, at the end.  For truncated
-    weight series the initial bound must be computable or
+    mean equal spaces); the space is solved once, at the end.  On an exact
+    weight the rounds up to the initial bound end as soon as the rank is
+    full, since no later round can change an empty kernel or run out of
+    data; the report still reads R = degree_bound + level + 1.  For
+    truncated weight series the initial bound must be computable or
     ``InsufficientDataError`` is raised; bounds beyond the window stop
     the adaptive phase with ``stabilized=False``.  A candidate space of
     more than 5000 monomials raises ``InputError`` before any is expanded.
@@ -143,10 +146,15 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
         for mono in monos:
             if echelon.rank == len(cands):
                 break  # the kernel is already empty
-            echelon.add([img.coefficient(mono) for img in images])
+            # an int 0 keeps the rows of an integral weight all int
+            echelon.add([img.terms.get(mono, 0) for img in images])
 
+    # an exact weight cannot run out of data, so its rounds may end at full rank
+    exact = hw.lambda1.exact and hw.lambda2.exact
     try:
         for _ in range(r_start + 1):
+            if exact and echelon.rank == len(cands):
+                break
             add_relations()
     except TruncationError as exc:
         raise InsufficientDataError(

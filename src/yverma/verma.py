@@ -34,8 +34,6 @@ from .errors import InputError
 from .rational import RationalFn, Scalar, format_rat, rat
 from .series import SeriesU, shifted_power_coeff
 
-_ZERO = Fraction(0)
-
 #: A PBW basis monomial: the sorted tuple of t_21 indices (each >= 1).
 Monomial = tuple[int, ...]
 
@@ -105,7 +103,8 @@ class ModuleVector:
         return self._terms
 
     def coefficient(self, mono: Iterable[int]) -> int | Fraction:
-        return self._terms.get(tuple(mono), _ZERO)
+        """Coefficient of the monomial ``mono`` (normalized first); ``0`` if absent."""
+        return self._terms.get(monomial(mono), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -1,5 +1,6 @@
 """The command-line interface: report schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import stat
@@ -708,6 +709,15 @@ class TestExactReports:
                 assert format_rat(Fraction(coef)) == coef, (argv, coef)
                 seen += 1
         assert seen > 50  # the 24 act reports alone carry 79
+
+    def test_singular_level_4_report_matches_pinned_sha256(self, capsys):
+        # pinned from the search that pulled every relation round up to r_start
+        argv = ["singular", "--mu", "(u+2)/(u+1)", "--level", "4", "--degree", "8"]
+        code, out, _ = call_main(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "92796ef2aff77738a2eb4e6911a0288fd17eeeecf979520776255b8bb37ce11b"
+        )
 
     @pytest.mark.parametrize(
         "case",

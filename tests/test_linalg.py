@@ -344,3 +344,31 @@ class TestIntegerRows:
             ref.add(row)
         assert type(echelon._rows[0][0]) is int  # the first row stayed integral
         assert echelon.reduced() == ref.reduced()
+
+
+class TestFullColumnRank:
+    """At full column rank ``reduced()`` is the identity, read without back-substitution."""
+
+    def test_matches_the_reference_and_stays_usable(self):
+        rng = random.Random(31)
+        kinds = set()
+        for rows, ncols in _mixed_matrices(seed=37, count=400):
+            if len(_reference_rref(_frac_rows(rows))[1]) < ncols:
+                continue
+            echelon, ref = RowEchelon(), _ReferenceEchelon()
+            for row in rows:
+                echelon.add(row)
+                ref.add(row)
+            reduced, pivots = echelon.reduced()
+            assert (reduced, pivots) == ref.reduced(), rows
+            assert reduced == [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+            assert all(type(x) is Fraction for r in reduced for x in r), rows
+            for _ in range(3):  # later rows lie in the span
+                echelon.add([rng.choice([0, 1, -3, Fraction(2, 5)]) for _ in range(ncols)])
+                assert echelon.rank == ncols, rows
+            assert echelon.reduced() == (reduced, pivots)
+            assert nullspace(rows, ncols) == [], rows
+            entries = {type(x) for row in rows for x in row}
+            kinds.add((len(rows) == ncols, "mixed" if len(entries) > 1 else entries.pop().__name__))
+        # square and tall, each with int, Fraction and mixed entries
+        assert kinds == {(sq, k) for sq in (True, False) for k in ("int", "Fraction", "mixed")}

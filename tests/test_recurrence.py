@@ -281,6 +281,29 @@ class TestReconstruct:
         with pytest.raises(InputError):
             reconstruct_rational([1, 1], [1, 1], tail_start=0)
 
+    def test_rejects_tail_start_past_the_window(self):
+        for start in (2, 3):
+            with pytest.raises(InputError, match="past the window"):
+                reconstruct_rational(["1/2"], [1, 1], start)
+        # the last start whose numerator the window still holds
+        assert reconstruct_rational(["1/2"], [1, 1], 1) == parse_rational_fn("(u+3/2)/(u+1)")
+
+    def test_seeded_sweep_gives_a_result_or_an_input_error(self):
+        rng = random.Random(17)
+        outcomes = set()
+        for _ in range(3000):
+            nu = [rng.choice([0, 1, -2, Fraction(1, 2), 3]) for _ in range(rng.randint(0, 6))]
+            c = [rng.choice([0, 0, 1, -1, Fraction(2, 3)]) for _ in range(rng.randint(1, 4))]
+            start = rng.randint(-1, 8)
+            try:
+                result = reconstruct_rational(nu, c, start)
+            except InputError:
+                outcomes.add("input error")
+            else:
+                assert isinstance(result, RationalFn), (nu, c, start)
+                outcomes.add("result")
+        assert outcomes == {"result", "input error"}
+
 
 class TestVerdict:
     def test_rational_input_short_circuits(self):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from yverma import linalg
+from yverma import linalg, singular
 from yverma.errors import InputError, InsufficientDataError, TruncationError
 from yverma.gauss import act_h, as_gl2_weights, e_series
 from yverma.rational import format_rat, parse_rational_fn, rat
@@ -210,6 +210,66 @@ class TestSearch:
             assert (res.relation_bound, res.stabilized) == expected, order
 
 
+class TestFullRankStop:
+    """On an exact weight the relation rounds end once the kernel is empty."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        counts = []
+        inner = singular.e_series
+
+        def counting(v, hw, cache=None):
+            counts.append(0)
+            k = len(counts) - 1
+            for img in inner(v, hw, cache):
+                counts[k] += 1
+                yield img
+
+        monkeypatch.setattr(singular, "e_series", counting)
+        return counts
+
+    def test_exact_weight_stops_before_r_start(self, drawn):
+        res = find_singular(MU, 3, 7)
+        r_start = 7 + 3 + 1
+        assert (res.relation_bound, res.stabilized, res.fbasis) == (r_start, True, ())
+        assert len(drawn) == len(res.candidates)
+        assert max(drawn) < r_start + 1
+
+    def test_truncated_weight_draws_every_round_to_r_start(self, drawn):
+        res = find_singular(expand_rational(MU, order=40), 2, 1)
+        r_start = 1 + 2 + 1
+        assert (res.relation_bound, res.stabilized, res.fbasis) == (r_start, True, ())
+        assert drawn == [r_start + 1] * len(res.candidates)
+
+    def test_integral_weight_rows_are_int(self, monkeypatch):
+        rows, marks = [], []
+        add, nullspace = linalg.RowEchelon.add, linalg.nullspace
+
+        def spy_add(self, row):
+            rows.append(list(row))
+            add(self, row)
+
+        def spy_nullspace(reduced, ncols):
+            marks.append(len(rows))  # rows from here on are nullspace's own
+            return nullspace(reduced, ncols)
+
+        monkeypatch.setattr(linalg.RowEchelon, "add", spy_add)
+        monkeypatch.setattr(linalg, "nullspace", spy_nullspace)
+        find_singular(MU, 3, 7)
+        search_rows = rows[: marks[0]]
+        assert search_rows
+        assert all(type(x) is int for row in search_rows for x in row)
+
+    def test_level_six_degree_twelve(self):
+        # the rank is full after two relation rounds; the time bound only guards against a hang
+        start = time.perf_counter()
+        res = find_singular(MU, 6, 12)
+        assert len(res.candidates) == 227
+        assert (res.relation_bound, res.stabilized) == (19, True)
+        assert res.fbasis == () and res.basis == ()
+        assert time.perf_counter() - start < 30
+
+
 class TestAgainstReference:
     """find_singular reports what the per-round kernel search reports."""
 
@@ -228,6 +288,9 @@ class TestAgainstReference:
         cases = [(w, 1, d) for w in self.WEIGHTS for d in range(7)]
         cases += [(w, 2, rng.randint(0, 6)) for w in self.WEIGHTS]
         cases += [(w, 3, rng.randint(0, 4)) for w in self.WEIGHTS]
+        # level 4 on the exact weights, where the rounds end at full rank, at
+        # degrees where the per-round reference stays near a second each
+        cases += [(w, 4, 5 if "/2" in w else 6) for w in self.WEIGHTS]
         kinds = set()
         for text, level, bound in cases:
             mu = parse_rational_fn(text)

@@ -130,6 +130,17 @@ class TestModuleVector:
         v = ModuleVector.basis([1, 4]).scaled(Fraction(-3, 7)) + ModuleVector.highest()
         assert ModuleVector.from_obj(v.to_obj()) == v
 
+    def test_coefficient_normalizes_its_key(self):
+        v = ModuleVector.basis([1, 2]).scaled(3)
+        assert v.coefficient([2, 1]) == v.coefficient((1, 2)) == 3
+        with pytest.raises(InputError):
+            v.coefficient([0, 1])
+
+    def test_coefficient_of_a_missing_monomial_is_int_zero(self):
+        for v in (ModuleVector.zero(), ModuleVector.basis([1, 2]).scaled(Fraction(1, 3))):
+            c = v.coefficient([3])
+            assert c == 0 and type(c) is int
+
     def test_constructor_sorts_monomial_keys(self):
         assert ModuleVector({(2, 1): 1}) == ModuleVector.basis([1, 2])
         assert ModuleVector({(2, 1): 1, (1, 2): 2}).terms == {(1, 2): 3}
