@@ -14,8 +14,9 @@ coefficient,
 
     Y_n = S_n - sum_{c=1}^{n} t_22^(c) Y_{n-c},
 
-and products t_ij(u) Y(u) are taken coefficientwise.  With W = t_22(u)^{-1} v
-this gives
+and products t_ij(u) Y(u) are taken coefficientwise.  Each Y_n and each
+coefficient of a product accumulates in one dict (``verma._act_into``).
+With W = t_22(u)^{-1} v this gives
 
     f(u) v = t_21(u) W,
     e(u) v = t_22(u)^{-1} (t_12(u) v)      (because t_22(u) e(u) = t_12(u)),
@@ -39,6 +40,8 @@ from .verma import (
     ActionCache,
     HighestWeightGL2,
     ModuleVector,
+    _act_into,
+    _add_scaled_into,
     act_generator,
     act_quantum_det,
     bind_cache,
@@ -68,13 +71,13 @@ def _t22_solve(source: Iterable[ModuleVector], cache: ActionCache) -> Iterator[M
     S_n is the n-th vector of ``source``, and zero once it runs out.
     """
     ys: list[ModuleVector] = []
-    for y in chain(source, repeat(_ZERO_VECTOR)):
+    for s_n in chain(source, repeat(_ZERO_VECTOR)):
         n = len(ys)
+        acc = dict(s_n.terms)
         for c in range(1, n + 1):
-            if ys[n - c]:
-                y = y - act_generator(2, 2, c, ys[n - c], cache.hw, cache)
-        ys.append(y)
-        yield y
+            _act_into(acc, 2, 2, c, ys[n - c].terms, cache, -1)
+        ys.append(ModuleVector._of(acc))
+        yield ys[-1]
 
 
 def _t_times(
@@ -82,11 +85,10 @@ def _t_times(
 ) -> ModuleVector:
     """sum_{b=1}^{n} t_ij^(b) Y_{n-b}: the u^{-n} coefficient of
     (t_ij(u) - delta_ij) Y(u), read from Y_0, ..., Y_{n-1}."""
-    out = _ZERO_VECTOR
+    acc: dict = {}
     for a in range(n):
-        if ys[a]:
-            out = out + act_generator(i, j, n - a, ys[a], cache.hw, cache)
-    return out
+        _act_into(acc, i, j, n - a, ys[a].terms, cache)
+    return ModuleVector._of(acc)
 
 
 def e_series(
@@ -172,12 +174,12 @@ def act_h_via_quantum_det(
     n = r + 1
     qdet_v = [act_quantum_det(z, v, cache.hw, cache) if z else v for z in range(n + 1)]
     # the u^{-m} coefficient of t_22(u-1)^{-1} qdet(u) v, for m = 0..n
-    middle = list(qdet_v)
+    middle = [dict(q.terms) for q in qdet_v]
     for z, vz in enumerate(qdet_v):
         inv = list(islice(_t22_solve([vz], cache), n - z + 1))
         for w in range(1, n - z + 1):
             for s in range(1, w + 1):
                 coef = shifted_power_coeff(s, w, -1)
                 if coef:
-                    middle[z + w] = middle[z + w] + inv[s].scaled(coef)
-    return next(islice(_t22_solve(middle, cache), n, None))
+                    _add_scaled_into(middle[z + w], inv[s].terms, coef)
+    return next(islice(_t22_solve(map(ModuleVector._of, middle), cache), n, None))

@@ -36,6 +36,9 @@ from .verma import (
     HighestWeightGL2,
     ModuleVector,
     Monomial,
+    _act_into,
+    _act_mono,
+    _check_indices,
     act_generator,
     act_quantum_det,
     basis_monomials,
@@ -62,20 +65,24 @@ def rtt_relation_defect(
     relation holds on vec.
 
     The expansion is sum over a = 1..min(r,s) of
-    (t_kj^(a-1) t_il^(r+s-a) - t_kj^(r+s-a) t_il^(a-1)) vec.
+    (t_kj^(a-1) t_il^(r+s-a) - t_kj^(r+s-a) t_il^(a-1)) vec.  All of it is
+    accumulated in one dict, term by term of vec, so each outer generator
+    acts on every term's image before the terms are summed: on a truncated
+    weight a vec of several terms can run out at another lookup than the
+    products of whole-vector actions, and its ``TruncationError`` then
+    names another missing coefficient.
     """
+    _check_indices(i, j, r)
+    _check_indices(k, l, s)
     cache = bind_cache(hw, cache)
-    lhs = act_generator(i, j, r, act_generator(k, l, s, vec, hw, cache), hw, cache)
-    lhs -= act_generator(k, l, s, act_generator(i, j, r, vec, hw, cache), hw, cache)
-    rhs = ModuleVector.zero()
-    for a in range(1, min(r, s) + 1):
-        rhs += act_generator(
-            k, j, a - 1, act_generator(i, l, r + s - a, vec, hw, cache), hw, cache
-        )
-        rhs -= act_generator(
-            k, j, r + s - a, act_generator(i, l, a - 1, vec, hw, cache), hw, cache
-        )
-    return lhs - rhs
+    acc: dict = {}
+    for mono, c in vec.terms.items():
+        _act_into(acc, i, j, r, _act_mono(k, l, s, mono, cache), cache, c)
+        _act_into(acc, k, l, s, _act_mono(i, j, r, mono, cache), cache, -c)
+        for a in range(1, min(r, s) + 1):
+            _act_into(acc, k, j, a - 1, _act_mono(i, l, r + s - a, mono, cache), cache, -c)
+            _act_into(acc, k, j, r + s - a, _act_mono(i, l, a - 1, mono, cache), cache, c)
+    return ModuleVector._of(acc)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from typing import Iterator, Optional, Union
 from . import linalg
 from .errors import InputError, InsufficientDataError, TruncationError
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
-from .rational import RationalFn
+from .rational import RationalFn, rat
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
-from .verma import nondecreasing_tuples, terms_to_obj
+from .verma import _add_scaled_into, _narrow, nondecreasing_tuples, terms_to_obj
 
 #: Exponent tuple of an ordered f-monomial: non-decreasing, entries >= 0.
 FMonomial = tuple[int, ...]
@@ -77,10 +77,11 @@ def expand_f_vector(
 ) -> ModuleVector:
     hw = as_gl2_weights(mu_or_hw)
     cache = bind_cache(hw, cache)
-    out = ModuleVector.zero()
+    acc: dict = {}
     for fmono, c in fvec.items():
-        out = out + expand_f_monomial(tuple(fmono), hw, cache).scaled(c)
-    return out
+        image = expand_f_monomial(tuple(fmono), hw, cache)
+        _add_scaled_into(acc, image.terms, _narrow(rat(c)))
+    return ModuleVector._of(acc)
 
 
 def fvector_to_obj(fvec: FVector) -> dict:
@@ -183,11 +184,11 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
     )
     basis = []
     for vec in current:
-        acc = ModuleVector.zero()
+        acc: dict = {}
         for j, coord in enumerate(vec):
             if coord:
-                acc = acc + vectors[j].scaled(coord)
-        basis.append(acc)
+                _add_scaled_into(acc, vectors[j].terms, _narrow(coord))
+        basis.append(ModuleVector._of(acc))
 
     return SingularSearchResult(
         level=level,

@@ -20,7 +20,8 @@ structural recursion on the leftmost t_21 factor:
 with the commutator expanded by the defining relation.  Every recursive
 call strictly decreases (generator index r) + (monomial degree), which
 proves termination: the commutator terms have generator indices a-1 < r
-or act on the shorter monomial w.
+or act on the shorter monomial w.  Every sum of generator images is built
+in one dict by ``_act_into``, the only vector-level action loop.
 """
 
 from __future__ import annotations
@@ -128,16 +129,13 @@ class ModuleVector:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            _add_into(acc, m, c)
-        return ModuleVector._of(acc)
+        return ModuleVector._of(_add_scaled_into(dict(self._terms), other._terms, 1))
 
     def __neg__(self) -> "ModuleVector":
         return ModuleVector._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-other)
+        return ModuleVector._of(_add_scaled_into(dict(self._terms), other._terms, -1))
 
     def scaled(self, c: Scalar) -> "ModuleVector":
         c = _narrow(rat(c))
@@ -283,6 +281,13 @@ def _add_into(acc: dict, mono: Monomial, c: int | Fraction) -> None:
         del acc[mono]
 
 
+def _add_scaled_into(acc: dict, terms: Mapping, c: int | Fraction) -> dict:
+    """Accumulate c * terms into acc, in place; returns acc."""
+    for mono, x in terms.items():
+        _add_into(acc, mono, c * x)
+    return acc
+
+
 def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dict:
     """Action of t_ij^(r) on one basis monomial, as a coefficient dict."""
     key = (i, j, r, mono)
@@ -311,8 +316,8 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
             x, y = a - 1, r + s - a
             # [t_ij^(r), t_21^(s)] = hbar sum_a ( t_2j^(a-1) t_i1^(r+s-a)
             #                                     - t_2j^(r+s-a) t_i1^(a-1) )
-            _compose_into(acc, (2, j, x), (i, 1, y), rest, cache, hbar)
-            _compose_into(acc, (2, j, y), (i, 1, x), rest, cache, -hbar)
+            _act_into(acc, 2, j, x, _act_mono(i, 1, y, rest, cache), cache, hbar)
+            _act_into(acc, 2, j, y, _act_mono(i, 1, x, rest, cache), cache, -hbar)
         res = acc
     tail = cache._tail
     if tail is not None:
@@ -322,16 +327,17 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
     return res
 
 
-def _compose_into(
-    acc: dict, outer: tuple, inner: tuple, mono: Monomial, cache, sign: int | Fraction
-) -> None:
-    """Accumulate sign * (outer generator)(inner generator) mono into acc."""
-    i2, j2, r2 = inner
-    i1, j1, r1 = outer
-    for m1, c1 in _act_mono(i2, j2, r2, mono, cache).items():
-        cs = c1 * sign
-        for m2, c2 in _act_mono(i1, j1, r1, m1, cache).items():
+def _act_into(acc: dict, i: int, j: int, r: int, terms: Mapping, cache, sign=1) -> dict:
+    """Accumulate sign * t_ij^(r) applied to the vector ``terms`` into acc,
+    in place, term by term; returns acc.  The one vector-level action loop:
+    a product t t' of generators acts on a monomial m as this loop run on
+    the image ``_act_mono(t', m)``."""
+    for mono, c in terms.items():
+        cs = c * sign
+        # _add_scaled_into's loop, inlined: the kernel recursion runs here
+        for m2, c2 in _act_mono(i, j, r, mono, cache).items():
             _add_into(acc, m2, cs * c2)
+    return acc
 
 
 def act_generator(
@@ -348,12 +354,7 @@ def act_generator(
     the identity (i == j) or zero (i != j).
     """
     _check_indices(i, j, r)
-    cache = bind_cache(hw, cache)
-    acc: dict = {}
-    for mono, c in v.terms.items():
-        for m2, c2 in _act_mono(i, j, r, mono, cache).items():
-            _add_into(acc, m2, c * c2)
-    return ModuleVector._of(acc)
+    return ModuleVector._of(_act_into({}, i, j, r, v.terms, bind_cache(hw, cache)))
 
 
 def act_quantum_det(
@@ -378,19 +379,17 @@ def act_quantum_det(
         return v
     acc: dict = {}
     for mono, c0 in v.terms.items():
-        for y in range(0, r + 1):
+        for y in range(r):
             x = r - y
-            if x == 0:
-                for m2, c2 in _act_mono(1, 1, y, mono, cache).items():
-                    _add_into(acc, m2, c0 * c2)
-                continue
             for s in range(1, x + 1):
                 w = shifted_power_coeff(s, x, -1)
                 if not w:
                     continue
-                _compose_into(acc, (1, 1, y), (2, 2, s), mono, cache, c0 * w)
+                _act_into(acc, 1, 1, y, _act_mono(2, 2, s, mono, cache), cache, c0 * w)
                 if y >= 1:
-                    _compose_into(acc, (2, 1, y), (1, 2, s), mono, cache, -c0 * w)
+                    _act_into(acc, 2, 1, y, _act_mono(1, 2, s, mono, cache), cache, -c0 * w)
+        # the x = 0 term: t_11^(r) t_22^(0)
+        _act_into(acc, 1, 1, r, {mono: c0}, cache)
     return ModuleVector._of(acc)
 
 

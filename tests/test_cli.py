@@ -719,6 +719,24 @@ class TestExactReports:
             "92796ef2aff77738a2eb4e6911a0288fd17eeeecf979520776255b8bb37ce11b"
         )
 
+    #: (gen, r) -> (exit code, sha256 of the act report on mono 1,3 over an
+    #: 8-coefficient series weight), pinned from the solve that built each
+    #: Y_n by whole-vector subtraction; h(7) runs out and names coefficient 10
+    ACT_PINS = {
+        ("e", 3): (0, "ce89f559c4536512056ddbea08e162f3b92fee4243f87e73a304ec594cde5b74"),
+        ("f", 3): (0, "44f4e9f40916dc3bbbc83eac41d3164622c8e59a9171a0f903307dc8d3cc7278"),
+        ("h", 3): (0, "dd4f40accbca9f662ebeb8ee71ed51ffa64ba556ee557ff9bd9cf43830284c1a"),
+        ("qdet", 3): (0, "1c52325e6b0f23f6d38ffb60cb28c1ee27bba90a5bea06457deceb512dde1b7e"),
+        ("h", 7): (3, "782bcdad2b40cdef5027e13652cc23ec5e42d8452976c2ad039ce65603067b7c"),
+    }
+
+    @pytest.mark.parametrize("gen, r", ACT_PINS, ids=lambda x: str(x))
+    def test_act_reports_match_pinned_sha256(self, capsys, gen, r):
+        mu = "series:1,-1/2,1/3,-1/4,1/5,-1/6,1/7,-1/8"
+        argv = ["act", "--gen", gen, "--r", str(r), "--mono", "1,3", "--mu", mu]
+        code, out, _ = call_main(capsys, argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == self.ACT_PINS[gen, r]
+
     @pytest.mark.parametrize(
         "case",
         json.loads((Path(__file__).parent / "data" / "kernel_goldens.json").read_text()),

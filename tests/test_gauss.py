@@ -1,7 +1,12 @@
 """The sl(2) operators e, f, h obtained from the generator matrix."""
 
+import random
+from fractions import Fraction
+from itertools import chain, islice, repeat
+
 import pytest
 
+import yverma.gauss as gauss
 from yverma.errors import InputError, TruncationError
 from yverma.rational import parse_rational_fn
 from yverma.series import SERIES_ONE, expand_rational
@@ -9,6 +14,7 @@ from yverma.verma import (
     ActionCache,
     HighestWeightGL2,
     ModuleVector,
+    act_generator,
     basis_monomials,
 )
 from yverma.gauss import (
@@ -201,3 +207,88 @@ class TestTruncationBoundaries:
             assert next(series) == act_e(r, ModuleVector.basis((1, 2)), self.HW6)
         with pytest.raises(TruncationError):
             next(series)
+
+
+def _reference_t22_solve(source, cache):
+    """Y(u) = t_22(u)^{-1} S(u) by whole-vector subtraction: the reference
+    for the one-dict solve in ``gauss._t22_solve``."""
+    ys = []
+    for y in chain(source, repeat(ModuleVector.zero())):
+        n = len(ys)
+        for c in range(1, n + 1):
+            if ys[n - c]:
+                y = y - act_generator(2, 2, c, ys[n - c], cache.hw, cache)
+        ys.append(y)
+        yield y
+
+
+#: name -> (r, v, hw, cache) -> the operator applied through gauss._t22_solve
+SOLVE_ROUTES = {
+    "e_series": lambda r, v, hw, cache: list(islice(e_series(v, hw, cache), r + 1)),
+    "act_e": act_e,
+    "act_f": act_f,
+    "act_h": act_h,
+    "act_h_via_quantum_det": act_h_via_quantum_det,
+}
+
+
+def _seeded_vectors(seed):
+    """Unit vectors and seeded int and Fraction vectors of levels <= 3."""
+    rng = random.Random(seed)
+    monos = basis_monomials(max_level=3, max_degree=5)
+    vectors = [ModuleVector.basis(m) for m in ((), (1,), (1, 2), (1, 1, 3))]
+    for _ in range(3):
+        picked = rng.sample(monos, rng.randint(2, 3))
+        vectors.append(ModuleVector({m: rng.choice([-2, -1, 1, 3]) for m in picked}))
+        picked = rng.sample(monos, rng.randint(2, 3))
+        vectors.append(ModuleVector({m: Fraction(rng.randint(-5, 5) or 1, 3) for m in picked}))
+    return vectors
+
+
+class TestSolveAgainstReference:
+    """Every e, f and h route through the one-dict solve and through its reference."""
+
+    def _both(self, monkeypatch, compute):
+        ours = compute()
+        monkeypatch.setattr(gauss, "_t22_solve", _reference_t22_solve)
+        try:
+            return ours, compute()
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("route", SOLVE_ROUTES)
+    def test_same_vectors(self, monkeypatch, route):
+        op = SOLVE_ROUTES[route]
+        weights = (HW, as_gl2_weights(parse_rational_fn("(u+7/2)(u+3)/((u+1/2)(u+2))")))
+
+        def compute():
+            out = []
+            for hw in weights:
+                cache = ActionCache(hw)
+                for v in _seeded_vectors(0):
+                    out += [op(r, v, hw, cache) for r in range(6)]
+            return out
+
+        ours, reference = self._both(monkeypatch, compute)
+        assert ours == reference
+        assert any(ours)
+
+    @pytest.mark.parametrize("route", SOLVE_ROUTES)
+    def test_same_first_truncation(self, monkeypatch, route):
+        op = SOLVE_ROUTES[route]
+        hw6 = TestTruncationBoundaries.HW6
+
+        def first_truncation(v):
+            for r in range(9):
+                try:
+                    op(r, v, hw6, ActionCache(hw6))
+                except TruncationError as exc:
+                    return r, exc.needed
+            return None
+
+        def compute():
+            return [first_truncation(v) for v in _seeded_vectors(1)]
+
+        ours, reference = self._both(monkeypatch, compute)
+        assert ours == reference
+        assert any(ours) == (route != "act_f")
