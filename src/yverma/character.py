@@ -15,8 +15,9 @@ The radical of the form is the maximal proper submodule.  For a rational
 weight mu of degree p on its canonical polynomial weights, monomials
 with an index > p span a submodule N (the tail submodule) inside that
 radical.  So the monomials with all indices in {1..p} span the
-irreducible quotient L, and the Gram route works in M/N: its cache drops
-every monomial of N from every action result.
+irreducible quotient L, and the Gram route works in M/N: on its cache
+t_21^(r), r > p, acts by zero, so no monomial of N is ever created, and
+the pairing recursion reads the cached kernel images directly.
 
 Every Gram entry is an ``int``.  With D the lcm of the coefficient
 denominators of both polynomial weights, T^(r) = D^r t^(r) satisfy the
@@ -63,9 +64,8 @@ from .verma import (
     ActionCache,
     HighestWeightGL2,
     Monomial,
-    ModuleVector,
+    _act_mono,
     _insert,
-    act_generator,
     bind_cache,
     canonical_polynomial_weights,
     monomial,
@@ -88,14 +88,15 @@ def contravariant_pairing(
     m2 = monomial(m2)
     if len(m1) != len(m2):
         raise InputError("pairing requires equal levels")
-    # memo hits skip act_generator, so bind here
+    # _pairing reads the kernel and the memo from the cache alone, so bind here
     return _pairing(m1, m2, bind_cache(hw, cache))
 
 
 def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
     """<m1, m2> = sum_m c_m <m1[1:], m> where t_12^(m1[0]) m2 = sum_m c_m m.
 
-    Starts from an int unit vector, so on integral weights every entry is an int.
+    Reads the cached kernel image t_12^(m1[0]) m2, all int on an integral
+    weight, so there every entry is an int.
     """
     if not m1:
         return 1
@@ -105,8 +106,7 @@ def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
         return hit
     rest = m1[1:]
     total = 0
-    image = act_generator(1, 2, m1[0], ModuleVector._of({m2: 1}), cache.hw, cache)
-    for m, c in image.terms.items():
+    for m, c in _act_mono(1, 2, m1[0], m2, cache).items():
         total += c * _pairing(rest, m, cache)
     cache.data[key] = total
     return total
@@ -131,8 +131,8 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     """dim of the weight space mu^(0) - 2k of the irreducible quotient, k <= max_level.
 
     Uses the canonical polynomial realization, rescaled to integers, and
-    a cache in Y_D projected onto M/N: it drops every monomial with an
-    index > p = deg(mu), and N lies in the radical.  Level k pairs only
+    a cache in Y_D projected onto M/N: t_21^(r) with r > p = deg(mu) acts
+    by zero, and N lies in the radical.  Level k pairs only
     the monomials S_k built from the previous level's basis B_{k-1}
     (B_0 = [()]), fills the upper triangle of the symmetric Gram matrix
     and mirrors it, and takes B_k from the pivot columns of its echelon;

@@ -58,9 +58,10 @@ from .recurrence import detect_recurrence
 from .rootsys import CartanData, cartan_matrix, positive_roots
 from .selftest import run_selftest
 from .series import SeriesU, expand_rational, series_from_tail
-from .singular import find_singular, fvector_to_obj
+from .singular import find_singular
 from .verdicts import HighestWeightTuple, classify, verdict_finite_dimensional
 from .verma import ActionCache, ModuleVector, act_generator, act_quantum_det, monomial
+from .verma import terms_to_obj
 
 SCHEMA = "verma/1"
 
@@ -259,7 +260,7 @@ def _run_singular(params: dict) -> tuple[dict, int]:
             "degree_bound": res.degree_bound,
             "relation_budget": res.relation_bound,
             "stabilized": res.stabilized,
-            "basis": [fvector_to_obj(fv) for fv in res.fbasis],
+            "basis": [terms_to_obj(fv) for fv in res.fbasis],
             "pbw": [v.to_obj() for v in res.basis],
         },
         EXIT_OK,

@@ -31,7 +31,7 @@ from .errors import InputError, InsufficientDataError, TruncationError
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
 from .rational import RationalFn, rat
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
-from .verma import _add_scaled_into, _narrow, nondecreasing_tuples, terms_to_obj
+from .verma import _add_scaled_into, _narrow, nondecreasing_tuples
 
 #: Exponent tuple of an ordered f-monomial: non-decreasing, entries >= 0.
 FMonomial = tuple[int, ...]
@@ -82,10 +82,6 @@ def expand_f_vector(
         image = expand_f_monomial(tuple(fmono), hw, cache)
         _add_scaled_into(acc, image.terms, _narrow(rat(c)))
     return ModuleVector._of(acc)
-
-
-def fvector_to_obj(fvec: FVector) -> dict:
-    return terms_to_obj(fvec)
 
 
 @dataclass(frozen=True)

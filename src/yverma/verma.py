@@ -231,10 +231,13 @@ class ActionCache:
     ``_tail`` is the projection degree, ``None`` by default.  Only
     ``irreducible_weight_dims`` sets it, to p = deg(mu) on the canonical
     polynomial weights of mu: there the monomials with an index > p span
-    a submodule N inside the radical of the contravariant form, so every
-    action result drops them before it is stored and the cache computes
-    in M/N.  A cache with ``_tail`` set gives pairings equal to a plain
-    cache but not PBW normal forms of M.
+    a submodule N inside the radical of the contravariant form, and the
+    cache computes in M/N, where t_21^(r), r > ``_tail``, acts by zero.
+    That insertion is the only place the kernel creates an index, so the
+    rule is exact on the precondition that every monomial handed to a
+    projecting cache has all indices <= ``_tail``; a monomial of N
+    handed in is not reduced.  A cache with ``_tail`` set gives pairings
+    equal to a plain cache but not PBW normal forms of M.
 
     ``hbar`` scales every commutator term, 1 by default, so the kernel
     computes in Y_hbar: on ``hw`` with coefficients hbar^r lambda_i^(r) it
@@ -297,7 +300,9 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
     if r == 0:
         res = {mono: 1} if i == j else {}
     elif i == 2 and j == 1:
-        res = {_insert(mono, r): 1}
+        # t_21^(r), r > _tail, acts by zero: the one place an index > p is born
+        tail = cache._tail
+        res = {} if tail is not None and r > tail else {_insert(mono, r): 1}
     elif not mono:
         if i == 1 and j == 2:
             res = {}
@@ -319,10 +324,6 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
             _act_into(acc, 2, j, x, _act_mono(i, 1, y, rest, cache), cache, hbar)
             _act_into(acc, 2, j, y, _act_mono(i, 1, x, rest, cache), cache, -hbar)
         res = acc
-    tail = cache._tail
-    if tail is not None:
-        # monomials are sorted, so m[-1] is the largest index
-        res = {m: c for m, c in res.items() if not m or m[-1] <= tail}
     cache.data[key] = res
     return res
 

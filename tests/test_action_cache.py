@@ -6,10 +6,12 @@ cache bound to another weight is rejected, also when its memo already
 holds the keys the call would read.
 """
 
+import ast
 from fractions import Fraction
 from hashlib import sha256
 from itertools import combinations_with_replacement, islice, product
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -324,3 +326,70 @@ def test_hbar_cache_pairing_is_rescaled_plain_pairing(mu):
             got = contravariant_pairing(m1, m2, scaled, cache)
             assert type(got) is int
             assert got == d ** (sum(m1) + sum(m2)) * contravariant_pairing(m1, m2, hw, plain)
+
+
+# -- who sets the projection slots ---------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"
+
+#: where the library may assign ``_tail`` or ``hbar``: the defaults, and the Gram route
+SLOT_WRITERS = {("verma", "ActionCache.__init__"), ("character", "irreducible_weight_dims")}
+
+
+def slot_assignments(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualified function) of every write to an attribute ``_tail`` or ``hbar``.
+
+    A write is an assignment target (plain, augmented, annotated or
+    unpacked) or a ``setattr`` call naming the slot; writes outside any
+    function are reported under ``<module>``.
+    """
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope != "<module>" else child.name
+            targets = []
+            if isinstance(child, ast.Assign):
+                targets = [t for target in child.targets for t in ast.walk(target)]
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "setattr":
+                slot = child.args[1] if len(child.args) > 1 else None
+                if isinstance(slot, ast.Constant) and slot.value in ("_tail", "hbar"):
+                    found.add((module, scope))
+            if any(isinstance(t, ast.Attribute) and t.attr in ("_tail", "hbar") for t in targets):
+                found.add((module, scope))
+            visit(child, module, name)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_only_the_gram_route_sets_the_projection_slots():
+    # t_21^(r), r > _tail, acts by zero; that is exact only on inputs with
+    # every index <= _tail, which irreducible_weight_dims alone hands in
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert slot_assignments(sources) == SLOT_WRITERS
+
+
+def test_slot_guard_sees_every_form_of_write():
+    source = (
+        "class C:\n"
+        "    def f(self, c):\n"
+        "        c._tail = 3\n"
+        "def g(c):\n"
+        "    a, c.hbar = 1, 2\n"
+        "def h(c):\n"
+        "    c.hbar += 1\n"
+        "def k(c):\n"
+        "    setattr(c, '_tail', 4)\n"
+        "def ok(c):\n"
+        "    return c._tail, c.hbar\n"
+        "x: int = 0\n"
+    )
+    assert slot_assignments({"m": source}) == {
+        ("m", "C.f"), ("m", "g"), ("m", "h"), ("m", "k")
+    }

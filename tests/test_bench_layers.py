@@ -77,7 +77,7 @@ def test_every_name_the_oracles_import_resolves():
 def test_traced_jobs_report_unchanged_and_count_cache_entries():
     tracing = _tracing()
     plain = [_run_cli(argv) for argv in _JOBS]
-    original = character.act_generator
+    original = character.rational_roots
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -88,7 +88,7 @@ def test_traced_jobs_report_unchanged_and_count_cache_entries():
             tracer.end_job()
     finally:
         tracer.uninstall()
-    assert character.act_generator is original
+    assert character.rational_roots is original
     assert traced == plain
     spans, counts = tracer.take()
     assert tracing.counter_metrics(counts)["verma.cache_entries"] > 0

@@ -155,6 +155,21 @@ def _projecting_cache(hw, p):
     return cache
 
 
+def _recorded_gram_cache(monkeypatch, mu, max_level=4):
+    """The one cache ``irreducible_weight_dims`` builds, after a run to max_level."""
+    caches = []
+
+    class Recording(ActionCache):
+        def __init__(self, hw):
+            super().__init__(hw)
+            caches.append(self)
+
+    monkeypatch.setattr(character, "ActionCache", Recording)
+    irreducible_weight_dims(mu, max_level)
+    (cache,) = caches
+    return cache
+
+
 def _reference_dims(mu, max_level):
     """The full route: rank of the Gram matrix on every level-k monomial over {1..p}."""
     p = mu.degree
@@ -271,16 +286,7 @@ class TestIntegerGram:
         ],
     )
     def test_gram_cache_holds_only_ints(self, monkeypatch, text):
-        caches = []
-
-        class Recording(ActionCache):
-            def __init__(self, hw):
-                super().__init__(hw)
-                caches.append(self)
-
-        monkeypatch.setattr(character, "ActionCache", Recording)
-        irreducible_weight_dims(parse_rational_fn(text), max_level=4)
-        (cache,) = caches
+        cache = _recorded_gram_cache(monkeypatch, parse_rational_fn(text))
         assert cache.hbar > 1
         values = [
             x
@@ -289,6 +295,28 @@ class TestIntegerGram:
         ]
         assert len(values) > 100
         assert all(type(x) is int for x in values)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(u+7/2)(u+11/2)(u+9)/((u+1/2)(u+2)(u+4))",
+            "(u+7/3)(u+5)/((u+1/3)(u+2))",
+            "(u^2+7u+57/4)(u+7/3)/((u^2+3u+17/4)(u+1/3))",
+            "(u+3)(u+5)(u+9)(u+10)/((u+1)(u+2)(u+4)(u+7))",
+        ],
+    )
+    def test_gram_cache_holds_no_tail_index(self, monkeypatch, text):
+        # t_21^(r), r > p, acts by zero, so no monomial of N is ever created
+        mu = parse_rational_fn(text)
+        p = mu.degree
+        cache = _recorded_gram_cache(monkeypatch, mu)
+        monos = [
+            m
+            for key, value in cache.data.items()
+            for m in (key if len(key) == 2 else [key[3], *value])
+        ]
+        assert len(monos) > 100 and max(map(len, monos)) == 4
+        assert all(x <= p for m in monos for x in m)
 
     @pytest.mark.parametrize(
         "text",
@@ -340,7 +368,7 @@ class TestTailProjection:
                     got = contravariant_pairing(m1, m2, hw, projecting)
                     assert got == contravariant_pairing(m1, m2, hw, plain), (m1, m2)
 
-    @pytest.mark.parametrize("mu", [MU1, MU_PROD], ids=str)
+    @pytest.mark.parametrize("mu", [MU1, MU2, MU_PROD, MU_P3], ids=str)
     def test_projected_action_is_plain_action_modulo_tail(self, mu):
         p = mu.degree
         hw = canonical_polynomial_weights(mu)
@@ -348,7 +376,7 @@ class TestTailProjection:
         for mono in _spanning(p, 3):
             v = ModuleVector.basis(mono)
             for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                for r in range(p + 3):
+                for r in range(2 * p + 3):
                     full = act_generator(i, j, r, v, hw, plain)
                     kept = {m: c for m, c in full.terms.items() if all(x <= p for x in m)}
                     assert act_generator(i, j, r, v, hw, projecting).terms == kept

@@ -20,10 +20,9 @@ from yverma.singular import (
     expand_f_monomial,
     expand_f_vector,
     find_singular,
-    fvector_to_obj,
     verify_singular,
 )
-from yverma.verma import ActionCache, ModuleVector, _mono_sort_key
+from yverma.verma import ActionCache, ModuleVector, _mono_sort_key, terms_to_obj
 
 MU = parse_rational_fn("(u+2)/(u+1)")
 
@@ -368,7 +367,7 @@ class TestCanonicalFamily:
 class TestFormatting:
     def test_fvector_to_obj_sorted_and_stringified(self):
         fvec = {(1,): 1, (0,): 1}
-        assert fvector_to_obj(fvec) == {
+        assert terms_to_obj(fvec) == {
             "terms": [
                 {"mono": [0], "coef": "1"},
                 {"mono": [1], "coef": "1"},
@@ -376,7 +375,7 @@ class TestFormatting:
         }
 
     def test_fvector_to_obj_drops_zeros(self):
-        assert fvector_to_obj({(0,): 0}) == {"terms": []}
+        assert terms_to_obj({(0,): 0}) == {"terms": []}
 
     def test_fvector_to_obj_bytes_match_former_serializer(self):
         rng = random.Random(14)
@@ -386,7 +385,7 @@ class TestFormatting:
                 m: rng.choice([0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
                 for m in rng.sample(pool, rng.randint(0, 8))
             }
-            got = json.dumps(fvector_to_obj(fvec), sort_keys=True)
+            got = json.dumps(terms_to_obj(fvec), sort_keys=True)
             assert got == json.dumps(_reference_fvector_obj(fvec), sort_keys=True)
 
 
