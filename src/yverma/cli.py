@@ -217,7 +217,8 @@ def _run_detect(params: dict) -> tuple[dict, int]:
     return obj, EXIT_OK
 
 
-_T_GENERATORS = {"t11": (1, 1), "t12": (1, 2), "t21": (2, 1), "t22": (2, 2)}
+#: Generator names ``act`` accepts: the four t_ij, then the Gauss-decomposition ones.
+_ACT_GENERATORS = ("t11", "t12", "t21", "t22", "e", "f", "h", "qdet")
 
 
 def _run_act(params: dict) -> tuple[dict, int]:
@@ -227,17 +228,16 @@ def _run_act(params: dict) -> tuple[dict, int]:
     hw = as_gl2_weights(_parse_weight(params["mu"]))
     cache = ActionCache(hw)
     vec = ModuleVector.basis(mono)
-    gauss = {"e": act_e, "f": act_f, "h": act_h, "qdet": act_quantum_det}
-    if gen in _T_GENERATORS:
-        i, j = _T_GENERATORS[gen]
-        out = act_generator(i, j, r, vec, hw, cache)
-    elif gen in gauss:
-        out = gauss[gen](r, vec, hw, cache)
-    else:
+    # built per call, so that names rebound on this module are the ones called
+    actions = dict(zip(_ACT_GENERATORS, (
+        *(functools.partial(act_generator, i, j) for i in (1, 2) for j in (1, 2)),
+        act_e, act_f, act_h, act_quantum_det,
+    )))
+    if gen not in actions:
         raise InputError(
-            f"unknown generator {gen!r}; expected one of "
-            "t11, t12, t21, t22, e, f, h, qdet"
+            f"unknown generator {gen!r}; expected one of {', '.join(_ACT_GENERATORS)}"
         )
+    out = actions[gen](r, vec, hw, cache)
     return (
         {
             "mu": params["mu"],
@@ -396,7 +396,7 @@ _COMMANDS: dict[str, _Command] = {
         _Param("max_order", "int", True, "largest recurrence order tried", minimum=0),
     )),
     "act": _Command(_run_act, "apply one generator to a basis vector", (
-        _Param("gen", "generator", True, "one of t11, t12, t21, t22, e, f, h, qdet"),
+        _Param("gen", "generator", True, f"one of {', '.join(_ACT_GENERATORS)}"),
         _Param("r", "int", True, "generator index", minimum=0),
         _Param("mono", "indices", False, "t21 indices of the target monomial, e.g. '1,2'"),
         _Param("mu", "weight", True, "weight: rational or series:c1,c2,..."),

@@ -4,15 +4,14 @@ All routines work on lists of rows of ``int`` or ``Fraction`` (the two
 mix through the numeric tower) and never introduce rounding.
 ``RowEchelon`` is the only elimination: it grows an echelon basis one
 row at a time, so callers can read the rank and the pivot columns after
-every added row, and back-substitutes on demand to the reduced row
-echelon form (``Fraction`` entries; at full column rank the identity,
-with nothing to back-substitute).  A row that is all ``int`` after
-reduction is stored fraction-free, as a primitive integer row; any other
-row is made monic in ``Fraction``.  ``rref``, ``rank`` and ``nullspace``
-feed a whole matrix through it.  The reduced form is canonical for the
-row space, so the nullspace basis returned here is canonical for the
-solution space: two constraint systems have equal solution spaces iff
-these bases match.
+every added row, back-substitutes on demand to the reduced row echelon
+form (``Fraction`` entries) and reads the kernel off that form, with no
+second elimination.  A row that is all ``int`` after reduction is stored
+fraction-free, as a primitive integer row; any other row is made monic
+in ``Fraction``.  ``rref``, ``rank`` and ``nullspace`` feed a whole
+matrix through it.  The reduced form is canonical for the row space, so
+the kernel basis is canonical for the solution space: two constraint
+systems have equal solution spaces iff these bases match.
 """
 
 from __future__ import annotations
@@ -73,15 +72,9 @@ class RowEchelon:
 
         Makes every integer row monic in ``Fraction``, then clears every
         pivot column above its pivot, from the last pivot back; the stored
-        rows stay a basis of the same span.  At full column rank the form
-        is the identity, stored as ``Fraction`` unit rows with no
-        back-substitution.
+        rows stay a basis of the same span.
         """
         pivots = self.pivots
-        if pivots and len(pivots) == len(self._rows[pivots[0]]):  # every column is a pivot
-            for p in pivots:
-                self._rows[p] = [_ONE if c == p else _ZERO for c in pivots]
-            return [self._rows[p] for p in pivots], pivots
         for p in pivots:
             if type(lead := self._rows[p][p]) is int:
                 self._rows[p] = [Fraction(x, lead) for x in self._rows[p]]
@@ -92,6 +85,25 @@ class RowEchelon:
                 if f:
                     self._rows[q] = [a - f * b for a, b in zip(self._rows[q], below)]
         return [self._rows[p] for p in pivots], pivots
+
+    def kernel(self, ncols: int) -> list[tuple[Fraction, ...]]:
+        """Canonical basis of the vectors of length ``ncols`` that every row kills.
+
+        One vector per free column, with a 1 there and zeros in the other
+        free columns, read off ``reduced()``; at full column rank the
+        kernel is empty and the rows are left as they are.
+        """
+        if self.rank == ncols:
+            return []
+        reduced, pivots = self.reduced()
+        basis = []
+        for f in sorted(set(range(ncols)) - set(pivots)):
+            vec = [_ZERO] * ncols
+            vec[f] = _ONE
+            for row, p in zip(reduced, pivots):
+                vec[p] = -row[f]
+            basis.append(tuple(vec))
+        return basis
 
 
 def _echelon(rows: Matrix) -> RowEchelon:
@@ -111,22 +123,8 @@ def rank(rows: Matrix) -> int:
 
 
 def nullspace(rows: Matrix, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Canonical basis of the right nullspace of the matrix.
+    """Canonical basis of the right nullspace (``RowEchelon.kernel``).
 
-    With no constraint rows the answer is the standard basis.  Each basis
-    vector carries a 1 in its free coordinate and zeros in the other free
-    coordinates, which makes the basis unique given the solution space.
+    With no constraint rows the answer is the standard basis.
     """
-    if ncols == 0:
-        return []
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [_ZERO] * ncols
-        vec[f] = _ONE
-        for i, p in enumerate(pivots):
-            vec[p] = -reduced[i][f]
-        basis.append(tuple(vec))
-    return basis
+    return _echelon(rows).kernel(ncols)

@@ -48,6 +48,8 @@ from .verma import (
 )
 
 _GENERATOR_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+#: Tail length of the random truncated weight series the properties draw.
+_SERIES_ORDER = 32
 
 
 def rtt_relation_defect(
@@ -128,8 +130,8 @@ def _random_rational_weight(rng: random.Random, max_degree: int = 2) -> Rational
             return f
 
 
-def _random_series_weight(rng: random.Random, order: int = 32) -> HighestWeightGL2:
-    tail = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)]
+def _random_series_weight(rng: random.Random) -> HighestWeightGL2:
+    tail = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(_SERIES_ORDER)]
     return HighestWeightGL2(series_from_tail(tail), SERIES_ONE)
 
 

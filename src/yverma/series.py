@@ -68,9 +68,9 @@ class SeriesU:
 SERIES_ONE = SeriesU((1,), exact=True)
 
 
-def series_from_tail(tail: Iterable[Scalar], exact: bool = False) -> SeriesU:
-    """Build 1 + t_1 u^{-1} + t_2 u^{-2} + ... from the tail coefficients."""
-    return SeriesU([_ONE, *tail], exact=exact)
+def series_from_tail(tail: Iterable[Scalar]) -> SeriesU:
+    """Build 1 + t_1 u^{-1} + t_2 u^{-2} + ..., known through the last tail coefficient."""
+    return SeriesU([_ONE, *tail])
 
 
 def series_mul(a: SeriesU, b: SeriesU) -> SeriesU:

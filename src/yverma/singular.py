@@ -107,16 +107,17 @@ class SingularSearchResult:
 def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearchResult:
     """Exact solution space of { v : e^(r) v = 0, r <= R } at fixed level.
 
-    R starts at degree_bound + level + 1 and is raised until the rank of
-    the constraint rows is full or two further increments leave it
+    One loop adds the relation rounds r = 0, 1, ... under one stop test.
+    R starts at degree_bound + level + 1; past it, the loop stops once the
+    rank of the constraint rows is full or two further rounds leave it
     unchanged (rows only ever shrink the solution space, so equal ranks
-    mean equal spaces); the space is solved once, at the end.  On an exact
-    weight the rounds up to the initial bound end as soon as the rank is
-    full, since no later round can change an empty kernel or run out of
-    data; the report still reads R = degree_bound + level + 1.  For
-    truncated weight series the initial bound must be computable or
-    ``InsufficientDataError`` is raised; bounds beyond the window stop
-    the adaptive phase with ``stabilized=False``.  A candidate space of
+    mean equal spaces).  On an exact weight it also stops at full rank
+    before that, since no later round can change an empty kernel or run
+    out of data; the report still reads R = degree_bound + level + 1.  The
+    space is solved once, at the end, off the echelon of the rows: one
+    elimination.  For truncated weight series the initial bound must be
+    computable or ``InsufficientDataError`` is raised; a round beyond the
+    window ends the loop with ``stabilized=False``.  A candidate space of
     more than 5000 monomials raises ``InputError`` before any is expanded.
     """
     hw = as_gl2_weights(mu)
@@ -148,51 +149,40 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
 
     # an exact weight cannot run out of data, so its rounds may end at full rank
     exact = hw.lambda1.exact and hw.lambda2.exact
-    try:
-        for _ in range(r_start + 1):
-            if exact and echelon.rank == len(cands):
-                break
+    bound, unchanged = r_start, 0
+    for r in range(r_start + _MAX_EXTRA_RELATIONS + 1):
+        full = echelon.rank == len(cands)
+        if (full and (exact or r > r_start)) or unchanged >= 2:
+            break
+        before = echelon.rank
+        try:
             add_relations()
-    except TruncationError as exc:
-        raise InsufficientDataError(
-            f"weight series too short for relation bound {r_start}: {exc}"
-        ) from exc
-
-    bound = r_start
-    stabilized = echelon.rank == len(cands)
-    if not stabilized:
-        unchanged = 0
-        for extra in range(1, _MAX_EXTRA_RELATIONS + 1):
-            before = echelon.rank
-            try:
-                add_relations()
-            except TruncationError:
+        except TruncationError as exc:
+            if r > r_start:
                 break
-            bound = r_start + extra
+            raise InsufficientDataError(
+                f"weight series too short for relation bound {r_start}: {exc}"
+            ) from exc
+        if r > r_start:
+            bound = r
             unchanged = unchanged + 1 if echelon.rank == before else 0
-            if echelon.rank == len(cands) or unchanged >= 2:
-                stabilized = True
-                break
 
-    current = linalg.nullspace(echelon.reduced()[0], len(cands))
-    fbasis = tuple(
-        {cands[j]: coord for j, coord in enumerate(vec) if coord} for vec in current
-    )
-    basis = []
-    for vec in current:
+    fbasis, basis = [], []
+    for vec in echelon.kernel(len(cands)):
+        coords = [(j, coord) for j, coord in enumerate(vec) if coord]
+        fbasis.append({cands[j]: coord for j, coord in coords})
         acc: dict = {}
-        for j, coord in enumerate(vec):
-            if coord:
-                _add_scaled_into(acc, vectors[j].terms, _narrow(coord))
+        for j, coord in coords:
+            _add_scaled_into(acc, vectors[j].terms, _narrow(coord))
         basis.append(ModuleVector._of(acc))
 
     return SingularSearchResult(
         level=level,
         degree_bound=degree_bound,
         relation_bound=bound,
-        stabilized=stabilized,
+        stabilized=echelon.rank == len(cands) or unchanged >= 2,
         candidates=tuple(cands),
-        fbasis=fbasis,
+        fbasis=tuple(fbasis),
         basis=tuple(basis),
     )
 

@@ -347,7 +347,7 @@ class TestIntegerRows:
 
 
 class TestFullColumnRank:
-    """At full column rank ``reduced()`` is the identity, read without back-substitution."""
+    """At full column rank ``reduced()`` is the identity, and the echelon stays usable."""
 
     def test_matches_the_reference_and_stays_usable(self):
         rng = random.Random(31)
@@ -372,3 +372,43 @@ class TestFullColumnRank:
             kinds.add((len(rows) == ncols, "mixed" if len(entries) > 1 else entries.pop().__name__))
         # square and tall, each with int, Fraction and mixed entries
         assert kinds == {(sq, k) for sq in (True, False) for k in ("int", "Fraction", "mixed")}
+
+
+class TestKernel:
+    """``RowEchelon.kernel`` is the reference nullspace of the rows added so far."""
+
+    def test_every_prefix_matches_the_reference(self):
+        kinds = set()
+        for rows, ncols in _mixed_matrices(seed=43, count=400):
+            echelon, ref = RowEchelon(), _ReferenceEchelon()
+            assert echelon.kernel(ncols) == _reference_nullspace([], ncols)
+            for k, row in enumerate(rows, 1):
+                echelon.add(row)
+                ref.add(row)
+                expected = _reference_nullspace(_frac_rows(rows[:k]), ncols)
+                basis = echelon.kernel(ncols)
+                assert basis == expected, rows[:k]
+                assert all(type(x) is Fraction for v in basis for x in v), rows[:k]
+                # rows added after a kernel() read still match the reference
+                assert (echelon.rank, echelon.pivots) == (ref.rank, ref.pivots), rows[:k]
+                assert echelon.reduced() == ref.reduced(), rows[:k]
+            entries = {type(x) for row in rows for x in row}
+            kinds.add("mixed" if len(entries) > 1 else entries.pop().__name__)
+        assert kinds == {"int", "Fraction", "mixed"}
+
+    def test_full_column_rank_is_empty_and_leaves_the_rows(self):
+        full = 0
+        for rows, ncols in _mixed_matrices(seed=37, count=400):
+            echelon, unread = RowEchelon(), RowEchelon()
+            for row in rows:
+                echelon.add(row)
+                unread.add(row)
+                if echelon.rank < ncols:
+                    continue
+                stored = {p: list(r) for p, r in echelon._rows.items()}
+                assert echelon.kernel(ncols) == [], rows
+                assert echelon._rows == stored, rows  # nothing back-substituted
+                assert echelon.pivots == list(range(ncols)), rows
+                assert echelon.reduced() == unread.reduced(), rows
+                full += 1
+        assert full > 100

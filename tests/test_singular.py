@@ -241,23 +241,17 @@ class TestFullRankStop:
         assert drawn == [r_start + 1] * len(res.candidates)
 
     def test_integral_weight_rows_are_int(self, monkeypatch):
-        rows, marks = [], []
-        add, nullspace = linalg.RowEchelon.add, linalg.nullspace
+        rows = []
+        add = linalg.RowEchelon.add
 
         def spy_add(self, row):
             rows.append(list(row))
             add(self, row)
 
-        def spy_nullspace(reduced, ncols):
-            marks.append(len(rows))  # rows from here on are nullspace's own
-            return nullspace(reduced, ncols)
-
         monkeypatch.setattr(linalg.RowEchelon, "add", spy_add)
-        monkeypatch.setattr(linalg, "nullspace", spy_nullspace)
         find_singular(MU, 3, 7)
-        search_rows = rows[: marks[0]]
-        assert search_rows
-        assert all(type(x) is int for row in search_rows for x in row)
+        assert rows
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_level_six_degree_twelve(self):
         # the rank is full after two relation rounds; the time bound only guards against a hang
@@ -312,14 +306,20 @@ class TestAgainstReference:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-        inner = linalg.nullspace
+        """Calls per name of the kernel reads the search could make."""
+        count = dict.fromkeys(["kernel", "nullspace", "rref"], 0)
 
-        def counting(rows, ncols):
-            count[0] += 1
-            return inner(rows, ncols)
+        def counting(name, inner):
+            def wrapper(*args):
+                count[name] += 1
+                return inner(*args)
 
-        monkeypatch.setattr(linalg, "nullspace", counting)
+            return wrapper
+
+        echelon = linalg.RowEchelon
+        monkeypatch.setattr(echelon, "kernel", counting("kernel", echelon.kernel))
+        monkeypatch.setattr(linalg, "nullspace", counting("nullspace", linalg.nullspace))
+        monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
         return count
 
     @pytest.mark.parametrize(
@@ -332,7 +332,7 @@ class TestAgainstReference:
     )
     def test_one_nullspace_per_search(self, calls, mu, level, bound):
         find_singular(mu, level, bound)
-        assert calls[0] == 1
+        assert calls == {"kernel": 1, "nullspace": 0, "rref": 0}
 
 
 class TestCanonicalFamily:
