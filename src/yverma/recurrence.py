@@ -23,13 +23,14 @@ r = N..L-m (L coefficients supplied) form a Hankel system whose rows for
 start N are those for start N+1 plus the row r = N.  Its kernel therefore
 only shrinks as N falls, and the starts with a nonzero kernel run upward
 without a gap.  So one exact elimination per order adds the rows
-bottom-up, r = L-m, L-m-1, ..., and stops when the rank reaches m+1: the
-earliest start lies one above the row that filled the rank (N = 1 if none
-did).  A start counts only if N <= max(1, L//3) and at least
-max_order + 2 instances confirm it.  The coefficients c are the first
-canonical nullspace vector of that one (m, N) system, scaled so that the
-last nonzero entry is 1.  Everything is exact; "no recurrence found" is
-therefore a statement about the supplied window and budget only.
+bottom-up, r = L-m, L-m-1, ..., until one fills rank m+1; the earliest
+start lies one above it (N = 1 if none does), and counts only if
+N <= max(1, L//3) with at least max_order + 2 confirming instances.
+Once rows r+1..L-m reach rank m with r+1 in that window, they span the
+vectors orthogonal to their kernel vector c: c is read off the echelon,
+and each lower row is tested by a dot product with c, not eliminated.
+c is scaled so that its last nonzero entry is 1.  Everything is exact;
+"no recurrence found" is a statement about the window and budget only.
 """
 
 from __future__ import annotations
@@ -62,41 +63,45 @@ def detect_recurrence(
 
     ``coeffs`` lists nu^(1), nu^(2), ... (the constant term 1 is implied).
     Each order m costs one elimination of the rows (nu^(r), ..., nu^(r+m)),
-    added from r = L-m downwards until they reach rank m+1, and the
-    witness's c costs one ``linalg.nullspace`` call (see the module
-    docstring).  Returns ``None`` when no order <= max_order has an
-    earliest start N <= max(1, L//3) with at least max_order + 2 instances
-    r = N..L-m; raises ``InsufficientDataError`` when fewer than
-    2 * max_order + 2 coefficients are supplied.
+    which also yields the witness's c (see the module docstring).  Returns
+    ``None`` when no order <= max_order has an earliest start
+    N <= max(1, L//3) with at least max_order + 2 instances r = N..L-m;
+    raises ``InsufficientDataError`` when fewer than 2 * max_order + 2
+    coefficients are supplied.
     """
     if max_order < 0:
         raise InputError("max_order must be >= 0")
-    nu = [rat(x) for x in coeffs]
-    L = len(nu)
+    vals = [Fraction(1), *(rat(x) for x in coeffs)]  # vals[r] = nu^(r)
+    L = len(vals) - 1
     if L < 2 * max_order + 2:
         raise InsufficientDataError(
             f"need at least {2 * max_order + 2} tail coefficients for "
             f"max_order={max_order}, got {L}"
         )
 
-    min_instances = max_order + 2
     for m in range(max_order + 1):
-        last_r = L - m
-        # nu[r - 1 : r + m] is the instance row (nu^(r), ..., nu^(r+m))
+        latest = min(max(1, L // 3), L - m - max_order - 1)
         echelon = linalg.RowEchelon()
+        kernel = None
         start = 1
-        for r in range(last_r, 0, -1):
-            echelon.add(nu[r - 1 : r + m])
-            if echelon.rank == m + 1:
+        for r in range(L - m, 0, -1):
+            row = vals[r : r + m + 1]
+            if kernel is None and echelon.rank == m and r < latest:
+                kernel = echelon.kernel(m + 1)[0]
+            if kernel is None:
+                echelon.add(row)
+                filled = echelon.rank > m
+            else:
+                filled = sum(a * b for a, b in zip(kernel, row)) != 0
+            if filled:
                 start = r + 1
                 break
-        if start > min(max(1, L // 3), last_r - min_instances + 1):
+        if start > latest:
             continue
-        rows = [nu[r - 1 : r + m] for r in range(start, last_r + 1)]
-        raw = linalg.nullspace(rows, m + 1)[0]
+        raw = kernel if kernel is not None else echelon.kernel(m + 1)[0]
         last = next(x for x in reversed(raw) if x)
         c = tuple(x / last for x in raw)
-        recovered = reconstruct_rational(nu, c, start)
+        recovered = reconstruct_rational(vals[1:], c, start)
         return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
     return None
 
@@ -111,34 +116,29 @@ def reconstruct_rational(
     (verified here before reconstruction).  A ``tail_start`` so far out
     that the numerator would read past the window is an ``InputError``.
     """
-    nu = [rat(x) for x in coeffs]
+    vals = [Fraction(1), *(rat(x) for x in coeffs)]  # vals[r] = nu^(r)
     cvec = [rat(x) for x in c]
     if not any(cvec):
         raise InputError("recurrence coefficients are all zero")
     if tail_start < 1:
         raise InputError("tail_start must be >= 1")
     m = len(cvec) - 1
-    L = len(nu)
+    L = len(vals) - 1
     if tail_start + m - 1 > L:
         raise InputError(
             f"tail_start {tail_start} lies past the window: the numerator reads "
             f"nu^({tail_start + m - 1}), the window ends at nu^({L})"
         )
 
-    def value(idx: int) -> Fraction:
-        if idx == 0:
-            return Fraction(1)
-        return nu[idx - 1]
-
     for r in range(tail_start, L - m + 1):
-        if sum(cvec[j] * value(r + j) for j in range(m + 1)) != 0:
+        if sum(cvec[j] * vals[r + j] for j in range(m + 1)) != 0:
             raise InputError(f"recurrence fails at r={r}")
 
     n = tail_start
     # the u^0 coefficient of u^n C(u) nu(u) is the recurrence at r = n, so 0;
     # summing it would read nu^(n+m), which a short window may not hold
     num = [_ZERO] + [
-        sum((cvec[j] * value(n + j - e) for j in range(max(0, e - n), m + 1)), _ZERO)
+        sum((cvec[j] * vals[n + j - e] for j in range(max(0, e - n), m + 1)), _ZERO)
         for e in range(1, n + m + 1)
     ]
     return RationalFn(PolyQ(num), PolyQ([_ZERO] * n + cvec))  # P(u) / (u^n C(u))

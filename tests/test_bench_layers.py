@@ -28,6 +28,11 @@ _JOBS = (
     # a half-integral weight runs the Gram route on a cache with hbar = 2
     ["gram", "--mu", "(u+7/2)(u+5)/((u+1/2)(u+2))", "--max-level", "3"],
     ["singular", "--mu", "(u+2)/(u+1)", "--level", "1", "--degree", "2"],
+    # tribonacci from nu^(2): a witness whose start is found by a dot product
+    ["detect", "--coeffs", "7,1,1,1,3,5,9,17,31,57", "--max-order", "4"],
+    # the 1/k! tail of exp(1/u) has no recurrence within the budget
+    ["verdict", "--mu", "series:1,1/2,1/6,1/24,1/120,1/720,1/5040,1/40320",
+     "--budget", "3"],
 )
 
 
@@ -93,3 +98,4 @@ def test_traced_jobs_report_unchanged_and_count_cache_entries():
     spans, counts = tracer.take()
     assert tracing.counter_metrics(counts)["verma.cache_entries"] > 0
     assert tracing.layer_metrics(spans)["verma"]["calls"] > 0
+    assert tracing.counter_metrics(counts)["recurrence.found_ratio"] == 0.5

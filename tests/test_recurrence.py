@@ -232,31 +232,99 @@ class TestAgainstReferenceScan:
             tail = [0] * (2 * max_order + 2)
             assert self._pin(tail, max_order) == ((1,), 1, "(1)/(1)")
 
+    # The scan eliminates rows r = L-m, L-m-1, ... while r >= latest, where
+    # latest = min(max(1, L//3), L - m - max_order - 1) is the latest start
+    # the window allows; below it, it tests rows against the kernel vector.
+
+    def test_start_at_latest_where_the_third_binds(self):
+        # 2^r from r = 4; L//3 = 4 binds (the instance count allows 8), so
+        # order 1 reads its kernel at r = 3, where the dot product fills: N = 4
+        tail = [1, 1, 1] + [2**r for r in range(4, 13)]
+        c, start, _ = self._pin(tail, max_order=2)
+        assert (c, start) == ((-2, 1), 4)
+
+    def test_start_at_latest_where_the_instance_count_binds(self):
+        # tribonacci from r = 2; at order 3 the six instances r = 2..7 allow
+        # N <= 2 < L//3 = 3, and the dot product at r = 1 fills the rank
+        tail = [7, 1, 1, 1, 3, 5, 9, 17, 31, 57]
+        c, start, _ = self._pin(tail, max_order=4)
+        assert (c, start) == ((-1, -1, -1, 1), 2)
+
+    def test_fill_at_latest_fails_the_order(self):
+        # 2^r from r = 5: row r = 4 = latest fills order 1 while it is still
+        # eliminated, so N = 5 is out of the window and order 2 is tried
+        tail = [1, 1, 1, 1] + [2**r for r in range(5, 13)]
+        c, start, _ = self._pin(tail, max_order=2)
+        assert (c, start) == ((0, -2, 1), 4)
+
+    def test_no_fill_after_the_kernel_is_read(self):
+        # (u+2)/(u+1): the kernel is read at r = 3 and no lower row fills
+        c, start, recovered = self._pin([(-1) ** (r + 1) for r in range(1, 13)], 2)
+        assert (c, start, recovered) == ((1, 1), 1, "(u+2)/(u+1)")
+
+    def test_no_fill_with_latest_one(self):
+        # latest = 1 leaves no row below it: c is read off the final echelon
+        c, start, recovered = self._pin([1, -1, 1, -1], max_order=1)
+        assert (c, start, recovered) == ((1, 1), 1, "(u+2)/(u+1)")
+
+    def test_rank_m_is_reached_at_or_above_latest(self):
+        # Rank m is never reached only below latest at the order returned:
+        # rows latest..L-m of rank < m have a two-dimensional kernel, which
+        # holds a witness of order m - 1 from latest + 1 (c_0 = 0) and one on
+        # all but its last instance from latest (c_m = 0); by Massey's
+        # length-change bound both fit only when L - latest + 1 <= 2m - 1,
+        # fewer instances than max_order + 2.  So the kernel read at
+        # r = latest - 1 is always the witness's.
+        rng = random.Random(9)
+        witnesses = 0
+        for i in range(120):
+            max_order = rng.randint(1, 5)
+            n = 2 * max_order + 2 + rng.randint(0, 8)
+            tail = _tail_class(rng, TAIL_CLASSES[i % len(TAIL_CLASSES)], n)
+            w = _reference_detect(tail, max_order)
+            if w is None or len(w.c) == 1:
+                continue
+            witnesses += 1
+            m = len(w.c) - 1
+            latest = min(max(1, n // 3), n - m - max_order - 1)
+            echelon = linalg.RowEchelon()
+            for r in range(latest, n - m + 1):
+                echelon.add(tail[r - 1 : r + m])
+            assert echelon.rank == m, (tail, max_order)
+        assert witnesses >= 30
+
 
 class TestNullspaceCalls:
-    """detect_recurrence solves one system, for the witness it returns."""
+    """detect_recurrence reads one kernel, off its own echelon, per witness."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-        inner = linalg.nullspace
+        count = {"kernel": 0, "nullspace": 0}
+        for owner, name in ((linalg.RowEchelon, "kernel"), (linalg, "nullspace")):
 
-        def counting(rows, ncols):
-            count[0] += 1
-            return inner(rows, ncols)
+            def counting(*args, _inner=getattr(owner, name), _name=name):
+                count[_name] += 1
+                return _inner(*args)
 
-        monkeypatch.setattr(linalg, "nullspace", counting)
+            monkeypatch.setattr(owner, name, counting)
         return count
 
     def test_one_call_for_a_witness(self, calls):
         f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
         assert detect_recurrence(_tail_of(f, 20), max_order=6).recovered == f
-        assert calls[0] == 1
+        assert calls == {"kernel": 1, "nullspace": 0}
 
     def test_no_call_without_a_witness(self, calls):
         tail = [Fraction(1, factorial(r)) for r in range(1, 23)]
         assert detect_recurrence(tail, max_order=10) is None
-        assert calls[0] == 0
+        assert calls == {"kernel": 0, "nullspace": 0}
+
+    def test_no_call_on_an_order_that_fails(self, calls):
+        # order 1 has rank 1 from r = 11 and is filled by the row r = 4 =
+        # latest, so it fails; its kernel is not read, only order 2's is
+        tail = [1, 1, 1, 1] + [2**r for r in range(5, 13)]
+        assert len(detect_recurrence(tail, max_order=2).c) == 3
+        assert calls == {"kernel": 1, "nullspace": 0}
 
 
 class TestReconstruct:
