@@ -15,8 +15,9 @@ coefficient,
     Y_n = S_n - sum_{c=1}^{n} t_22^(c) Y_{n-c},
 
 and products t_ij(u) Y(u) are taken coefficientwise.  Each Y_n and each
-coefficient of a product accumulates in one dict (``verma._act_into``).
-With W = t_22(u)^{-1} v this gives
+coefficient of a product is one ``_t_times`` call adding into one
+coefficient dict; a dict becomes a ``ModuleVector`` only where a public
+function returns or yields it.  With W = t_22(u)^{-1} v this gives
 
     f(u) v = t_21(u) W,
     e(u) v = t_22(u)^{-1} (t_12(u) v)      (because t_22(u) e(u) = t_12(u)),
@@ -51,9 +52,6 @@ from .verma import (
 #: An sl(2) highest weight: the series mu(u), exactly or in truncation.
 SL2Weight = Union[SeriesU, RationalFn]
 
-_ZERO_VECTOR = ModuleVector.zero()
-
-
 def as_gl2_weights(mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
     """A gl(2) weight pair realizing the given ratio mu; a pair is returned unchanged."""
     if isinstance(mu, HighestWeightGL2):
@@ -65,30 +63,32 @@ def as_gl2_weights(mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
     raise InputError(f"not an sl(2) highest weight: {mu!r}")
 
 
-def _t22_solve(source: Iterable[ModuleVector], cache: ActionCache) -> Iterator[ModuleVector]:
-    """Lazily yield Y_0, Y_1, ... of Y(u) = t_22(u)^{-1} S(u).
+def _t22_solve(source: Iterable[dict], cache: ActionCache) -> Iterator[dict]:
+    """Lazily yield Y_0, Y_1, ... of Y(u) = t_22(u)^{-1} S(u) as coefficient dicts.
 
-    S_n is the n-th vector of ``source``, and zero once it runs out.
+    S_n is the n-th dict of ``source`` (read, never written), and zero once
+    it runs out.  Each Y_n = S_n - sum_{b=1}^{n} t_22^(b) Y_{n-b} is one
+    ``_t_times`` on a copy of S_n.  Later steps read every yielded Y_n, so
+    a caller writes to one only after its last draw from the solve.
     """
-    ys: list[ModuleVector] = []
-    for s_n in chain(source, repeat(_ZERO_VECTOR)):
-        n = len(ys)
-        acc = dict(s_n.terms)
-        for c in range(1, n + 1):
-            _act_into(acc, 2, 2, c, ys[n - c].terms, cache, -1)
-        ys.append(ModuleVector._of(acc))
+    ys: list[dict] = []
+    for s_n in chain(source, repeat({})):
+        ys.append(_t_times(dict(s_n), 2, 2, len(ys), ys, cache, -1))
         yield ys[-1]
 
 
 def _t_times(
-    i: int, j: int, n: int, ys: Sequence[ModuleVector], cache: ActionCache
-) -> ModuleVector:
-    """sum_{b=1}^{n} t_ij^(b) Y_{n-b}: the u^{-n} coefficient of
-    (t_ij(u) - delta_ij) Y(u), read from Y_0, ..., Y_{n-1}."""
-    acc: dict = {}
-    for a in range(n):
-        _act_into(acc, i, j, n - a, ys[a].terms, cache)
-    return ModuleVector._of(acc)
+    acc: dict, i: int, j: int, n: int, ys: Sequence[dict], cache: ActionCache, sign=1
+) -> dict:
+    """Add sign * sum_{b=1}^{n} t_ij^(b) Y_{n-b} into acc, in place; returns acc.
+
+    The sum is the u^{-n} coefficient of (t_ij(u) - delta_ij) Y(u), read
+    from Y_0, ..., Y_{n-1} and taken from b = n down to 1: the one loop
+    over such products, the solve's included.
+    """
+    for b in range(n, 0, -1):
+        _act_into(acc, i, j, b, ys[n - b], cache, sign)
+    return acc
 
 
 def e_series(
@@ -103,8 +103,8 @@ def e_series(
     """
     cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     # t_12^(0) = 0, so the solve starts at zero and e^(r) v is its term r + 1
-    t12_v = (act_generator(1, 2, b, v, cache.hw, cache) if b else _ZERO_VECTOR for b in count())
-    return islice(_t22_solve(t12_v, cache), 1, None)
+    t12_v = (act_generator(1, 2, b, v, cache.hw, cache).terms if b else {} for b in count())
+    return map(ModuleVector._of, islice(_t22_solve(t12_v, cache), 1, None))
 
 
 def act_e(
@@ -130,8 +130,8 @@ def act_f(
         raise InputError("f index must be >= 0")
     cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     n = r + 1
-    w = list(islice(_t22_solve([v], cache), n))
-    return _t_times(2, 1, n, w, cache)
+    w = list(islice(_t22_solve([v.terms], cache), n))
+    return ModuleVector._of(_t_times({}, 2, 1, n, w, cache))
 
 
 def act_h(
@@ -145,14 +145,14 @@ def act_h(
         raise InputError("h index must be >= 0")
     cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     n = r + 1
-    w = list(islice(_t22_solve([v], cache), n + 1))
-    # the t_11 term runs first: on a truncated weight, the order of the terms
-    # decides which missing coefficient a TruncationError names
-    out = w[n] + _t_times(1, 1, n, w, cache)
+    w = list(islice(_t22_solve([v.terms], cache), n + 1))
+    # the t_11 term runs first, adding into W_n, which no later product reads:
+    # on a truncated weight the order of the terms decides what a TruncationError names
+    out = _t_times(w.pop(), 1, 1, n, w, cache)
     # t_21^(b) needs b >= 1, so the inner solve stops at index n - 1
-    t12_w = [_t_times(1, 2, m, w, cache) for m in range(n)]
+    t12_w = [_t_times({}, 1, 2, m, w, cache) for m in range(n)]
     z = list(islice(_t22_solve(t12_w, cache), n))
-    return out - _t_times(2, 1, n, z, cache)
+    return ModuleVector._of(_t_times(out, 2, 1, n, z, cache, -1))
 
 
 def act_h_via_quantum_det(
@@ -172,14 +172,14 @@ def act_h_via_quantum_det(
         raise InputError("h index must be >= 0")
     cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
     n = r + 1
-    qdet_v = [act_quantum_det(z, v, cache.hw, cache) if z else v for z in range(n + 1)]
+    qdet_v = [(act_quantum_det(z, v, cache.hw, cache) if z else v).terms for z in range(n + 1)]
     # the u^{-m} coefficient of t_22(u-1)^{-1} qdet(u) v, for m = 0..n
-    middle = [dict(q.terms) for q in qdet_v]
+    middle = [dict(q) for q in qdet_v]
     for z, vz in enumerate(qdet_v):
         inv = list(islice(_t22_solve([vz], cache), n - z + 1))
         for w in range(1, n - z + 1):
             for s in range(1, w + 1):
                 coef = shifted_power_coeff(s, w, -1)
                 if coef:
-                    _add_scaled_into(middle[z + w], inv[s].terms, coef)
-    return next(islice(_t22_solve(map(ModuleVector._of, middle), cache), n, None))
+                    _add_scaled_into(middle[z + w], inv[s], coef)
+    return ModuleVector._of(next(islice(_t22_solve(middle, cache), n, None)))

@@ -4,9 +4,9 @@ All routines work on lists of rows of ``int`` or ``Fraction`` (the two
 mix through the numeric tower) and never introduce rounding.
 ``RowEchelon`` is the only elimination: it grows an echelon basis one
 row at a time, so callers can read the rank and the pivot columns after
-every added row, back-substitutes on demand to the reduced row echelon
-form (``Fraction`` entries) and reads the kernel off that form, with no
-second elimination.  A row that is all ``int`` after reduction is stored
+every added row, back-substitutes monic copies of its rows on demand to
+the reduced row echelon form (``Fraction`` entries) and reads the kernel
+off that form, with no second elimination.  A row that is all ``int`` after reduction is stored
 fraction-free, as a primitive integer row; any other row is made monic
 in ``Fraction``.  ``rref``, ``rank`` and ``nullspace`` feed a whole
 matrix through it.  The reduced form is canonical for the row space, so
@@ -70,28 +70,26 @@ class RowEchelon:
     def reduced(self) -> tuple[Matrix, list[int]]:
         """Reduced row echelon form of the span and its pivot columns.
 
-        Makes every integer row monic in ``Fraction``, then clears every
-        pivot column above its pivot, from the last pivot back; the stored
-        rows stay a basis of the same span.
+        Takes a monic ``Fraction`` copy of every stored row, then clears
+        every pivot column above its pivot, from the last pivot back; the
+        stored rows stay as ``add`` wrote them.
         """
         pivots = self.pivots
-        for p in pivots:
-            if type(lead := self._rows[p][p]) is int:
-                self._rows[p] = [Fraction(x, lead) for x in self._rows[p]]
+        rows = {p: [Fraction(x, row[p]) for x in row] for p, row in self._rows.items()}
         for i, p in reversed(list(enumerate(pivots))):
-            below = self._rows[p]
+            below = rows[p]
             for q in pivots[:i]:
-                f = self._rows[q][p]
+                f = rows[q][p]
                 if f:
-                    self._rows[q] = [a - f * b for a, b in zip(self._rows[q], below)]
-        return [self._rows[p] for p in pivots], pivots
+                    rows[q] = [a - f * b for a, b in zip(rows[q], below)]
+        return [rows[p] for p in pivots], pivots
 
     def kernel(self, ncols: int) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the vectors of length ``ncols`` that every row kills.
 
         One vector per free column, with a 1 there and zeros in the other
         free columns, read off ``reduced()``; at full column rank the
-        kernel is empty and the rows are left as they are.
+        kernel is empty.
         """
         if self.rank == ncols:
             return []

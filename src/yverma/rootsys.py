@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, digit_limit_error
+from .rational import _primitive_ints
 
 CartanMatrix = tuple[tuple[int, ...], ...]
 
@@ -70,7 +71,7 @@ def symmetrizers(a: Iterable[Iterable[int]]) -> tuple[int, ...]:
     """
     rows = validate_cartan(a)
     n = len(rows)
-    d: list[Optional[Fraction]] = [None] * n
+    d: list[Optional[Fraction | int]] = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
@@ -89,12 +90,9 @@ def symmetrizers(a: Iterable[Iterable[int]]) -> tuple[int, ...]:
                     component.append(j)
                 elif d[j] != forced:
                     raise InputError("Cartan matrix is not symmetrizable")
-        denom_lcm = lcm(*(d[i].denominator for i in component))
-        nums = [int(d[i] * denom_lcm) for i in component]
-        g = gcd(*nums)
-        for i, x in zip(component, nums):
-            d[i] = Fraction(x // g)
-    out = tuple(int(x) for x in d)
+        for i, x in zip(component, _primitive_ints([d[i] for i in component])):
+            d[i] = x
+    out = tuple(d)
     for i in range(n):
         for j in range(n):
             if out[i] * rows[i][j] != out[j] * rows[j][i]:

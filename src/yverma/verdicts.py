@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
 from .errors import InputError
-from .linalg import rref
+from .linalg import RowEchelon
 from .rational import POLY_ONE, PolyQ, RationalFn, rat
 from .recurrence import RationalityVerdict, is_rational_verdict
 from .rootsys import CartanData
@@ -165,27 +165,22 @@ def shifted_quotient_polynomial(f: RationalFn, d: int) -> Optional[PolyQ]:
         return None
     q = int(qdeg)
     # Q = u^q + sum_j c_j u^j with j < q; the identity is linear in the c_j.
-    # Column j collects T_j = (u+d)^j den - u^j num; the monic top power
-    # contributes the inhomogeneous part T_q.
+    # Column j <= q collects T_j = (u+d)^j den - u^j num, so Q's coefficient
+    # vector (c_0, ..., c_{q-1}, 1) is the kernel vector with last entry 1,
+    # which exists iff column q is free.
     u_plus_d = PolyQ([d, 1])
     shifted_pow = POLY_ONE
     plain_pow = POLY_ONE
     cols: list[PolyQ] = []
-    for _ in range(q):
+    for _ in range(q + 1):
         cols.append(shifted_pow * den - plain_pow * num)
         shifted_pow = shifted_pow * u_plus_d
         plain_pow = plain_pow * PolyQ([0, 1])
-    t_top = shifted_pow * den - plain_pow * num
-    rows = [
-        [col.coeff(k) for col in cols] + [-t_top.coeff(k)] for k in range(q + p)
-    ]
-    reduced, pivots = rref(rows)
-    if q in pivots:  # pivot in the augmented column: inconsistent system
+    echelon = RowEchelon()
+    for k in range(q + p):
+        echelon.add([col.coeff(k) for col in cols])
+    solution = next((vec for vec in echelon.kernel(q + 1) if vec[q]), None)
+    if solution is None:
         return None
-    coeffs = [rat(0)] * q
-    for row, col in zip(reduced, pivots):
-        coeffs[col] = row[q]
-    candidate = PolyQ(coeffs + [1])
-    if candidate.shift_arg(d) * den != candidate * num:
-        return None
-    return candidate
+    candidate = PolyQ(solution)
+    return candidate if candidate.shift_arg(d) * den == candidate * num else None

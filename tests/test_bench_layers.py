@@ -33,6 +33,10 @@ _JOBS = (
     # the 1/k! tail of exp(1/u) has no recurrence within the budget
     ["verdict", "--mu", "series:1,1/2,1/6,1/24,1/120,1/720,1/5040,1/40320",
      "--budget", "3"],
+    # h on a truncated weight runs every product of the Gauss layer
+    ["act", "--gen", "h", "--r", "2", "--mono", "1,2",
+     "--mu", "series:1,1/2,1/3,1/4,1/5,1/6,1/7,1/8"],
+    ["act", "--gen", "f", "--r", "2", "--mono", "1", "--mu", "(u+7/2)(u+3)/((u+1/2)(u+2))"],
 )
 
 

@@ -9,7 +9,7 @@ import pytest
 import yverma.gauss as gauss
 from yverma.errors import InputError, TruncationError
 from yverma.rational import parse_rational_fn
-from yverma.series import SERIES_ONE, expand_rational
+from yverma.series import SERIES_ONE, SeriesU, expand_rational
 from yverma.verma import (
     ActionCache,
     HighestWeightGL2,
@@ -211,15 +211,16 @@ class TestTruncationBoundaries:
 
 def _reference_t22_solve(source, cache):
     """Y(u) = t_22(u)^{-1} S(u) by whole-vector subtraction: the reference
-    for the one-dict solve in ``gauss._t22_solve``."""
+    for the one-dict solve in ``gauss._t22_solve``, on the same dicts."""
     ys = []
-    for y in chain(source, repeat(ModuleVector.zero())):
+    for s_n in chain(source, repeat({})):
+        y = ModuleVector(s_n)
         n = len(ys)
         for c in range(1, n + 1):
             if ys[n - c]:
                 y = y - act_generator(2, 2, c, ys[n - c], cache.hw, cache)
         ys.append(y)
-        yield y
+        yield y.terms
 
 
 #: name -> (r, v, hw, cache) -> the operator applied through gauss._t22_solve
@@ -292,3 +293,45 @@ class TestSolveAgainstReference:
         ours, reference = self._both(monkeypatch, compute)
         assert ours == reference
         assert any(ours) == (route != "act_f")
+
+    @pytest.mark.parametrize("route", SOLVE_ROUTES)
+    def test_same_vectors_and_truncation_with_both_weights_truncated(self, monkeypatch, route):
+        # a hand-built pair with lambda2 truncated too: there reads of lambda2
+        # run out, so the order a product sums its terms in could show
+        op = SOLVE_ROUTES[route]
+        weights = [
+            HighestWeightGL2(SeriesU([1, 3, -1, 2, 5, -2, 1][: o1 + 1]),
+                             SeriesU([1, -1, Fraction(1, 2), 2, -3, 1][: o2 + 1]))
+            for o1, o2 in ((6, 3), (4, 5), (3, 2))
+        ]
+
+        def outcomes(v, hw):
+            out = []
+            for r in range(9):
+                try:
+                    out.append(op(r, v, hw, ActionCache(hw)))
+                except TruncationError as exc:
+                    return out, (r, exc.needed)
+            return out, None
+
+        def compute():
+            return [outcomes(v, hw) for hw in weights for v in _seeded_vectors(2)]
+
+        ours, reference = self._both(monkeypatch, compute)
+        assert ours == reference
+        assert any(truncation for _, truncation in ours)
+
+
+@pytest.mark.parametrize("route", SOLVE_ROUTES)
+def test_routes_build_no_intermediate_vectors(monkeypatch, route):
+    # every sum and difference of the Gauss layer runs in one coefficient dict
+    def forbidden(self, other):
+        raise AssertionError("ModuleVector arithmetic inside the Gauss layer")
+
+    monkeypatch.setattr(ModuleVector, "__add__", forbidden)
+    monkeypatch.setattr(ModuleVector, "__sub__", forbidden)
+    for hw in RELATION_WEIGHTS:
+        cache = ActionCache(hw)
+        for v in _seeded_vectors(3):
+            for r in range(4):
+                SOLVE_ROUTES[route](r, v, hw, cache)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from yverma.linalg import RowEchelon, nullspace, rank, rref
 
@@ -412,3 +413,23 @@ class TestKernel:
                 assert echelon.reduced() == unread.reduced(), rows
                 full += 1
         assert full > 100
+
+    def test_reads_leave_integer_rows_as_added(self):
+        # kernel() and reduced() back-substitute on copies, so an all-int
+        # echelon keeps its primitive rows after being read
+        rng = random.Random(47)
+        read = 0
+        for _ in range(200):
+            ncols = rng.randint(2, 7)
+            echelon = RowEchelon()
+            for _ in range(rng.randint(1, ncols - 1)):
+                echelon.add([rng.choice([0, 0, 1, -1, 2, -6, 9]) for _ in range(ncols)])
+            stored = {p: list(r) for p, r in echelon._rows.items()}
+            if echelon.kernel(ncols):
+                read += 1
+            assert echelon._rows == stored
+            for p, row in echelon._rows.items():
+                assert all(type(x) is int for x in row)
+                assert row[p] > 0 and gcd(*row) == 1
+            assert echelon.reduced() == echelon.reduced()
+        assert read > 150

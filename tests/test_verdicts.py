@@ -8,6 +8,7 @@ import pytest
 
 import yverma
 from yverma.errors import InputError
+from yverma.linalg import rref
 from yverma.rational import POLY_ONE, PolyQ, RationalFn, parse_rational_fn
 from yverma.rootsys import CartanData
 from yverma.series import SeriesU, expand_rational
@@ -25,6 +26,35 @@ A2 = CartanData.from_matrix([[2, -1], [-1, 2]])
 B2 = CartanData.from_matrix([[2, -1], [-2, 2]])
 
 RAT = parse_rational_fn("(u+2)/(u+1)")
+
+
+def _reference_shifted_quotient(f: RationalFn, d: int):
+    """The monic Q with f(u) = Q(u+d)/Q(u) read off the RREF of the system
+    with T_q moved to the right-hand side: the reference for the kernel
+    route in ``shifted_quotient_polynomial``."""
+    if f.is_one():
+        return POLY_ONE
+    num, den = f.num, f.den
+    p = num.degree
+    qdeg = (num.coeff(p - 1) - den.coeff(p - 1)) / Fraction(d)
+    if qdeg <= 0 or qdeg.denominator != 1:
+        return None
+    q = int(qdeg)
+    cols, shifted_pow, plain_pow = [], POLY_ONE, POLY_ONE
+    for _ in range(q + 1):
+        cols.append(shifted_pow * den - plain_pow * num)
+        shifted_pow, plain_pow = shifted_pow * PolyQ([d, 1]), plain_pow * PolyQ([0, 1])
+    rows = [[col.coeff(k) for col in cols[:q]] + [-cols[q].coeff(k)] for k in range(q + p)]
+    reduced, pivots = rref(rows)
+    if q in pivots:  # pivot in the augmented column: inconsistent system
+        return None
+    coeffs = [Fraction(0)] * q
+    for row, col in zip(reduced, pivots):
+        coeffs[col] = row[q]
+    candidate = PolyQ(coeffs + [1])
+    if candidate.shift_arg(d) * den != candidate * num:
+        return None
+    return candidate
 
 
 def _factorial_series(n: int) -> SeriesU:
@@ -194,6 +224,22 @@ class TestShiftedQuotient:
             # Q is unique only up to d-periodic freedom absent over Q(u):
             # the reconstruction must itself satisfy the identity.
             assert recovered.shift_arg(d) * f.den == recovered * f.num
+
+    def test_matches_the_rref_reference(self):
+        rng = random.Random(83)
+        realizable = 0
+        for _ in range(240):
+            d = rng.randint(1, 3)
+            q = PolyQ([Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 4))] + [1])
+            num = q.shift_arg(d)
+            if rng.random() < 0.4:  # the same leading correction, off by a constant
+                num = num + PolyQ([rng.choice([-2, -1, Fraction(1, 2), 3])])
+            f = RationalFn(num, q)
+            expected = _reference_shifted_quotient(f, d)
+            assert shifted_quotient_polynomial(f, d) == expected, (f, d)
+            realizable += expected is not None
+        assert 120 <= realizable < 240
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
