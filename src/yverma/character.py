@@ -50,14 +50,13 @@ the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, _record
 from .rational import RationalFn, rational_roots
 from .series import SeriesU
 from .verma import (
@@ -112,7 +111,7 @@ def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
     return total
 
 
-@dataclass(frozen=True)
+@_record
 class GramReport:
     """Gram data of level k of the irreducible quotient.
 
@@ -206,7 +205,7 @@ def reorder_strings(
     return tuple(pairs), l
 
 
-@dataclass(frozen=True)
+@_record
 class CharacterResult:
     """Shift pairs in formula order, the integer-pair count, and level dims."""
 

@@ -307,7 +307,7 @@ def _run_roots(params: dict) -> tuple[dict, int]:
             "d": list(data.d),
             "count": system.count(),
             "positive": [list(root) for root in system.positive],
-            "highest": list(system.highest()),
+            "highest": system.highest(),
         },
         EXIT_OK,
     )

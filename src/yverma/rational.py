@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .errors import InputError, digit_limit_error
+from .errors import InputError, digit_limit_error, _record
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -69,7 +68,7 @@ def format_rat(q: Fraction) -> str:
         raise digit_limit_error("a report value") from None
 
 
-@dataclass(frozen=True)
+@_record
 class PolyQ:
     """Polynomial over Q in the variable u, coefficients ascending by degree.
 
@@ -414,7 +413,7 @@ def rational_roots(p: PolyQ) -> Optional[list[Fraction]]:
     return sorted(roots)
 
 
-@dataclass(frozen=True)
+@_record
 class RationalFn:
     """Ratio P(u)/Q(u) of monic polynomials of equal degree, gcd(P, Q) = 1.
 

@@ -35,19 +35,18 @@ c is scaled so that its last nonzero entry is 1.  Everything is exact;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
 
 from . import linalg
-from .errors import InputError, InsufficientDataError
+from .errors import InputError, InsufficientDataError, _record
 from .rational import PolyQ, RationalFn, Scalar, rat
 from .series import SeriesU
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@_record
 class RecurrenceWitness:
     """A verified recurrence: coefficients c_0..c_m valid for r >= tail_start."""
 
@@ -144,7 +143,7 @@ def reconstruct_rational(
     return RationalFn(PolyQ(num), PolyQ([_ZERO] * n + cvec))  # P(u) / (u^n C(u))
 
 
-@dataclass(frozen=True)
+@_record
 class RationalityVerdict:
     """Explicit-budget answer to "is this weight series rational?"."""
 

@@ -25,12 +25,11 @@ admissible pairs with total simple-root content eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, digit_limit_error
+from .errors import InputError, digit_limit_error, _record
 from .rational import _primitive_ints
 
 CartanMatrix = tuple[tuple[int, ...], ...]
@@ -100,7 +99,7 @@ def symmetrizers(a: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@_record
 class CartanData:
     """A validated Cartan matrix with its minimal positive symmetrizers."""
 
@@ -121,7 +120,7 @@ class CartanData:
 Root = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class RootSystem:
     rank: int
     positive: tuple[Root, ...]
@@ -129,8 +128,9 @@ class RootSystem:
     def count(self) -> int:
         return len(self.positive)
 
-    def highest(self) -> Root:
-        return self.positive[-1]
+    def highest(self) -> Optional[Root]:
+        """The highest root, or ``None``: a disconnected diagram has one per component."""
+        return self.positive[-1] if all(self.positive[-1]) else None
 
 
 def root_height(alpha: Root) -> int:

@@ -11,14 +11,13 @@ seed, so two runs with the same seed must agree exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Callable, Optional
 
 from .character import character_formula, contravariant_pairing, irreducible_weight_dims
-from .errors import InputError
+from .errors import InputError, _record
 from .gauss import act_e, act_f, act_h, act_h_via_quantum_det, as_gl2_weights
 from .rational import PolyQ, RationalFn
 from .recurrence import detect_recurrence
@@ -87,7 +86,7 @@ def rtt_relation_defect(
     return ModuleVector._of(acc)
 
 
-@dataclass(frozen=True)
+@_record
 class PropertyResult:
     name: str
     passed: bool
@@ -97,7 +96,7 @@ class PropertyResult:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@_record
 class SelftestReport:
     seed: int
     properties: tuple[PropertyResult, ...]

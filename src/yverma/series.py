@@ -12,19 +12,18 @@ the result's window, an inexact one clamps the result to its own order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, TruncationError
+from .errors import InputError, TruncationError, _record
 from .rational import PolyQ, RationalFn, Scalar, format_rat, rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@_record
 class SeriesU:
     """Series 1 + c_1 u^{-1} + ... + c_order u^{-order}; see module docstring."""
 

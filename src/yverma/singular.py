@@ -21,13 +21,12 @@ which follows from t_21(u) = f(u) t_22(u) applied to the highest vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional, Union
 
 from . import linalg
-from .errors import InputError, InsufficientDataError, TruncationError
+from .errors import InputError, InsufficientDataError, TruncationError, _record
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
 from .rational import RationalFn, rat
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
@@ -84,7 +83,7 @@ def expand_f_vector(
     return ModuleVector._of(acc)
 
 
-@dataclass(frozen=True)
+@_record
 class SingularSearchResult:
     """Outcome of a bounded singular-vector search.
 

@@ -21,10 +21,9 @@ instead of overclaiming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, Optional, Sequence, Union
 
-from .errors import InputError
+from .errors import InputError, _record
 from .linalg import RowEchelon
 from .rational import POLY_ONE, PolyQ, RationalFn, rat
 from .recurrence import RationalityVerdict, is_rational_verdict
@@ -34,7 +33,7 @@ from .series import SeriesU
 WeightComponent = Union[RationalFn, SeriesU]
 
 
-@dataclass(frozen=True)
+@_record
 class HighestWeightTuple:
     """One weight component per simple root, each exact or truncated."""
 
@@ -53,14 +52,14 @@ class HighestWeightTuple:
         return len(self.components)
 
 
-@dataclass(frozen=True)
+@_record
 class ReducibilityVerdict:
     kind: Literal["reducible", "irreducible_up_to_budget", "undetermined"]
     budget: int
     components: tuple[RationalityVerdict, ...]
 
 
-@dataclass(frozen=True)
+@_record
 class WeightFinitenessVerdict:
     kind: Literal["finite", "not_finite_up_to_budget", "undetermined"]
     budget: int

@@ -27,11 +27,10 @@ in one dict by ``_act_into``, the only vector-level action loop.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
-from .errors import InputError
+from .errors import InputError, _record
 from .rational import RationalFn, Scalar, format_rat, rat
 from .series import SeriesU, shifted_power_coeff
 
@@ -188,7 +187,7 @@ def format_vector(v: ModuleVector) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
+@_record
 class HighestWeightGL2:
     """The pair of coefficient series (lambda1(u), lambda2(u)) of a Verma module."""
 

@@ -7,6 +7,11 @@ entries.  A deleted or renamed public function, or an action path that
 no longer builds an ``ActionCache``, would break traced benchmark runs.
 ``bench/oracles.py`` imports library functions by name to check each
 report by a second route; a deleted one would fail every benchmark job.
+``Tracer.install`` reads every layer module from ``sys.modules``, so a
+fresh ``import yverma.cli`` must load them all; it must also stay free of
+``dataclasses`` and ``inspect``, whose import dominated a launch.  Before
+any job, ``bench/run.py`` launches a fresh interpreter on ``SETUP_ARGV``
+and fails the whole run unless it prints ``SETUP_REPORT`` byte for byte.
 The benchmark's own tests are not part of this suite; these are.
 """
 
@@ -15,6 +20,8 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import yverma.character as character
@@ -45,6 +52,18 @@ def _tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_constant(name: str):
+    """The literal value bound to ``name`` at the top level of ``bench/run.py``."""
+    tree = ast.parse((_BENCH / "run.py").read_text())
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+    ]
+    return ast.literal_eval(value)
 
 
 def _run_cli(argv) -> str:
@@ -103,3 +122,19 @@ def test_traced_jobs_report_unchanged_and_count_cache_entries():
     assert tracing.counter_metrics(counts)["verma.cache_entries"] > 0
     assert tracing.layer_metrics(spans)["verma"]["calls"] > 0
     assert tracing.counter_metrics(counts)["recurrence.found_ratio"] == 0.5
+
+
+def test_fresh_cli_import_loads_every_layer_and_no_dataclasses():
+    code = "import sys, yverma.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "inspect"} & loaded == set()
+    assert [layer for layer in _tracing().LAYERS if f"yverma.{layer}" not in loaded] == []
+
+
+def test_fresh_setup_launch_prints_the_setup_report():
+    argv = _run_constant("SETUP_ARGV")
+    proc = subprocess.run([sys.executable, "-m", "yverma", *argv], capture_output=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, _run_constant("SETUP_REPORT"))

@@ -115,6 +115,7 @@ class TestGramDims:
         # Level-k spanning sets are multisets from {1..p}.
         reports = irreducible_weight_dims(MU_PROD, max_level=3)
         assert [r.spanning_size for r in reports] == [1, 2, 3, 4]
+        assert repr(reports[2]) == "GramReport(level=2, spanning_size=3, rank=1)"
 
     def test_rank_never_exceeds_span(self):
         for mu in (MU1, MU2, MU_PROD):

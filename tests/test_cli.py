@@ -110,6 +110,17 @@ class TestReportContract:
         obj = json.loads(out_a)
         assert obj["count"] == 4 and obj["highest"] == [1, 2] and obj["d"] == [2, 1]
 
+    @pytest.mark.parametrize("matrix, positive", [
+        ("[[2,0],[0,2]]", [[0, 1], [1, 0]]),
+        ("[[2,-1,0,0],[-1,2,0,0],[0,0,2,-1],[0,0,-1,2]]",
+         [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0]]),
+    ])
+    def test_roots_of_a_disconnected_diagram_have_no_highest(self, capsys, matrix, positive):
+        code, out, _ = call_main(capsys, ["roots", "--cartan", matrix])
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["positive"] == positive and obj["highest"] is None
+
     def test_act_creation_generator(self, capsys):
         code, out, _ = call_main(
             capsys,

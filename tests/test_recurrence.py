@@ -414,6 +414,7 @@ class TestVerdict:
         }
         short = RationalityVerdict(kind="insufficient_data", budget=4)
         assert short.to_obj() == {"verdict": "insufficient_data", "budget": 4}
+        assert (short.rational, short.witness) == (None, None)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(InputError):

@@ -129,6 +129,7 @@ class TestPositiveRoots:
     def test_a2_roots(self):
         system = positive_roots(A2)
         assert system.positive == ((0, 1), (1, 0), (1, 1))
+        assert repr(system) == "RootSystem(rank=2, positive=((0, 1), (1, 0), (1, 1)))"
 
     def test_b2_roots(self):
         system = positive_roots(B2)
@@ -139,6 +140,20 @@ class TestPositiveRoots:
         system = positive_roots(G2)
         assert system.highest() == (2, 3)
         assert root_height(system.highest()) == 5
+
+    def test_disconnected_diagram_has_no_highest_root(self):
+        # A1 x A1 and A2 x A2: each component has its own highest root
+        assert positive_roots([[2, 0], [0, 2]]).highest() is None
+        a2_a2 = [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]]
+        assert positive_roots(a2_a2).highest() is None
+
+    @pytest.mark.parametrize("label", ["A1", "A4", "B3", "C4", "D5", "E6", "E7", "E8", "F4", "G2"])
+    def test_connected_diagram_highest_root_has_full_support(self, label):
+        system = positive_roots(cartan_matrix(label))
+        top = system.highest()
+        heights = [root_height(r) for r in system.positive]
+        assert top == system.positive[-1] and all(top)
+        assert heights.count(root_height(top)) == 1
 
     def test_sorted_by_height(self):
         system = positive_roots(cartan_matrix("B3"))
