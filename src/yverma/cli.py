@@ -116,16 +116,19 @@ def _emit(obj: Any, path: Optional[str]) -> None:
         raise
 
 
+def _parse_list(text: str, convert: Callable[[str], Any], noun: str) -> list:
+    """The nonblank comma-separated items of ``text``, each through ``convert``."""
+    try:
+        return [convert(t.strip()) for t in text.split(",") if t.strip()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {noun}: {exc}") from exc
+
+
 def _parse_weight(text: str) -> Union[RationalFn, SeriesU]:
     if text.startswith("series:"):
-        body = text[len("series:") :]
-        toks = [t.strip() for t in body.split(",") if t.strip()]
-        if not toks:
+        tail = _parse_list(text[len("series:") :], rat, "series coefficient")
+        if not tail:
             raise InputError("series weight needs at least one coefficient")
-        try:
-            tail = [rat(t) for t in toks]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad series coefficient: {exc}") from exc
         return series_from_tail(tail)
     return parse_rational_fn(text)
 
@@ -135,16 +138,6 @@ def _parse_rational_weight(text: str) -> RationalFn:
     if not isinstance(w, RationalFn):
         raise InputError("this command needs an exact rational weight, not a series")
     return w
-
-
-def _parse_coeff_list(text: str) -> list:
-    toks = [t.strip() for t in text.split(",") if t.strip()]
-    if not toks:
-        raise InputError("empty coefficient list")
-    try:
-        return [rat(t) for t in toks]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad coefficient: {exc}") from exc
 
 
 def _parse_cartan(value: Union[str, list]) -> list[list[int]]:
@@ -166,15 +159,6 @@ def _parse_cartan(value: Union[str, list]) -> list[list[int]]:
             raise InputError("cartan matrix rows must be lists of integers")
         matrix.append([int(x) for x in row])
     return matrix
-
-
-def _parse_mono(text: str) -> tuple[int, ...]:
-    toks = [t.strip() for t in text.split(",") if t.strip()]
-    try:
-        indices = [int(t) for t in toks]
-    except ValueError as exc:
-        raise InputError(f"bad monomial index: {exc}") from exc
-    return monomial(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +185,9 @@ def _run_expand(params: dict) -> tuple[dict, int]:
 
 
 def _run_detect(params: dict) -> tuple[dict, int]:
-    coeffs = _parse_coeff_list(params["coeffs"])
+    coeffs = _parse_list(params["coeffs"], rat, "coefficient")
+    if not coeffs:
+        raise InputError("empty coefficient list")
     max_order = params["max_order"]
     witness = detect_recurrence(coeffs, max_order)
     obj: dict = {"max_order": max_order}
@@ -224,7 +210,7 @@ _ACT_GENERATORS = ("t11", "t12", "t21", "t22", "e", "f", "h", "qdet")
 def _run_act(params: dict) -> tuple[dict, int]:
     gen = params["gen"]
     r = params["r"]
-    mono = _parse_mono(params.get("mono", ""))
+    mono = monomial(_parse_list(params.get("mono", ""), int, "monomial index"))
     hw = as_gl2_weights(_parse_weight(params["mu"]))
     cache = ActionCache(hw)
     vec = ModuleVector.basis(mono)
@@ -299,12 +285,11 @@ def _run_character(params: dict) -> tuple[dict, int]:
 
 def _run_roots(params: dict) -> tuple[dict, int]:
     matrix = _parse_cartan(params["cartan"])
-    data = CartanData.from_matrix(matrix)
     system = positive_roots(matrix)
     return (
         {
             "cartan": matrix,
-            "d": list(data.d),
+            "d": list(system.cartan.d),
             "count": system.count(),
             "positive": [list(root) for root in system.positive],
             "highest": system.highest(),

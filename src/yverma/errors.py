@@ -31,12 +31,10 @@ def digit_limit_error(what: str) -> InputError:
 class TruncationError(ArithmeticError):
     """A coefficient beyond the truncation order of an inexact series was needed."""
 
-    def __init__(self, needed: int, order: int, what: str = "series"):
+    def __init__(self, needed: int, order: int):
         self.needed = needed
         self.order = order
-        super().__init__(
-            f"{what} truncated at order {order}, coefficient {needed} required"
-        )
+        super().__init__(f"series truncated at order {order}, coefficient {needed} required")
 
 
 class InsufficientDataError(ArithmeticError):

@@ -36,10 +36,12 @@ CartanMatrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(a: Iterable[Iterable[int]]) -> CartanMatrix:
-    rows = tuple(tuple(int(x) for x in row) for row in a)
+    rows = tuple(tuple(row) for row in a)
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise InputError("Cartan matrix must be square and nonempty")
+    if not all(isinstance(x, int) and not isinstance(x, bool) for r in rows for x in r):
+        raise InputError("Cartan matrix entries must be integers")
     return rows
 
 
@@ -61,44 +63,6 @@ def validate_cartan(a: Iterable[Iterable[int]]) -> CartanMatrix:
     return rows
 
 
-def symmetrizers(a: Iterable[Iterable[int]]) -> tuple[int, ...]:
-    """Positive coprime integers d with d_i A[i][j] = d_j A[j][i].
-
-    Ratios are forced along edges of the Coxeter graph, so each connected
-    component has a unique minimal solution; non-symmetrizable matrices
-    (inconsistent cycles) are rejected.
-    """
-    rows = validate_cartan(a)
-    n = len(rows)
-    d: list[Optional[Fraction | int]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        queue = [start]
-        component = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if i == j or rows[i][j] == 0:
-                    continue
-                forced = d[i] * Fraction(rows[i][j], rows[j][i])
-                if d[j] is None:
-                    d[j] = forced
-                    queue.append(j)
-                    component.append(j)
-                elif d[j] != forced:
-                    raise InputError("Cartan matrix is not symmetrizable")
-        for i, x in zip(component, _primitive_ints([d[i] for i in component])):
-            d[i] = x
-    out = tuple(d)
-    for i in range(n):
-        for j in range(n):
-            if out[i] * rows[i][j] != out[j] * rows[j][i]:
-                raise InputError("Cartan matrix is not symmetrizable")
-    return out
-
-
 @_record
 class CartanData:
     """A validated Cartan matrix with its minimal positive symmetrizers."""
@@ -108,12 +72,46 @@ class CartanData:
 
     @classmethod
     def from_matrix(cls, a: Iterable[Iterable[int]]) -> "CartanData":
+        """Validate ``a`` and solve d_i A[i][j] = d_j A[j][i] for positive coprime d.
+
+        Ratios are forced along edges of the Coxeter graph, so each connected
+        component has a unique minimal solution.  Every edge is checked from
+        both of its ends, so an inconsistent cycle (a matrix that is not
+        symmetrizable) is rejected.
+        """
         rows = validate_cartan(a)
-        return cls(matrix=rows, d=symmetrizers(rows))
+        n = len(rows)
+        d: list[Optional[Fraction | int]] = [None] * n
+        for start in range(n):
+            if d[start] is not None:
+                continue
+            d[start] = Fraction(1)
+            queue = [start]
+            component = [start]
+            while queue:
+                i = queue.pop()
+                for j in range(n):
+                    if i == j or rows[i][j] == 0:
+                        continue
+                    forced = d[i] * Fraction(rows[i][j], rows[j][i])
+                    if d[j] is None:
+                        d[j] = forced
+                        queue.append(j)
+                        component.append(j)
+                    elif d[j] != forced:
+                        raise InputError("Cartan matrix is not symmetrizable")
+            for i, x in zip(component, _primitive_ints([d[i] for i in component])):
+                d[i] = x
+        return cls(matrix=rows, d=tuple(d))
 
     @property
     def rank(self) -> int:
         return len(self.matrix)
+
+
+def symmetrizers(a: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """Positive coprime integers d with d_i A[i][j] = d_j A[j][i]; see ``CartanData``."""
+    return CartanData.from_matrix(a).d
 
 
 #: Coordinate vector of a root over the simple roots.
@@ -122,8 +120,12 @@ Root = tuple[int, ...]
 
 @_record
 class RootSystem:
-    rank: int
+    cartan: CartanData
     positive: tuple[Root, ...]
+
+    @property
+    def rank(self) -> int:
+        return self.cartan.rank
 
     def count(self) -> int:
         return len(self.positive)
@@ -165,9 +167,9 @@ def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
     symmetrization diag(d) A is not positive definite is not of finite
     type, and ``InputError`` is raised before any root is generated.
     """
-    data = CartanData.from_matrix(a)
-    rows, n = data.matrix, data.rank
-    if not _positive_definite([[di * x for x in row] for di, row in zip(data.d, rows)]):
+    cartan = CartanData.from_matrix(a)
+    rows, n = cartan.matrix, cartan.rank
+    if not _positive_definite([[di * x for x in row] for di, row in zip(cartan.d, rows)]):
         raise InputError("Cartan matrix is not of finite type")
     # nonzero entries of each row: <alpha, alpha_i^vee> reads only those
     sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
@@ -191,7 +193,7 @@ def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
         depth.update(nxt)
         frontier = list(nxt)
     ordered = sorted(depth, key=lambda r: (root_height(r), r))
-    return RootSystem(rank=n, positive=tuple(ordered))
+    return RootSystem(cartan=cartan, positive=tuple(ordered))
 
 
 # Standard finite-type Cartan matrices.  Chain conventions: consecutive
@@ -253,15 +255,15 @@ def spanning_count(
     and multisets may repeat pairs.  Each positive root alpha contributing
     m times (in any exponents) accounts for a factor C(bound+m-1, m).
     """
-    rows = validate_cartan(a)
-    n = len(rows)
-    p = [int(x) for x in p]
-    eta = [int(x) for x in eta]
+    system = positive_roots(a)
+    n = system.rank
+    p, eta = list(p), list(eta)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in p + eta):
+        raise InputError("p and eta must be integers")
     if len(p) != n or len(eta) != n:
         raise InputError("p and eta must have one entry per simple root")
     if any(x < 0 for x in p) or any(x < 0 for x in eta):
         raise InputError("p and eta must be nonnegative")
-    system = positive_roots(rows)
     counts: dict[Root, int] = {tuple(0 for _ in range(n)): 1}
     for alpha in system.positive:
         bound = sum(alpha[i] * p[i] for i in range(n))

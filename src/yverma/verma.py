@@ -85,10 +85,6 @@ class ModuleVector:
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "ModuleVector":
-        return cls()
-
-    @classmethod
     def basis(cls, mono: Iterable[int]) -> "ModuleVector":
         return cls._of({monomial(mono): 1})
 
@@ -101,10 +97,6 @@ class ModuleVector:
     @property
     def terms(self) -> dict[Monomial, int | Fraction]:
         return self._terms
-
-    def coefficient(self, mono: Iterable[int]) -> int | Fraction:
-        """Coefficient of the monomial ``mono`` (normalized first); ``0`` if absent."""
-        return self._terms.get(monomial(mono), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

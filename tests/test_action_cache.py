@@ -201,9 +201,9 @@ def test_unit_vectors_agree_on_int_from_every_constructor():
     ]
     for v in vectors:
         assert v == ModuleVector.basis([1, 2])
-        assert type(v.coefficient([1, 2])) is int
-    assert type(ModuleVector.highest().coefficient(())) is int
-    assert type(ModuleVector({(1,): True}).coefficient((1,))) is int
+        assert type(v.terms[(1, 2)]) is int
+    assert type(ModuleVector.highest().terms[()]) is int
+    assert type(ModuleVector({(1,): True}).terms[(1,)]) is int
 
 
 def _coefficients(result):
@@ -305,7 +305,7 @@ def test_hbar_cache_satisfies_the_scaled_relations(mu):
         for (i, j), (k, l) in product(gens, gens):
             for r, s in product(range(1, 4), range(1, 4)):
                 lhs = act(i, j, r, act(k, l, s, v)) - act(k, l, s, act(i, j, r, v))
-                rhs = ModuleVector.zero()
+                rhs = ModuleVector()
                 for a in range(1, min(r, s) + 1):
                     rhs += act(k, j, a - 1, act(i, l, r + s - a, v))
                     rhs -= act(k, j, r + s - a, act(i, l, a - 1, v))

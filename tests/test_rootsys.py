@@ -1,10 +1,17 @@
 """Finite root systems from Cartan matrices and PBW spanning counts."""
 
+import contextlib
+import io
+import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+import yverma.cli as cli
+import yverma.rootsys as rootsys
 from yverma.errors import InputError
+from yverma.rational import _primitive_ints
 from yverma.rootsys import (
     CartanData,
     cartan_matrix,
@@ -65,6 +72,18 @@ class TestValidation:
         with pytest.raises(InputError):
             validate_cartan([[2, 0], [-1, 2]])
 
+    @pytest.mark.parametrize("matrix", [
+        [[2.9, -1.5], [-1, 2]],
+        [[2, -1.7], [-1, 2]],
+        [[2, Fraction(-1)], [-1, 2]],
+        [[2, False], [False, 2]],
+        [[True]],
+    ])
+    def test_rejects_entries_that_are_not_int(self, matrix):
+        for call in (validate_cartan, symmetrizers, positive_roots):
+            with pytest.raises(InputError, match="entries must be integers"):
+                call(matrix)
+
     def test_rejects_non_square(self):
         with pytest.raises(InputError):
             validate_cartan([[2, -1]])
@@ -103,19 +122,126 @@ class TestSymmetrizers:
         assert symmetrizers(m) == (2, 1, 1)
 
     def test_non_symmetrizable_rejected(self):
-        # A 3-cycle with inconsistent edge ratios.
-        m = [
-            [2, -1, -2],
-            [-2, 2, -1],
-            [-1, -2, 2],
-        ]
-        with pytest.raises(InputError):
-            symmetrizers(m)
+        # 3-cycles with inconsistent edge ratios; in the second, the edges
+        # (0, 1) and (1, 2) force d_2 = 2 d_0 and the edge (0, 2) needs d_2 = d_0
+        for m in (
+            [[2, -1, -2], [-2, 2, -1], [-1, -2, 2]],
+            [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+        ):
+            with pytest.raises(InputError, match="not symmetrizable"):
+                symmetrizers(m)
 
     def test_cartan_data_bundles(self):
         data = CartanData.from_matrix(B2)
         assert data.rank == 2
         assert data.d == (2, 1)
+
+    def test_random_matrices_agree_with_the_full_equation_check(self):
+        rng = random.Random(25)
+        outcomes = [_outcome(m) for m in (_random_matrix(rng) for _ in range(2000))]
+        assert all(got == expect for got, expect in outcomes)
+        cycles = sum(got == ("error", "Cartan matrix is not symmetrizable") for got, _ in outcomes)
+        assert 300 < cycles < 1000
+
+
+def _random_matrix(rng):
+    """A 1-5 node matrix: mostly a generalized Cartan matrix, sometimes not."""
+    n = rng.randint(1, 5)
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                m[i][j], m[j][i] = rng.choice((-1, -2, -3)), rng.choice((-1, -2, -3))
+            if rng.random() < 0.03:
+                m[i][j] = rng.choice((1, 0))
+    if rng.random() < 0.02:
+        m[rng.randrange(n)][rng.randrange(n)] = 1
+    return m
+
+
+def _outcome(m):
+    """``symmetrizers`` and ``_checked_symmetrizers`` on m: each a d or an error text."""
+    out = []
+    for solve in (symmetrizers, _checked_symmetrizers):
+        try:
+            out.append(("ok", solve(m)))
+        except InputError as exc:
+            out.append(("error", str(exc)))
+    return tuple(out)
+
+
+def _checked_symmetrizers(a):
+    """Propagate ratios along the graph, then check every d_i A[i][j] = d_j A[j][i] again."""
+    rows = validate_cartan(a)
+    n = len(rows)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        queue, component = [start], [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if i == j or rows[i][j] == 0:
+                    continue
+                forced = d[i] * Fraction(rows[i][j], rows[j][i])
+                if d[j] is None:
+                    d[j] = forced
+                    queue.append(j)
+                    component.append(j)
+                elif d[j] != forced:
+                    raise InputError("Cartan matrix is not symmetrizable")
+        for i, x in zip(component, _primitive_ints([d[i] for i in component])):
+            d[i] = x
+    for i in range(n):
+        for j in range(n):
+            if d[i] * rows[i][j] != d[j] * rows[j][i]:
+                raise InputError("Cartan matrix is not symmetrizable")
+    return tuple(d)
+
+
+class TestOneValidationPerJob:
+    """Each job validates and symmetrizes its matrix once, in ``CartanData.from_matrix``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"validate_cartan": 0, "from_matrix": 0, "built": []}
+        validate, from_matrix = rootsys.validate_cartan, CartanData.from_matrix.__func__
+
+        def counting_validate(a):
+            counts["validate_cartan"] += 1
+            return validate(a)
+
+        def counting_from_matrix(cls, a):
+            counts["from_matrix"] += 1
+            counts["built"].append(from_matrix(cls, a))
+            return counts["built"][-1]
+
+        monkeypatch.setattr(rootsys, "validate_cartan", counting_validate)
+        monkeypatch.setattr(CartanData, "from_matrix", classmethod(counting_from_matrix))
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        ["roots", "--cartan", "B2"],
+        ["verdict", "--mu", "(u+2)/(u+1)", "--mu", "(u+3)/(u+1)", "--budget", "2",
+         "--cartan", "A2"],
+    ])
+    def test_cli_job(self, calls, argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert (calls["validate_cartan"], calls["from_matrix"]) == (1, 1)
+
+    def test_spanning_count(self, calls):
+        assert spanning_count([2], [3], [[2]]) == comb(4, 3)
+        assert (calls["validate_cartan"], calls["from_matrix"]) == (1, 1)
+
+    def test_root_system_carries_the_instance_it_built(self, calls):
+        system = positive_roots(G2)
+        [built] = calls["built"]
+        assert built is system.cartan
+        assert system.rank == len(system.cartan.matrix) == 2
+        assert system.cartan.d == (3, 1)
 
 
 class TestPositiveRoots:
@@ -129,7 +255,10 @@ class TestPositiveRoots:
     def test_a2_roots(self):
         system = positive_roots(A2)
         assert system.positive == ((0, 1), (1, 0), (1, 1))
-        assert repr(system) == "RootSystem(rank=2, positive=((0, 1), (1, 0), (1, 1)))"
+        assert repr(system) == (
+            "RootSystem(cartan=CartanData(matrix=((2, -1), (-1, 2)), d=(1, 1)),"
+            " positive=((0, 1), (1, 0), (1, 1)))"
+        )
 
     def test_b2_roots(self):
         system = positive_roots(B2)
@@ -245,3 +374,8 @@ class TestSpanningCount:
             spanning_count([-1], [0], A1)
         with pytest.raises(InputError):
             spanning_count([1], [-2], A1)
+
+    @pytest.mark.parametrize("p, eta", [([1.9], [1]), ([2], [1.0]), ([True], [1]), ([2], [False])])
+    def test_rejects_p_and_eta_that_are_not_int(self, p, eta):
+        with pytest.raises(InputError, match="p and eta must be integers"):
+            spanning_count(p, eta, A1)

@@ -81,7 +81,7 @@ def _composed_defect(i, j, r, k, l, s, vec, hw, cache=None):
     """The defect as products of whole-vector actions: the reference for the fused one."""
     lhs = act_generator(i, j, r, act_generator(k, l, s, vec, hw, cache), hw, cache)
     lhs -= act_generator(k, l, s, act_generator(i, j, r, vec, hw, cache), hw, cache)
-    rhs = ModuleVector.zero()
+    rhs = ModuleVector()
     for a in range(1, min(r, s) + 1):
         rhs += act_generator(
             k, j, a - 1, act_generator(i, l, r + s - a, vec, hw, cache), hw, cache
@@ -146,7 +146,7 @@ class TestFusedDefect:
     )
     def test_rejects_bad_indices_on_any_vector(self, indices):
         hw = DEFECT_WEIGHTS["rational"]
-        for vec in (ModuleVector.zero(), ModuleVector.basis([1, 2])):
+        for vec in (ModuleVector(), ModuleVector.basis([1, 2])):
             with pytest.raises(InputError):
                 rtt_relation_defect(*indices, vec, hw)
 
@@ -192,7 +192,7 @@ def _no_recurrence(*args, **kwargs):
 #: catch it, that property's detail at seed 0)
 BREAKAGES = {
     "act_h_via_quantum_det": (
-        lambda r, v, hw, cache=None: ModuleVector.zero(),
+        lambda r, v, hw, cache=None: ModuleVector(),
         "h_two_route_agreement",
         "h(0) on (1, 1)",
     ),

@@ -50,7 +50,7 @@ def _reference_find_singular(mu, level, degree_bound, max_extra_relations=32):
         images = [next(series) for series in e_images]
         monos = sorted({m for img in images for m in img.terms}, key=_mono_sort_key)
         for mono in monos:
-            rows.append([img.coefficient(mono) for img in images])
+            rows.append([img.terms.get(mono, 0) for img in images])
 
     try:
         for _ in range(r_start + 1):
@@ -80,7 +80,7 @@ def _reference_find_singular(mu, level, degree_bound, max_extra_relations=32):
         {cands[j]: coord for j, coord in enumerate(vec) if coord} for vec in current
     )
     basis = tuple(
-        sum((vectors[j].scaled(c) for j, c in enumerate(vec) if c), ModuleVector.zero())
+        sum((vectors[j].scaled(c) for j, c in enumerate(vec) if c), ModuleVector())
         for vec in current
     )
     return bound, stabilized, fbasis, basis
@@ -181,7 +181,7 @@ class TestSearch:
             image = act_h(0, w, MU)
             mono = w.monomials()[0]
             # integral coefficients are ints, so divide exactly
-            assert image == w.scaled(Fraction(image.coefficient(mono), w.coefficient(mono)))
+            assert image == w.scaled(Fraction(image.terms.get(mono, 0), w.terms[mono]))
 
     def test_size_cap(self):
         # level 9 with degree bound 150 has far more candidates than can be

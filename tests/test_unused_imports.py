@@ -2,15 +2,24 @@
 
 Every module-level private name (``_X = ...``, ``def _f``, ``class _C``) is
 read somewhere in the library, by its own module or by one that imports it.
+
+Every public function and method has a reader in the library outside
+``__init__``, unless the benchmark reads it (a ``LAYERS`` name of
+``bench/tracing.py``, or a name ``bench/oracles.py`` reads) or it overrides
+a method of a base class.  A function that only its own tests call is
+dead weight.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+_BENCH = SRC.parent.parent / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -102,3 +111,104 @@ def test_guard_sees_unread_and_read_private_names():
         "b": "from .a import _helper\nfrom . import a\n_ONE = 1\nx = _helper() + a._Spec + _ONE\n",
     }
     assert unread_private_names(sources) == ["a: _ONE (line 2)", "a: _unused (line 6)"]
+
+
+def names_read(source: str) -> set[str]:
+    """Names the module loads, reads as attributes, or imports from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_public_names(sources: dict[str, str], readers: set[str]) -> list[tuple[str, str, int]]:
+    """(module, qualified name, line) of each public function or method nothing reads.
+
+    ``sources`` maps module names to their text.  Module-level functions and
+    the methods of module-level classes count; a name is read where a module
+    of ``sources`` reads it (see ``names_read``) or where ``readers`` holds it.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    read = set(readers).union(*map(names_read, sources.values()))
+    unread = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, functions):
+                members = [("", node)]
+            elif isinstance(node, ast.ClassDef):
+                members = [
+                    (node.name + ".", item) for item in node.body if isinstance(item, functions)
+                ]
+            else:
+                members = []
+            unread += [
+                (module, prefix + item.name, item.lineno)
+                for prefix, item in members
+                if not item.name.startswith("_") and item.name not in read
+            ]
+    return unread
+
+
+def _overrides(module: str, qualname: str) -> bool:
+    """Whether ``qualname`` is a method that a base class of its class also defines."""
+    cls_name, _, name = qualname.rpartition(".")
+    if not cls_name:
+        return False
+    cls = getattr(importlib.import_module(f"yverma.{module}"), cls_name)
+    return any(name in vars(base) for base in cls.__mro__[1:])
+
+
+def _bench_readers() -> set[str]:
+    """The ``LAYERS`` names of ``bench/tracing.py`` and the names ``bench/oracles.py`` reads."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", _BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    layers = {name for names in tracing.LAYERS.values() for name in names}
+    return layers | names_read((_BENCH / "oracles.py").read_text(encoding="utf-8"))
+
+
+def test_every_public_name_has_a_library_reader():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    unread = [
+        f"{module}: {qualname} (line {line})"
+        for module, qualname, line in unread_public_names(sources, _bench_readers())
+        if not _overrides(module, qualname)
+    ]
+    assert unread == []
+
+
+def test_guard_sees_unread_and_read_public_names():
+    sources = {
+        "a": (
+            "def helper():\n"
+            "    pass\n"
+            "def traced():\n"
+            "    pass\n"
+            "def only_tested():\n"
+            "    pass\n"
+            "class Vec:\n"
+            "    def __add__(self, other):\n"
+            "        return self.norm() + other.scaled\n"
+            "    def norm(self):\n"
+            "        pass\n"
+            "    def zero(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def scaled(self):\n"
+            "        pass\n"
+        ),
+        "b": "from .a import helper\nx = helper\n",
+    }
+    assert unread_public_names(sources, {"traced"}) == [
+        ("a", "only_tested", 5), ("a", "Vec.zero", 12),
+    ]
+    assert _overrides("cli", "_Parser.error")
+    assert not _overrides("verma", "ModuleVector.basis")
+    assert not _overrides("rootsys", "positive_roots")

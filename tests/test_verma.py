@@ -105,7 +105,7 @@ def _reference_basis_monomials(max_level, max_degree):
 
 class TestModuleVector:
     def test_zero_and_truthiness(self):
-        z = ModuleVector.zero()
+        z = ModuleVector()
         assert z.is_zero() and not z
         assert ModuleVector.highest()
 
@@ -113,8 +113,7 @@ class TestModuleVector:
         a = ModuleVector.basis([1]).scaled(2)
         b = ModuleVector.basis([2])
         s = a + b
-        assert s.coefficient([1]) == 2
-        assert s.coefficient([2]) == 1
+        assert s.terms == {(1,): 2, (2,): 1}
         assert (s - a) == b
         assert (-b + b).is_zero()
 
@@ -132,13 +131,13 @@ class TestModuleVector:
 
     def test_coefficient_normalizes_its_key(self):
         v = ModuleVector.basis([1, 2]).scaled(3)
-        assert v.coefficient([2, 1]) == v.coefficient((1, 2)) == 3
+        assert v.terms.get(monomial([2, 1]), 0) == v.terms.get(monomial((1, 2)), 0) == 3
         with pytest.raises(InputError):
-            v.coefficient([0, 1])
+            v.terms.get(monomial([0, 1]), 0)
 
     def test_coefficient_of_a_missing_monomial_is_int_zero(self):
-        for v in (ModuleVector.zero(), ModuleVector.basis([1, 2]).scaled(Fraction(1, 3))):
-            c = v.coefficient([3])
+        for v in (ModuleVector(), ModuleVector.basis([1, 2]).scaled(Fraction(1, 3))):
+            c = v.terms.get(monomial([3]), 0)
             assert c == 0 and type(c) is int
 
     def test_constructor_sorts_monomial_keys(self):
@@ -280,7 +279,7 @@ class TestTailSubmodule:
         assert not in_tail_submodule(ModuleVector.basis([1]), 1)
         mixed = ModuleVector.basis([2]) + ModuleVector.basis([1])
         assert not in_tail_submodule(mixed, 1)
-        assert in_tail_submodule(ModuleVector.zero(), 1)
+        assert in_tail_submodule(ModuleVector(), 1)
         # Only one index needs to exceed p; the others may be small.
         assert in_tail_submodule(ModuleVector.basis([1, 1, 5]), 2)
 
