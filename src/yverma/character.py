@@ -19,11 +19,9 @@ irreducible quotient L, and the Gram route works in M/N: on its cache
 t_21^(r), r > p, acts by zero, so no monomial of N is ever created, and
 the pairing recursion reads the cached kernel images directly.
 
-Every Gram entry is an ``int``.  With D the lcm of the coefficient
-denominators of both polynomial weights, T^(r) = D^r t^(r) satisfy the
-defining relations with hbar = D and act on the highest vector by the
-integers D^r lambda_i^(r).  In the T-monomials the Gram matrix is S G S,
-S = diag(D^|m|), so its rank and pivot columns are those of G.
+Every Gram entry is an ``int``: the route pairs in Y_D on the weights'
+``integral_rescaling``, where the Gram matrix of the T-monomials is
+S G S, S = diag(D^|m|), so its rank and pivot columns are those of G.
 
 The spanning set is carried from level to level.  If the images of the
 monomials B_{k-1} form a basis of L_{k-1}, the monomials
@@ -52,13 +50,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import InputError, _record
 from .rational import RationalFn, rational_roots
-from .series import SeriesU
 from .verma import (
     ActionCache,
     HighestWeightGL2,
@@ -67,6 +64,7 @@ from .verma import (
     _insert,
     bind_cache,
     canonical_polynomial_weights,
+    integral_rescaling,
     monomial,
 )
 
@@ -140,12 +138,8 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     """
     if max_level < 0:
         raise InputError("max_level must be >= 0")
-    hw = canonical_polynomial_weights(mu)
+    hw, d = integral_rescaling(canonical_polynomial_weights(mu))
     p = mu.degree
-    lams = (hw.lambda1, hw.lambda2)
-    d = lcm(*(c.denominator for lam in lams for c in lam.coeffs))
-    hw = HighestWeightGL2(*(SeriesU([c * d**k for k, c in enumerate(lam.coeffs)], exact=True)
-                            for lam in lams))
     cache = ActionCache(hw)
     cache._tail = p
     cache.hbar = d

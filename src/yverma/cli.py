@@ -304,6 +304,10 @@ def _run_verdict(params: dict) -> tuple[dict, int]:
         mu_texts = [mu_texts]
     budget = params["budget"]
     weights = HighestWeightTuple([_parse_weight(t) for t in mu_texts])
+    data = None
+    if params.get("cartan") is not None:  # checked before the rationality pass
+        data = CartanData.from_matrix(_parse_cartan(params["cartan"]))
+        fd = verdict_finite_dimensional(weights, data)
     reducible, finiteness = classify(weights, budget)
     obj: dict = {
         "mu": list(mu_texts),
@@ -313,9 +317,7 @@ def _run_verdict(params: dict) -> tuple[dict, int]:
         "weight_finiteness": finiteness.kind,
     }
     undetermined = "undetermined" in (reducible.kind, finiteness.kind)
-    if params.get("cartan") is not None:
-        data = CartanData.from_matrix(_parse_cartan(params["cartan"]))
-        fd = verdict_finite_dimensional(weights, data)
+    if data is not None:
         obj["d"] = list(data.d)
         obj["finite_dimensional"] = fd
         undetermined = undetermined or fd is None

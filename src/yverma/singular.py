@@ -30,7 +30,7 @@ from .errors import InputError, InsufficientDataError, TruncationError, _record
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
 from .rational import RationalFn, rat
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
-from .verma import _add_scaled_into, _narrow, nondecreasing_tuples
+from .verma import _add_scaled_into, _narrow, integral_rescaling, nondecreasing_tuples
 
 #: Exponent tuple of an ordered f-monomial: non-decreasing, entries >= 0.
 FMonomial = tuple[int, ...]
@@ -118,9 +118,17 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
     computable or ``InsufficientDataError`` is raised; a round beyond the
     window ends the loop with ``stabilized=False``.  A candidate space of
     more than 5000 monomials raises ``InputError`` before any is expanded.
+    An exact weight is searched in Y_D on its ``integral_rescaling``, on
+    ``int`` rows: F^(r) = D^(r+1) f^(r) and E^(r) = D^(r+1) e^(r) scale rows
+    and columns by powers of D, which keeps every rank, pivot and stop.  A
+    truncated window is not rescaled, since D^r grows with it.
     """
     hw = as_gl2_weights(mu)
+    # an exact weight cannot run out of data, so its rounds may end at full rank
+    exact = hw.lambda1.exact and hw.lambda2.exact
+    hw, d = integral_rescaling(hw) if exact else (hw, 1)
     cache = ActionCache(hw)
+    cache.hbar = d
     cands = list(islice(_f_monomials(level, degree_bound), _SIZE_CAP + 1))
     if len(cands) > _SIZE_CAP:
         raise InputError(f"candidate space exceeds the cap of {_SIZE_CAP} monomials")
@@ -146,8 +154,6 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
             # an int 0 keeps the rows of an integral weight all int
             echelon.add([img.terms.get(mono, 0) for img in images])
 
-    # an exact weight cannot run out of data, so its rounds may end at full rank
-    exact = hw.lambda1.exact and hw.lambda2.exact
     bound, unchanged = r_start, 0
     for r in range(r_start + _MAX_EXTRA_RELATIONS + 1):
         full = echelon.rank == len(cands)
@@ -169,10 +175,15 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
     fbasis, basis = [], []
     for vec in echelon.kernel(len(cands)):
         coords = [(j, coord) for j, coord in enumerate(vec) if coord]
-        fbasis.append({cands[j]: coord for j, coord in coords})
         acc: dict = {}
         for j, coord in coords:
             _add_scaled_into(acc, vectors[j].terms, _narrow(coord))
+        if d > 1:  # out of Y_D, with f = the free column = the last nonzero one:
+            # coordinate j times D^(|r_j| - |r_f|), monomial m times D^(|m| - |r_f| - level)
+            top = sum(cands[coords[-1][0]])
+            coords = [(j, coord * Fraction(d) ** (sum(cands[j]) - top)) for j, coord in coords]
+            acc = {m: _narrow(c * Fraction(d) ** (sum(m) - top - level)) for m, c in acc.items()}
+        fbasis.append({cands[j]: coord for j, coord in coords})
         basis.append(ModuleVector._of(acc))
 
     return SingularSearchResult(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from .errors import InputError, _record
@@ -207,6 +208,18 @@ def canonical_polynomial_weights(mu: RationalFn) -> HighestWeightGL2:
     return HighestWeightGL2(l1, l2)
 
 
+def integral_rescaling(hw: HighestWeightGL2) -> tuple[HighestWeightGL2, int]:
+    """(lambda_i(u/D), D) for an exact pair, D the lcm of its coefficient denominators.
+
+    lambda_i(u/D) has the integer coefficients D^r lambda_i^(r), and in Y_D
+    (``ActionCache.hbar = D``) the T^(r) = D^r t^(r) act on it as t^(r) on M(hw).
+    """
+    lams = (hw.lambda1, hw.lambda2)
+    d = lcm(*(c.denominator for lam in lams for c in lam.coeffs))
+    scaled = (SeriesU([c * d**r for r, c in enumerate(lam.coeffs)], exact=True) for lam in lams)
+    return HighestWeightGL2(*scaled), d
+
+
 class ActionCache:
     """Memo for single-generator actions on basis monomials.
 
@@ -232,8 +245,9 @@ class ActionCache:
 
     ``hbar`` scales every commutator term, 1 by default, so the kernel
     computes in Y_hbar: on ``hw`` with coefficients hbar^r lambda_i^(r) it
-    acts by the generators T^(r) = hbar^r t^(r) of M(lambda).  Only
-    ``irreducible_weight_dims`` sets it, as it sets ``_tail``.
+    acts by the generators T^(r) = hbar^r t^(r) of M(lambda).  It is set
+    only to the D of ``integral_rescaling``, by ``irreducible_weight_dims``
+    and ``find_singular``.
     """
 
     __slots__ = ("hw", "data", "_tail", "hbar")

@@ -332,8 +332,13 @@ def test_hbar_cache_pairing_is_rescaled_plain_pairing(mu):
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"
 
-#: where the library may assign ``_tail`` or ``hbar``: the defaults, and the Gram route
-SLOT_WRITERS = {("verma", "ActionCache.__init__"), ("character", "irreducible_weight_dims")}
+#: where the library may assign ``_tail`` or ``hbar``: the defaults, the Gram route,
+#: and the singular search, which sets ``hbar`` alone
+SLOT_WRITERS = {
+    ("verma", "ActionCache.__init__"),
+    ("character", "irreducible_weight_dims"),
+    ("singular", "find_singular"),
+}
 
 
 def slot_assignments(sources: dict[str, str]) -> set[tuple[str, str]]:

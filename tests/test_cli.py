@@ -189,6 +189,27 @@ class TestReportContract:
         # the rational component needs no detection; each series needs one
         assert len(calls) == 2
 
+    #: --mu, --cartan -> the input error, raised before any rationality work
+    VERDICT_INPUT_ERRORS = {
+        ("window", "[[2,-1],[-2,1]]"): "diagonal entry A[1][1] must be 2",
+        ("window", "A2"): "weight tuple has 1 components for rank 2",
+        ("window", "[[2,-1],[-1,2.5]]"): "cartan matrix rows must be lists of integers",
+        ("series:", "[[2,-1],[-2,1]]"): "series weight needs at least one coefficient",
+    }
+
+    @pytest.mark.parametrize("mu, cartan", VERDICT_INPUT_ERRORS, ids=lambda x: str(x))
+    def test_verdict_checks_cartan_before_classify(self, capsys, monkeypatch, mu, cartan):
+        message = self.VERDICT_INPUT_ERRORS[(mu, cartan)]
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda *args: calls.append(args))
+        if mu == "window":  # 60 coefficients: a budget-20 pass is real work
+            mu = "series:" + ",".join(str(k * k % 11 + 1) for k in range(60))
+        argv = ["verdict", "--mu", mu, "--cartan", cartan, "--budget", "20"]
+        code, out, err = call_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "input", "message": message}
+        assert calls == []
+
     def test_series_weight_syntax(self, capsys):
         code, out, _ = call_main(
             capsys,
@@ -729,6 +750,25 @@ class TestExactReports:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "92796ef2aff77738a2eb4e6911a0288fd17eeeecf979520776255b8bb37ce11b"
         )
+
+    #: mu -> sha256 of its level-2 singular report, pinned from the search
+    #: that eliminated Fraction rows; the Y_D search on integer rows must
+    #: write the same bytes
+    NON_INTEGRAL_SINGULAR_PINS = {
+        ("(u+5/2)/(u+1)", "6"): "543604d1287c4a2b6e198379fd07039ee3eef697cea32993472d571aa01ce4d8",
+        ("(u+5/3)(u+1/3)/((u+2/3)(u+4))", "6"): (
+            "9d97bfc9f383f431fcef02ed61dfb46ec512382a48d81b4cbbb2177b50be85c8"
+        ),
+    }
+
+    @pytest.mark.parametrize("mu, degree", NON_INTEGRAL_SINGULAR_PINS, ids=lambda x: str(x))
+    def test_non_integral_singular_reports_match_pinned_sha256(self, capsys, mu, degree):
+        argv = ["singular", "--mu", mu, "--level", "2", "--degree", degree]
+        code, out, _ = call_main(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["basis"]  # a nonempty kernel, mapped back from Y_D
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.NON_INTEGRAL_SINGULAR_PINS[(mu, degree)]
 
     #: (gen, r) -> (exit code, sha256 of the act report on mono 1,3 over an
     #: 8-coefficient series weight), pinned from the solve that built each

@@ -11,7 +11,7 @@ import pytest
 
 from yverma import linalg, singular
 from yverma.errors import InputError, InsufficientDataError, TruncationError
-from yverma.gauss import act_h, as_gl2_weights, e_series
+from yverma.gauss import act_e, act_h, as_gl2_weights, e_series
 from yverma.rational import format_rat, parse_rational_fn, rat
 from yverma.series import expand_rational
 from yverma.singular import (
@@ -333,6 +333,66 @@ class TestAgainstReference:
     def test_one_nullspace_per_search(self, calls, mu, level, bound):
         find_singular(mu, level, bound)
         assert calls == {"kernel": 1, "nullspace": 0, "rref": 0}
+
+
+def _shift_weight(rng, denominator):
+    """A seeded mu = prod (u + a_i)/(u + b_i), p <= 2, with some shift of the given denominator."""
+    p = rng.randint(1, 2)
+    shifts = [Fraction(rng.randint(-6, 12), rng.choice([1, denominator])) for _ in range(2 * p)]
+    shifts[0] = Fraction(rng.randint(-6, 12) * denominator + 1, denominator)
+
+    def factors(part):
+        return "".join(f"(u{'+' if a >= 0 else '-'}{format_rat(abs(a))})" for a in part)
+
+    return parse_rational_fn(f"{factors(shifts[:p])}/({factors(shifts[p:])})")
+
+
+class TestRescaledSearch:
+    """An exact non-integral weight is searched in Y_D and mapped back exactly."""
+
+    def test_matches_the_unscaled_kernel(self):
+        rng = random.Random(26)
+        weights = [_shift_weight(rng, den) for den in (2, 3, 6) for _ in range(11)]
+        kinds = set()
+        for k, mu in enumerate(weights):
+            level = 1 + k % 3
+            res = find_singular(mu, level, rng.randint(0, [6, 4, 3][level - 1]))
+            hw = as_gl2_weights(mu)
+            cache = ActionCache(hw)
+            vectors = [expand_f_monomial(fm, hw, cache) for fm in res.candidates]
+            rows = []
+            for r in range(res.relation_bound + 1):
+                images = [act_e(r, v, hw, cache) for v in vectors]
+                for mono in sorted({m for img in images for m in img.terms}):
+                    rows.append([img.terms.get(mono, 0) for img in images])
+            expected = tuple(
+                {res.candidates[j]: c for j, c in enumerate(vec) if c}
+                for vec in linalg.nullspace(rows, len(vectors))
+            )
+            assert res.fbasis == expected, (str(mu), level, res.degree_bound)
+            assert res.basis == tuple(expand_f_vector(fv, mu) for fv in res.fbasis)
+            assert all(type(c) is Fraction for fv in res.fbasis for c in fv.values())
+            kinds.add(bool(res.fbasis))
+        assert kinds == {True, False}  # empty and nonempty kernels
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(u+3)(u+5)/((u+1)(u+2))", "(u+5/2)/(u+1)", "(u+7/3)(u+1)/((u+1/3)(u+3))",
+         "(u+5/6)(u+1)/((u+1/3)(u-1/2))"],
+        ids=["integral", "half", "third", "sixth"],
+    )
+    def test_exact_weight_rows_are_int(self, monkeypatch, text):
+        rows = []
+        add = linalg.RowEchelon.add
+
+        def spy_add(self, row):
+            rows.append(list(row))
+            add(self, row)
+
+        monkeypatch.setattr(linalg.RowEchelon, "add", spy_add)
+        find_singular(parse_rational_fn(text), 2, 4)
+        assert rows
+        assert not [x for row in rows for x in row if type(x) is not int]
 
 
 class TestCanonicalFamily:
