@@ -38,7 +38,6 @@ from .series import (
     SERIES_ONE,
     SeriesU,
     expand_rational,
-    render_series,
     series_from_tail,
     series_inverse,
     series_mul,
@@ -53,7 +52,6 @@ from .verma import (
     act_quantum_det,
     basis_monomials,
     canonical_polynomial_weights,
-    format_vector,
     in_tail_submodule,
     monomial,
 )

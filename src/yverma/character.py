@@ -172,28 +172,22 @@ def reorder_strings(
     remaining pair has a nonnegative integer difference and pairs the rest
     by descending value.  Returns the ordered pairs and the count l of
     integer-difference leading pairs.
+
+    Taking a pair only removes candidates, so one pass over the sorted keys
+    (a - b, a) of all candidate pairs, taking each while both shifts remain,
+    extracts the same pairs in the same order.
     """
     if len(alphas) != len(betas):
         raise InputError("need equally many numerator and denominator shifts")
-    rem_a = sorted(alphas)
-    rem_b = sorted(betas)
+    rem_a, rem_b = list(alphas), list(betas)
+    keys = {(d, a) for a in rem_a for b in rem_b if (d := a - b) >= 0 and d.denominator == 1}
     pairs: list[tuple[Fraction, Fraction]] = []
-    while rem_a:
-        best = None
-        for a in rem_a:
-            for b in rem_b:
-                d = a - b
-                if d >= 0 and d.denominator == 1:
-                    key = (d, a)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        d, a = best
+    for d, a in sorted(keys):
         b = a - d
-        rem_a.remove(a)
-        rem_b.remove(b)
-        pairs.append((a, b))
+        while a in rem_a and b in rem_b:
+            rem_a.remove(a)
+            rem_b.remove(b)
+            pairs.append((a, b))
     l = len(pairs)
     pairs.extend(zip(sorted(rem_a, reverse=True), sorted(rem_b, reverse=True)))
     return tuple(pairs), l

@@ -117,9 +117,15 @@ def _emit(obj: Any, path: Optional[str]) -> None:
 
 
 def _parse_list(text: str, convert: Callable[[str], Any], noun: str) -> list:
-    """The nonblank comma-separated items of ``text``, each through ``convert``."""
+    """The comma-separated items of ``text``, each through ``convert``; blank text has none.
+
+    An empty item is an error named by its position, so a stray comma
+    cannot shift the items after it."""
+    items = [t.strip() for t in text.split(",")] if text.strip() else []
+    if "" in items:
+        raise InputError(f"bad {noun}: item {items.index('') + 1} is empty")
     try:
-        return [convert(t.strip()) for t in text.split(",") if t.strip()]
+        return [convert(t) for t in items]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad {noun}: {exc}") from exc
 

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, TruncationError, _record
-from .rational import PolyQ, RationalFn, Scalar, format_rat, rat
+from .rational import PolyQ, RationalFn, Scalar, rat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -56,12 +56,6 @@ class SeriesU:
 
     def is_one(self) -> bool:
         return self.exact and len(self.coeffs) == 1
-
-    def __str__(self) -> str:
-        return render_series(self)
-
-    def __repr__(self) -> str:
-        return f"SeriesU({render_series(self)!r})"
 
 
 SERIES_ONE = SeriesU((1,), exact=True)
@@ -167,21 +161,3 @@ def expand_rational(f: RationalFn, order: int) -> SeriesU:
     b = [f.den.coeff(p - k) for k in range(p + 1)]
     den_is_power = all(f.den.coeff(k) == 0 for k in range(p))
     return SeriesU(_divide(a, b, order), exact=den_is_power and order >= p)
-
-
-def render_series(s: SeriesU) -> str:
-    """Human-readable exact form: ``1 + 1*u^-1 - 1*u^-2 + ...``.
-
-    The trailing ellipsis appears exactly when the series is inexact.
-    """
-    parts = ["1"]
-    for r in range(1, s.order + 1):
-        c = s.coeffs[r]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {format_rat(abs(c))}*u^-{r}")
-    text = " ".join(parts)
-    if not s.exact:
-        text += " + ..."
-    return text

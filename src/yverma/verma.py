@@ -108,9 +108,6 @@ class ModuleVector:
     def levels(self) -> list[int]:
         return sorted({len(m) for m in self._terms})
 
-    def monomials(self) -> list[Monomial]:
-        return sorted(self._terms, key=_mono_sort_key)
-
     @classmethod
     def _of(cls, terms: dict) -> "ModuleVector":
         """Wrap a dict of nonzero coefficients as is: no copy, no coercion."""
@@ -122,9 +119,6 @@ class ModuleVector:
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         return ModuleVector._of(_add_scaled_into(dict(self._terms), other._terms, 1))
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         return ModuleVector._of(_add_scaled_into(dict(self._terms), other._terms, -1))
@@ -139,7 +133,7 @@ class ModuleVector:
         return self._terms == other._terms
 
     def __repr__(self) -> str:
-        return f"ModuleVector({format_vector(self)!r})"
+        return f"ModuleVector({self._terms!r})"
 
     # -- serialization ------------------------------------------------------
 
@@ -158,26 +152,6 @@ def terms_to_obj(terms: Mapping) -> dict:
     """JSON form of monomial -> coefficient: (level, lex) order, zeros dropped, exact strings."""
     items = sorted(terms.items(), key=lambda kv: _mono_sort_key(kv[0]))
     return {"terms": [{"mono": list(m), "coef": format_rat(c)} for m, c in items if c]}
-
-
-def format_vector(v: ModuleVector) -> str:
-    """Readable exact form, e.g. ``t21(2)*1 - t21(1)*1``."""
-    if v.is_zero():
-        return "0"
-    parts = []
-    for m in v.monomials():
-        c = v.terms[m]
-        word = "*".join(f"t21({r})" for r in m)
-        body = f"{word}*1" if word else "1"
-        mag = abs(c)
-        coef = "" if mag == 1 else f"{format_rat(mag)}*"
-        if not parts:
-            sign = "-" if c < 0 else ""
-            parts.append(f"{sign}{coef}{body}")
-        else:
-            sign = "-" if c < 0 else "+"
-            parts.append(f" {sign} {coef}{body}")
-    return "".join(parts)
 
 
 @_record

@@ -416,6 +416,41 @@ class TestReorder:
         with pytest.raises(InputError):
             reorder_strings([_F(1)], [])
 
+    def test_one_pass_matches_repeated_scan(self):
+        # small pools force repeated shifts and ties; denominators 1-3 mix
+        # integer and non-integer differences
+        rng = random.Random(27)
+        for _ in range(20000):
+            n = rng.randint(0, 7)
+            den = rng.randint(1, 3)
+            pool = [Fraction(rng.randint(-4, 4), rng.randint(1, den)) for _ in range(3)]
+            alphas = [rng.choice(pool) for _ in range(n)]
+            betas = [rng.choice(pool) - rng.randint(0, 2) for _ in range(n)]
+            expected = _reference_reorder(alphas, betas)
+            assert reorder_strings(alphas, betas) == expected, (alphas, betas)
+
+
+def _reference_reorder(alphas, betas):
+    """Repeated full scan for the least key (a - b, a) over the remaining shifts."""
+    rem_a, rem_b = sorted(alphas), sorted(betas)
+    pairs = []
+    while rem_a:
+        best = None
+        for a in rem_a:
+            for b in rem_b:
+                d = a - b
+                if d >= 0 and d.denominator == 1 and (best is None or (d, a) < best):
+                    best = (d, a)
+        if best is None:
+            break
+        d, a = best
+        rem_a.remove(a)
+        rem_b.remove(a - d)
+        pairs.append((a, a - d))
+    l = len(pairs)
+    pairs.extend(zip(sorted(rem_a, reverse=True), sorted(rem_b, reverse=True)))
+    return tuple(pairs), l
+
 
 class TestCharacterFormula:
     def test_single_string(self):

@@ -555,6 +555,62 @@ class TestExitCodes:
         assert code == 0 and out == stdout
 
 
+class TestEmptyListItems:
+    """An empty comma item exits 2 and names its position; blank text means no items."""
+
+    MU = "(u+2)/(u+1)"
+    #: (command, parameters) -> message; the flags are the parameter names with dashes
+    CASES = {
+        ("detect", (("coeffs", "1,,-1,1,-1,1,-1,1,-1"), ("max_order", 2))):
+            "bad coefficient: item 2 is empty",
+        ("detect", (("coeffs", ",1,-1"), ("max_order", 0))): "bad coefficient: item 1 is empty",
+        ("detect", (("coeffs", "1,-1, "), ("max_order", 0))): "bad coefficient: item 3 is empty",
+        ("expand", (("mu", "series:1,,2"), ("order", 3))):
+            "bad series coefficient: item 2 is empty",
+        ("expand", (("mu", "series:1,2,"), ("order", 3))):
+            "bad series coefficient: item 3 is empty",
+        ("act", (("mu", MU), ("gen", "f"), ("r", 1), ("mono", "1,,2"))):
+            "bad monomial index: item 2 is empty",
+        ("act", (("mu", MU), ("gen", "f"), ("r", 1), ("mono", ","))):
+            "bad monomial index: item 1 is empty",
+        # whole-blank text keeps its own messages
+        ("detect", (("coeffs", ""), ("max_order", 0))): "empty coefficient list",
+        ("detect", (("coeffs", "  "), ("max_order", 0))): "empty coefficient list",
+        ("expand", (("mu", "series:"), ("order", 3))):
+            "series weight needs at least one coefficient",
+    }
+
+    @staticmethod
+    def _argv(command, params):
+        return [command, *(x for k, v in params for x in (f"--{k.replace('_', '-')}", str(v)))]
+
+    @pytest.mark.parametrize("command, params", CASES, ids=lambda x: str(x))
+    def test_flag(self, capsys, command, params):
+        code, out, err = call_main(capsys, self._argv(command, params))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "input", "message": self.CASES[command, params]}
+
+    @pytest.mark.parametrize("command, params", CASES, ids=lambda x: str(x))
+    def test_job_spec(self, tmp_path, capsys, command, params):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"command": command, "parameters": dict(params)}))
+        code, out, err = call_main(capsys, ["job", str(job)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "input", "message": self.CASES[command, params]}
+
+    @pytest.mark.parametrize("via_job", [False, True])
+    def test_blank_mono_is_the_highest_vector(self, tmp_path, capsys, via_job):
+        params = (("mu", self.MU), ("gen", "f"), ("r", 1))
+        argv = self._argv("act", params)
+        if via_job:
+            job = tmp_path / "job.json"
+            spec = {"command": "act", "parameters": {**dict(params), "mono": ""}}
+            job.write_text(json.dumps(spec))
+            argv = ["job", str(job)]
+        code, out, _ = call_main(capsys, argv)
+        assert code == 0 and json.loads(out)["mono"] == []
+
+
 class TestJobMode:
     def test_job_file(self, tmp_path, capsys):
         job = tmp_path / "job.json"

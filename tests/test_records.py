@@ -5,9 +5,11 @@ classes it decorates is checked here: fields cannot be set or deleted,
 equality holds only within one class, the hash is the hash of the tuple
 of fields (so no set or dict order depends on the decorator), and a
 record rebuilt from its fields, by position or by keyword, equals it.
+The ``ModuleVector`` and ``SeriesU`` reprs read back through ``eval``.
 """
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,3 +127,24 @@ def test_generated_init_rejects_wrong_fields():
 def test_a_class_keeps_its_own_repr():
     assert repr(_MU) == "RationalFn('(u+2)/(u+1)')"
     assert repr(_WEIGHTS).startswith("HighestWeightTuple(components=(RationalFn(")
+
+
+def _random_scalar(rng):
+    return rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+
+def test_vector_and_series_reprs_read_back():
+    rng = random.Random(27)
+    vectors = [yv.ModuleVector()]
+    exact_expansion = yv.expand_rational(yv.parse_rational_fn("(u+1/2)(u-3)/u^2"), 4)
+    series = [yv.SERIES_ONE, yv.expand_rational(_MU, 6), exact_expansion]
+    for _ in range(200):
+        monos = [[rng.randint(1, 4) for _ in range(rng.randint(0, 3))] for _ in range(4)]
+        vectors.append(yv.ModuleVector((m, _random_scalar(rng)) for m in monos))
+        tail = [_random_scalar(rng) for _ in range(rng.randint(0, 5))]
+        series.append(yv.SeriesU([1, *tail], exact=rng.random() < 0.5))
+    assert {type(c) for v in vectors for c in v.terms.values()} == {int, Fraction}
+    assert [s.exact for s in series[:3]] == [True, False, True]
+    names = {"ModuleVector": yv.ModuleVector, "SeriesU": yv.SeriesU, "Fraction": Fraction}
+    for value in vectors + series:
+        assert eval(repr(value), names) == value, repr(value)

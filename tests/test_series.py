@@ -14,7 +14,6 @@ from yverma import (
     TruncationError,
     expand_rational,
     parse_rational_fn,
-    render_series,
     series_from_tail,
     series_inverse,
     series_mul,
@@ -201,11 +200,6 @@ class TestExpandRational:
                 for k in range(x + 1):
                     acc += f.den.coeff(f.degree - k) * s.coeff(x - k)
                 assert acc == f.num.coeff(f.degree - x)
-
-
-def test_render_series():
-    assert render_series(SeriesU([1, 2], exact=True)) == "1 + 2*u^-1"
-    assert render_series(series_from_tail([1])).endswith("...")
 
 
 def _random_series(rng):

@@ -179,7 +179,7 @@ class TestSearch:
         assert len(res.basis) == 3
         for w in res.basis:
             image = act_h(0, w, MU)
-            mono = w.monomials()[0]
+            mono = next(iter(w.terms))
             # integral coefficients are ints, so divide exactly
             assert image == w.scaled(Fraction(image.terms.get(mono, 0), w.terms[mono]))
 
