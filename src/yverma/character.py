@@ -127,22 +127,21 @@ class GramReport:
 def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     """dim of the weight space mu^(0) - 2k of the irreducible quotient, k <= max_level.
 
-    Uses the canonical polynomial realization, rescaled to integers, and
-    a cache in Y_D projected onto M/N: t_21^(r) with r > p = deg(mu) acts
-    by zero, and N lies in the radical.  Level k pairs only
-    the monomials S_k built from the previous level's basis B_{k-1}
-    (B_0 = [()]), fills the upper triangle of the symmetric Gram matrix
-    and mirrors it, and takes B_k from the pivot columns of its echelon;
-    the rank is |B_k|.  Levels run upward, so each level-k entry recurses
-    once into level-(k-1) entries already memoized.
+    Uses the canonical polynomial realization, rescaled to an integral
+    pair in Y_D by ``integral_rescaling``, and a cache projected onto M/N:
+    t_21^(r) with r > p = deg(mu) acts by zero, and N lies in the
+    radical.  Level k pairs only the monomials S_k built from the previous
+    level's basis B_{k-1} (B_0 = [()]), fills the upper triangle of the
+    symmetric Gram matrix and mirrors it, and takes B_k from the pivot
+    columns of its echelon; the rank is |B_k|.  Levels run upward, so each
+    level-k entry recurses once into level-(k-1) entries already memoized.
     """
     if max_level < 0:
         raise InputError("max_level must be >= 0")
-    hw, d = integral_rescaling(canonical_polynomial_weights(mu))
+    hw = integral_rescaling(canonical_polynomial_weights(mu))
     p = mu.degree
     cache = ActionCache(hw)
     cache._tail = p
-    cache.hbar = d
     reports = []
     basis: list[Monomial] = []
     for k in range(max_level + 1):

@@ -179,7 +179,5 @@ def act_h_via_quantum_det(
         inv = list(islice(_t22_solve([vz], cache), n - z + 1))
         for w in range(1, n - z + 1):
             for s in range(1, w + 1):
-                coef = shifted_power_coeff(s, w, -1)
-                if coef:
-                    _add_scaled_into(middle[z + w], inv[s], coef)
+                _add_scaled_into(middle[z + w], inv[s], shifted_power_coeff(s, w, -1))
     return ModuleVector._of(next(islice(_t22_solve(middle, cache), n, None)))

@@ -87,9 +87,10 @@ class RowEchelon:
     def kernel(self, ncols: int) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the vectors of length ``ncols`` that every row kills.
 
-        One vector per free column, with a 1 there and zeros in the other
+        One vector per free column f, with a 1 there and zeros in the other
         free columns, read off ``reduced()``; at full column rank the
-        kernel is empty.
+        kernel is empty.  The 1 at f is the last nonzero entry, since a
+        reduced row pivoting after f is zero at f.
         """
         if self.rank == ncols:
             return []

@@ -29,8 +29,9 @@ N <= max(1, L//3) with at least max_order + 2 confirming instances.
 Once rows r+1..L-m reach rank m with r+1 in that window, they span the
 vectors orthogonal to their kernel vector c: c is read off the echelon,
 and each lower row is tested by a dot product with c, not eliminated.
-c is scaled so that its last nonzero entry is 1.  Everything is exact;
-"no recurrence found" is a statement about the window and budget only.
+As a kernel vector of the echelon, c has last nonzero entry 1.
+Everything is exact; "no recurrence found" is a statement about the
+window and budget only.
 """
 
 from __future__ import annotations
@@ -97,9 +98,7 @@ def detect_recurrence(
                 break
         if start > latest:
             continue
-        raw = kernel if kernel is not None else echelon.kernel(m + 1)[0]
-        last = next(x for x in reversed(raw) if x)
-        c = tuple(x / last for x in raw)
+        c = kernel if kernel is not None else echelon.kernel(m + 1)[0]
         recovered = reconstruct_rational(vals[1:], c, start)
         return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
     return None

@@ -118,17 +118,17 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
     computable or ``InsufficientDataError`` is raised; a round beyond the
     window ends the loop with ``stabilized=False``.  A candidate space of
     more than 5000 monomials raises ``InputError`` before any is expanded.
-    An exact weight is searched in Y_D on its ``integral_rescaling``, on
-    ``int`` rows: F^(r) = D^(r+1) f^(r) and E^(r) = D^(r+1) e^(r) scale rows
-    and columns by powers of D, which keeps every rank, pivot and stop.  A
+    An exact weight is searched on its ``integral_rescaling``, a pair in
+    Y_D, on ``int`` rows: F^(r) = D^(r+1) f^(r) and E^(r) = D^(r+1) e^(r)
+    scale rows and columns by powers of D, which keeps every rank, pivot
+    and stop; the solutions are scaled back by the D the pair carries.  A
     truncated window is not rescaled, since D^r grows with it.
     """
-    hw = as_gl2_weights(mu)
+    given = as_gl2_weights(mu)
     # an exact weight cannot run out of data, so its rounds may end at full rank
-    exact = hw.lambda1.exact and hw.lambda2.exact
-    hw, d = integral_rescaling(hw) if exact else (hw, 1)
+    exact = given.lambda1.exact and given.lambda2.exact
+    hw = integral_rescaling(given) if exact else given
     cache = ActionCache(hw)
-    cache.hbar = d
     cands = list(islice(_f_monomials(level, degree_bound), _SIZE_CAP + 1))
     if len(cands) > _SIZE_CAP:
         raise InputError(f"candidate space exceeds the cap of {_SIZE_CAP} monomials")
@@ -172,6 +172,7 @@ def find_singular(mu: SL2Weight, level: int, degree_bound: int) -> SingularSearc
             bound = r
             unchanged = unchanged + 1 if echelon.rank == before else 0
 
+    d = hw.hbar // given.hbar  # the D of the rescaling, 1 on a truncated window
     fbasis, basis = [], []
     for vec in echelon.kernel(len(cands)):
         coords = [(j, coord) for j, coord in enumerate(vec) if coord]

@@ -156,10 +156,16 @@ def terms_to_obj(terms: Mapping) -> dict:
 
 @_record
 class HighestWeightGL2:
-    """The pair of coefficient series (lambda1(u), lambda2(u)) of a Verma module."""
+    """The pair of coefficient series (lambda1(u), lambda2(u)) of a Verma module.
+
+    It is a weight of the Yangian Y_hbar, hbar = 1 by default, where the kernel
+    scales every commutator term by hbar: on coefficients hbar^r lambda_i^(r)
+    it acts by the generators T^(r) = hbar^r t^(r) of M(lambda).
+    """
 
     lambda1: SeriesU
     lambda2: SeriesU
+    hbar: int = 1
 
     def coeff(self, i: int, r: int) -> Fraction:
         """lambda_i^(r); raises TruncationError past an inexact window."""
@@ -182,27 +188,27 @@ def canonical_polynomial_weights(mu: RationalFn) -> HighestWeightGL2:
     return HighestWeightGL2(l1, l2)
 
 
-def integral_rescaling(hw: HighestWeightGL2) -> tuple[HighestWeightGL2, int]:
-    """(lambda_i(u/D), D) for an exact pair, D the lcm of its coefficient denominators.
+def integral_rescaling(hw: HighestWeightGL2) -> HighestWeightGL2:
+    """The pair lambda_i(u/D) in Y_(D hbar), D the lcm of the coefficient denominators of hw.
 
-    lambda_i(u/D) has the integer coefficients D^r lambda_i^(r), and in Y_D
-    (``ActionCache.hbar = D``) the T^(r) = D^r t^(r) act on it as t^(r) on M(hw).
+    Its coefficients D^r lambda_i^(r) are integers, on which T^(r) = D^r t^(r)
+    acts as t^(r) on M(hw).  A truncated series stays truncated at its order.
     """
     lams = (hw.lambda1, hw.lambda2)
     d = lcm(*(c.denominator for lam in lams for c in lam.coeffs))
-    scaled = (SeriesU([c * d**r for r, c in enumerate(lam.coeffs)], exact=True) for lam in lams)
-    return HighestWeightGL2(*scaled), d
+    scaled = (SeriesU([c * d**r for r, c in enumerate(lam.coeffs)], lam.exact) for lam in lams)
+    return HighestWeightGL2(*scaled, hbar=d * hw.hbar)
 
 
 class ActionCache:
     """Memo for single-generator actions on basis monomials.
 
     Every generator application runs in one, bound to the highest weight
-    ``hw`` that the kernels read (see ``bind_cache``).  Keys are
-    (i, j, r, monomial) and values are the resulting dicts of int or
-    Fraction coefficients (all int on an integral weight), which are never
-    mutated after insertion.  Unit vectors are ``int`` too, so on an
-    integral weight every action on them stays in ``int``.
+    ``hw`` that the kernels read, hbar included (see ``bind_cache``).
+    Keys are (i, j, r, monomial) and values are the resulting dicts of
+    int or Fraction coefficients (all int on an integral weight), which
+    are never mutated after insertion.  Unit vectors are ``int`` too, so
+    on an integral weight every action on them stays in ``int``.
     ``contravariant_pairing`` stores its level recursion in the same dict,
     under keys (m1, m2) with int or Fraction values.
 
@@ -216,21 +222,14 @@ class ActionCache:
     projecting cache has all indices <= ``_tail``; a monomial of N
     handed in is not reduced.  A cache with ``_tail`` set gives pairings
     equal to a plain cache but not PBW normal forms of M.
-
-    ``hbar`` scales every commutator term, 1 by default, so the kernel
-    computes in Y_hbar: on ``hw`` with coefficients hbar^r lambda_i^(r) it
-    acts by the generators T^(r) = hbar^r t^(r) of M(lambda).  It is set
-    only to the D of ``integral_rescaling``, by ``irreducible_weight_dims``
-    and ``find_singular``.
     """
 
-    __slots__ = ("hw", "data", "_tail", "hbar")
+    __slots__ = ("hw", "data", "_tail")
 
     def __init__(self, hw: HighestWeightGL2):
         self.hw = hw
         self.data: dict = {}
         self._tail: Optional[int] = None
-        self.hbar = 1
 
 
 def bind_cache(hw: HighestWeightGL2, cache: Optional[ActionCache]) -> ActionCache:
@@ -292,7 +291,7 @@ def _act_mono(i: int, j: int, r: int, mono: Monomial, cache: ActionCache) -> dic
     else:
         s = mono[0]
         rest = mono[1:]
-        hbar = cache.hbar
+        hbar = cache.hw.hbar
         acc: dict = {}
         for m2, c in _act_mono(i, j, r, rest, cache).items():
             _add_into(acc, _insert(m2, s), c)
@@ -363,8 +362,6 @@ def act_quantum_det(
             x = r - y
             for s in range(1, x + 1):
                 w = shifted_power_coeff(s, x, -1)
-                if not w:
-                    continue
                 _act_into(acc, 1, 1, y, _act_mono(2, 2, s, mono, cache), cache, c0 * w)
                 if y >= 1:
                     _act_into(acc, 2, 1, y, _act_mono(1, 2, s, mono, cache), cache, -c0 * w)

@@ -259,7 +259,7 @@ def test_int_path_reports_are_pinned(capsys, command):
     assert digest == PINNED_REPORTS[command]
 
 
-# -- the hbar slot: the kernel in Y_hbar ---------------------------------------
+# -- a pair's hbar: the kernel in Y_hbar ---------------------------------------
 
 #: non-integral weights; the lcm D of their coefficient denominators is 2 and 9
 RESCALED = {
@@ -279,9 +279,8 @@ def _rescaled(mu):
 
 
 def _hbar_cache(hw, hbar):
-    cache = ActionCache(hw)
-    cache.hbar = hbar
-    return cache
+    """A cache bound to hw's series as a weight of Y_hbar: the calls take ``cache.hw``."""
+    return ActionCache(HighestWeightGL2(hw.lambda1, hw.lambda2, hbar))
 
 
 def _monomials(max_level, top):
@@ -296,7 +295,7 @@ def test_hbar_cache_satisfies_the_scaled_relations(mu):
     cache = _hbar_cache(hw, d)
 
     def act(i, j, r, v):
-        return act_generator(i, j, r, v, hw, cache)
+        return act_generator(i, j, r, v, cache.hw, cache)
 
     gens = [(i, j) for i in (1, 2) for j in (1, 2)]
     nonzero = 0
@@ -323,7 +322,7 @@ def test_hbar_cache_pairing_is_rescaled_plain_pairing(mu):
     cache, plain = _hbar_cache(scaled, d), ActionCache(hw)
     for m1, m2 in product(_monomials(3, 3), repeat=2):
         if len(m1) == len(m2):
-            got = contravariant_pairing(m1, m2, scaled, cache)
+            got = contravariant_pairing(m1, m2, cache.hw, cache)
             assert type(got) is int
             assert got == d ** (sum(m1) + sum(m2)) * contravariant_pairing(m1, m2, hw, plain)
 
@@ -332,12 +331,11 @@ def test_hbar_cache_pairing_is_rescaled_plain_pairing(mu):
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"
 
-#: where the library may assign ``_tail`` or ``hbar``: the defaults, the Gram route,
-#: and the singular search, which sets ``hbar`` alone
+#: where the library may assign ``_tail`` or ``hbar``: the default and the Gram route.
+#: ``hbar`` is a field of the frozen weight pair, so the guard now polices ``_tail`` alone
 SLOT_WRITERS = {
     ("verma", "ActionCache.__init__"),
     ("character", "irreducible_weight_dims"),
-    ("singular", "find_singular"),
 }
 
 

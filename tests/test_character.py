@@ -288,7 +288,7 @@ class TestIntegerGram:
     )
     def test_gram_cache_holds_only_ints(self, monkeypatch, text):
         cache = _recorded_gram_cache(monkeypatch, parse_rational_fn(text))
-        assert cache.hbar > 1
+        assert cache.hw.hbar > 1
         values = [
             x
             for key, value in cache.data.items()

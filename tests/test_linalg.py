@@ -390,6 +390,8 @@ class TestKernel:
                 basis = echelon.kernel(ncols)
                 assert basis == expected, rows[:k]
                 assert all(type(x) is Fraction for v in basis for x in v), rows[:k]
+                # the 1 at each vector's free column is its last nonzero entry
+                assert all(next(x for x in reversed(v) if x) == 1 for v in basis), rows[:k]
                 # rows added after a kernel() read still match the reference
                 assert (echelon.rank, echelon.pivots) == (ref.rank, ref.pivots), rows[:k]
                 assert echelon.reduced() == ref.reduced(), rows[:k]

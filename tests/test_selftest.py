@@ -16,6 +16,7 @@ from yverma.rational import parse_rational_fn
 from yverma.series import expand_rational, series_from_tail
 from yverma.verma import (
     ActionCache,
+    HighestWeightGL2,
     ModuleVector,
     act_generator,
     basis_monomials,
@@ -93,9 +94,8 @@ def _composed_defect(i, j, r, k, l, s, vec, hw, cache=None):
 
 
 def _hbar_cache(hw, hbar):
-    cache = ActionCache(hw)
-    cache.hbar = hbar
-    return cache
+    """A cache bound to hw's series as a weight of Y_hbar: the calls take ``cache.hw``."""
+    return ActionCache(HighestWeightGL2(hw.lambda1, hw.lambda2, hbar))
 
 
 GENERATOR_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -128,6 +128,7 @@ class TestFusedDefect:
     def test_agrees_with_the_composed_defect(self, weight, hbar):
         hw = DEFECT_WEIGHTS[weight]
         fused_cache, composed_cache = _hbar_cache(hw, hbar), _hbar_cache(hw, hbar)
+        hw = fused_cache.hw  # the pair in Y_hbar, equal to composed_cache.hw
         nonzero = 0
         for vec in _defect_vectors():
             for (i, j), (k, l), r, s in product(

@@ -22,7 +22,7 @@ from yverma.singular import (
     find_singular,
     verify_singular,
 )
-from yverma.verma import ActionCache, ModuleVector, _mono_sort_key, terms_to_obj
+from yverma.verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, terms_to_obj
 
 MU = parse_rational_fn("(u+2)/(u+1)")
 
@@ -393,6 +393,18 @@ class TestRescaledSearch:
         find_singular(parse_rational_fn(text), 2, 4)
         assert rows
         assert not [x for row in rows for x in row if type(x) is not int]
+
+    @pytest.mark.parametrize("text", ["(u+3)/(u+1)", "(u+5/2)/(u+3/2)"], ids=["integral", "half"])
+    def test_pair_in_y_hbar_is_mapped_back_by_d_alone(self, text):
+        # a pair with hbar = 2 is searched in Y_(2D), and only D is undone
+        hw = as_gl2_weights(parse_rational_fn(text))
+        pair = HighestWeightGL2(hw.lambda1, hw.lambda2, 2)
+        for level in (1, 2):
+            res = find_singular(pair, level, 4)
+            assert res.fbasis
+            for fv, v in zip(res.fbasis, res.basis):
+                assert v == expand_f_vector(fv, pair)
+                assert verify_singular(v, pair, res.relation_bound)
 
 
 class TestCanonicalFamily:

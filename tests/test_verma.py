@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from yverma.errors import InputError
+from yverma.errors import InputError, TruncationError
 from yverma.rational import format_rat, parse_rational_fn
 from yverma.series import (
     SERIES_ONE,
@@ -24,6 +24,7 @@ from yverma.verma import (
     basis_monomials,
     canonical_polynomial_weights,
     in_tail_submodule,
+    integral_rescaling,
     monomial,
     nondecreasing_tuples,
     terms_to_obj,
@@ -322,3 +323,23 @@ class TestWeights:
                 2, 2, 1, v, HW_POLY, cache
             )
             assert out == v.scaled(base - 2 * len(mono)), mono
+
+    def test_rescaling_multiplies_hbar_by_d(self):
+        # D = 6 for (u+5/2)/(u+1/3); an integral pair is its own rescaling
+        hw = canonical_polynomial_weights(parse_rational_fn("(u+5/2)/(u+1/3)"))
+        once = integral_rescaling(hw)
+        twice = integral_rescaling(HighestWeightGL2(hw.lambda1, hw.lambda2, 2))
+        assert (once.hbar, twice.hbar) == (6, 12)
+        assert (once.lambda1, once.lambda2) == (SeriesU([1, 15], True), SeriesU([1, 2], True))
+        assert (twice.lambda1, twice.lambda2) == (once.lambda1, once.lambda2)
+        for pair in (HW_POLY, once, twice):
+            assert integral_rescaling(pair) == pair
+
+    def test_rescaling_keeps_a_truncated_window(self):
+        hw = HighestWeightGL2(SeriesU(["1", "1/2", "1/3"]), SERIES_ONE)
+        scaled = integral_rescaling(hw)
+        assert (scaled.hbar, scaled.coeff(1, 1), scaled.coeff(1, 2)) == (6, 3, 12)
+        for pair in (hw, scaled):
+            with pytest.raises(TruncationError) as err:
+                pair.coeff(1, 3)
+            assert (err.value.needed, err.value.order) == (3, 2)
