@@ -15,13 +15,14 @@ coefficient,
     Y_n = S_n - sum_{c=1}^{n} t_22^(c) Y_{n-c},
 
 and products t_ij(u) Y(u) are taken coefficientwise.  Each Y_n and each
-coefficient of a product is one ``_t_times`` call adding into one
+coefficient of a product is one ``verma._t_times`` call adding into one
 coefficient dict; a dict becomes a ``ModuleVector`` only where a public
 function returns or yields it.  With W = t_22(u)^{-1} v this gives
 
     f(u) v = t_21(u) W,
     e(u) v = t_22(u)^{-1} (t_12(u) v)      (because t_22(u) e(u) = t_12(u)),
-    h(u) v = t_11(u) W - t_21(u) t_22(u)^{-1} (t_12(u) W).
+    h(u) v = t_11(u) W - t_21(u) t_22(u)^{-1} (t_12(u) W)
+           = t_22(u)^{-1} t_22(u-hbar)^{-1} qdet(u) v    (a shifted solve).
 
 Only the ratio mu(u) = lambda1(u)/lambda2(u) matters for this restricted
 action up to isomorphism; an sl(2) highest weight is therefore given either
@@ -32,17 +33,16 @@ truncated ``SeriesU`` (realized as the pair (mu, 1)).
 from __future__ import annotations
 
 from itertools import chain, count, islice, repeat
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import InputError
 from .rational import RationalFn
-from .series import SERIES_ONE, SeriesU, shifted_power_coeff
+from .series import SERIES_ONE, SeriesU
 from .verma import (
     ActionCache,
     HighestWeightGL2,
     ModuleVector,
-    _act_into,
-    _add_scaled_into,
+    _t_times,
     act_generator,
     act_quantum_det,
     bind_cache,
@@ -63,32 +63,18 @@ def as_gl2_weights(mu: Union[HighestWeightGL2, SL2Weight]) -> HighestWeightGL2:
     raise InputError(f"not an sl(2) highest weight: {mu!r}")
 
 
-def _t22_solve(source: Iterable[dict], cache: ActionCache) -> Iterator[dict]:
-    """Lazily yield Y_0, Y_1, ... of Y(u) = t_22(u)^{-1} S(u) as coefficient dicts.
+def _t22_solve(source: Iterable[dict], cache: ActionCache, shift=0) -> Iterator[dict]:
+    """Lazily yield Y_0, Y_1, ... of Y(u) = t_22(u + shift)^{-1} S(u) as coefficient dicts.
 
-    S_n is the n-th dict of ``source`` (read, never written), and zero once
-    it runs out.  Each Y_n = S_n - sum_{b=1}^{n} t_22^(b) Y_{n-b} is one
-    ``_t_times`` on a copy of S_n.  Later steps read every yielded Y_n, so
-    a caller writes to one only after its last draw from the solve.
+    S_n is the n-th dict of ``source`` (read, never written, drawn one per
+    step), and zero once it runs out.  Each Y_n is S_n minus the u^{-n}
+    coefficient of (t_22(u + shift) - 1) Y(u), one ``_t_times`` on a copy
+    of S_n.  Later steps read every Y_n, so write to one only when done.
     """
     ys: list[dict] = []
     for s_n in chain(source, repeat({})):
-        ys.append(_t_times(dict(s_n), 2, 2, len(ys), ys, cache, -1))
+        ys.append(_t_times(dict(s_n), 2, 2, len(ys), ys, cache, -1, shift))
         yield ys[-1]
-
-
-def _t_times(
-    acc: dict, i: int, j: int, n: int, ys: Sequence[dict], cache: ActionCache, sign=1
-) -> dict:
-    """Add sign * sum_{b=1}^{n} t_ij^(b) Y_{n-b} into acc, in place; returns acc.
-
-    The sum is the u^{-n} coefficient of (t_ij(u) - delta_ij) Y(u), read
-    from Y_0, ..., Y_{n-1} and taken from b = n down to 1: the one loop
-    over such products, the solve's included.
-    """
-    for b in range(n, 0, -1):
-        _act_into(acc, i, j, b, ys[n - b], cache, sign)
-    return acc
 
 
 def e_series(
@@ -163,21 +149,14 @@ def act_h_via_quantum_det(
 ) -> ModuleVector:
     """h^(r) computed along the alternative route
 
-        h(u) = t_22(u)^{-1} t_22(u-1)^{-1} qdet(u),
+        h(u) = t_22(u)^{-1} t_22(u-hbar)^{-1} qdet(u),
 
-    where the middle factor re-expands [t22inv]^(s) (u-1)^{-s} with the
-    usual binomial shift weights.  Exists for cross-checking ``act_h``.
+    two nested lazy solves over the series qdet(u) v, the inner one with
+    the argument shifted by -hbar.  Exists for cross-checking ``act_h``.
     """
     if r < 0:
         raise InputError("h index must be >= 0")
     cache = bind_cache(as_gl2_weights(hw_or_mu), cache)
-    n = r + 1
-    qdet_v = [(act_quantum_det(z, v, cache.hw, cache) if z else v).terms for z in range(n + 1)]
-    # the u^{-m} coefficient of t_22(u-1)^{-1} qdet(u) v, for m = 0..n
-    middle = [dict(q) for q in qdet_v]
-    for z, vz in enumerate(qdet_v):
-        inv = list(islice(_t22_solve([vz], cache), n - z + 1))
-        for w in range(1, n - z + 1):
-            for s in range(1, w + 1):
-                _add_scaled_into(middle[z + w], inv[s], shifted_power_coeff(s, w, -1))
-    return ModuleVector._of(next(islice(_t22_solve(middle, cache), n, None)))
+    qdet_v = (act_quantum_det(z, v, cache.hw, cache).terms for z in count())
+    h_v = _t22_solve(_t22_solve(qdet_v, cache, -cache.hw.hbar), cache)
+    return ModuleVector._of(next(islice(h_v, r + 1, None)))

@@ -223,7 +223,7 @@ def _check_highest_eigen(rng: random.Random) -> str:
     for r in range(8):
         if act_h(r, one, hw, cache) != one.scaled(mu_series.coeff(r + 1)):
             raise _Fail(f"h({r})1")
-    qdet_series = series_mul(hw.lambda1, series_shift_argument(hw.lambda2, -1, order=6))
+    qdet_series = series_mul(hw.lambda1, series_shift_argument(hw.lambda2, -hw.hbar, order=6))
     for r in range(1, 6):
         if act_quantum_det(r, one, hw, cache) != one.scaled(qdet_series.coeff(r)):
             raise _Fail(f"qdet({r})1")

@@ -21,7 +21,9 @@ with the commutator expanded by the defining relation.  Every recursive
 call strictly decreases (generator index r) + (monomial degree), which
 proves termination: the commutator terms have generator indices a-1 < r
 or act on the shorter monomial w.  Every sum of generator images is built
-in one dict by ``_act_into``, the only vector-level action loop.
+in one dict by ``_act_into``, the only vector-level action loop;
+``_t_times`` runs it over each coefficient of a product t_ij(u + c) Y(u)
+with a series of vectors, as the quantum determinant of Y_hbar needs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, _record
 from .rational import RationalFn, Scalar, format_rat, rat
@@ -319,6 +321,28 @@ def _act_into(acc: dict, i: int, j: int, r: int, terms: Mapping, cache, sign=1) 
     return acc
 
 
+def _t_times(
+    acc: dict, i: int, j: int, n: int, ys: Sequence[dict], cache: ActionCache, sign=1, shift=0
+) -> dict:
+    """Add sign times the u^{-n} coefficient of (t_ij(u + shift) - delta_ij) Y(u)
+    into acc, in place; returns acc.
+
+    That coefficient is sum_{x=1}^{n} sum_{s=1}^{x} w(s, x) t_ij^(s) Y_{n-x},
+    w(s, x) the u^{-x} coefficient of (u + shift)^{-s} (at shift 0 only
+    w(x, x) = 1), read from Y_0, ..., Y_{n-1} and taken from x = n down to
+    1, s = x down to 1: the one loop over such products, for the solves and
+    products of the Gauss layer and for the quantum determinant.
+    """
+    for x in range(n, 0, -1):
+        y = ys[n - x]
+        if not shift:
+            _act_into(acc, i, j, x, y, cache, sign)
+        elif y:
+            for s in range(x, 0, -1):
+                _act_into(acc, i, j, s, y, cache, sign * shifted_power_coeff(s, x, shift))
+    return acc
+
+
 def act_generator(
     i: int,
     j: int,
@@ -342,32 +366,28 @@ def act_quantum_det(
     hw: HighestWeightGL2,
     cache: Optional[ActionCache] = None,
 ) -> ModuleVector:
-    """Apply the u^{-r} coefficient of the quantum determinant
+    """Apply the u^{-r} coefficient of the quantum determinant of Y_hbar,
 
-        qdet(u) = t_11(u) t_22(u-1) - t_21(u) t_12(u-1).
+        qdet(u) = t_11(u) t_22(u-hbar) - t_21(u) t_12(u-hbar),
 
-    The argument shift u-1 re-expands each t^(s) (u-1)^{-s} over powers of
-    u^{-1} with the same binomial weights used for series argument shifts.
-    On the highest vector this gives lambda1(u) lambda2(u-1); centrality on
-    the whole module is a tested consequence of the defining relations.
+    hbar = ``hw.hbar``.  With A(u) = t_22(u-hbar) v and B(u) = t_12(u-hbar) v,
+    read coefficientwise by ``_t_times`` with the shift -hbar,
+
+        qdet^(r) v = A_r + sum_b t_11^(b) A_{r-b} - sum_b t_21^(b) B_{r-b}.
+
+    On the highest vector this gives lambda1(u) lambda2(u-hbar); centrality
+    on the whole module is a tested consequence of the defining relations.
     """
     if r < 0:
         raise InputError("quantum determinant degree must be >= 0")
     cache = bind_cache(hw, cache)
-    if r == 0:
-        return v
-    acc: dict = {}
-    for mono, c0 in v.terms.items():
-        for y in range(r):
-            x = r - y
-            for s in range(1, x + 1):
-                w = shifted_power_coeff(s, x, -1)
-                _act_into(acc, 1, 1, y, _act_mono(2, 2, s, mono, cache), cache, c0 * w)
-                if y >= 1:
-                    _act_into(acc, 2, 1, y, _act_mono(1, 2, s, mono, cache), cache, -c0 * w)
-        # the x = 0 term: t_11^(r) t_22^(0)
-        _act_into(acc, 1, 1, r, {mono: c0}, cache)
-    return ModuleVector._of(acc)
+    shift = -cache.hw.hbar
+    # v as the series Y(u) = v, constant in u; A_0 = v, B_0 = 0
+    ys = [v.terms] + [{}] * r
+    a = [_t_times(dict(ys[x]), 2, 2, x, ys, cache, 1, shift) for x in range(r + 1)]
+    b = [_t_times({}, 1, 2, x, ys, cache, 1, shift) for x in range(r)]
+    out = _t_times(a.pop(), 1, 1, r, a, cache)
+    return ModuleVector._of(_t_times(out, 2, 1, r, b, cache, -1))
 
 
 def in_tail_submodule(v: ModuleVector, p: int) -> bool:

@@ -834,6 +834,7 @@ class TestExactReports:
         ("f", 3): (0, "44f4e9f40916dc3bbbc83eac41d3164622c8e59a9171a0f903307dc8d3cc7278"),
         ("h", 3): (0, "dd4f40accbca9f662ebeb8ee71ed51ffa64ba556ee557ff9bd9cf43830284c1a"),
         ("qdet", 3): (0, "1c52325e6b0f23f6d38ffb60cb28c1ee27bba90a5bea06457deceb512dde1b7e"),
+        ("qdet", 9): (3, "331d830c72174f6419f98f3ceceb046f4fb6b9bc323f9883d0e418bfa15cfcee"),
         ("h", 7): (3, "782bcdad2b40cdef5027e13652cc23ec5e42d8452976c2ad039ce65603067b7c"),
     }
 

@@ -1,20 +1,30 @@
 """The sl(2) operators e, f, h obtained from the generator matrix."""
 
+import ast
 import random
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice, product, repeat
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
 import yverma.gauss as gauss
 from yverma.errors import InputError, TruncationError
 from yverma.rational import parse_rational_fn
-from yverma.series import SERIES_ONE, SeriesU, expand_rational
+from yverma.series import (
+    SERIES_ONE,
+    SeriesU,
+    expand_rational,
+    series_mul,
+    series_shift_argument,
+)
 from yverma.verma import (
     ActionCache,
     HighestWeightGL2,
     ModuleVector,
     act_generator,
+    act_quantum_det,
     basis_monomials,
 )
 from yverma.gauss import (
@@ -209,16 +219,27 @@ class TestTruncationBoundaries:
             next(series)
 
 
-def _reference_t22_solve(source, cache):
-    """Y(u) = t_22(u)^{-1} S(u) by whole-vector subtraction: the reference
-    for the one-dict solve in ``gauss._t22_solve``, on the same dicts."""
+def _shift_weight(s, x, c):
+    """The u^{-x} coefficient of (u + c)^{-s}: binom(-s, x - s) c^(x - s)."""
+    k = x - s
+    return prod(range(-s, -s - k, -1)) // factorial(k) * c**k
+
+
+def _reference_t22_solve(source, cache, shift=0):
+    """Y(u) = t_22(u + shift)^{-1} S(u) by whole-vector subtraction: the
+    reference for the one-dict solve in ``gauss._t22_solve``, on the same dicts."""
     ys = []
     for s_n in chain(source, repeat({})):
         y = ModuleVector(s_n)
         n = len(ys)
-        for c in range(1, n + 1):
-            if ys[n - c]:
-                y = y - act_generator(2, 2, c, ys[n - c], cache.hw, cache)
+        for x in range(1, n + 1):
+            if not ys[n - x]:
+                continue
+            # at shift 0 only s = x has a nonzero weight; acting by no other
+            # t_22^(s) keeps the truncation a short lambda2 window reports
+            for s in range(1, x + 1) if shift else (x,):
+                t22_y = act_generator(2, 2, s, ys[n - x], cache.hw, cache)
+                y = y - t22_y.scaled(_shift_weight(s, x, shift))
         ys.append(y)
         yield y.terms
 
@@ -260,7 +281,11 @@ class TestSolveAgainstReference:
     @pytest.mark.parametrize("route", SOLVE_ROUTES)
     def test_same_vectors(self, monkeypatch, route):
         op = SOLVE_ROUTES[route]
-        weights = (HW, as_gl2_weights(parse_rational_fn("(u+7/2)(u+3)/((u+1/2)(u+2))")))
+        weights = (
+            HW,
+            as_gl2_weights(parse_rational_fn("(u+7/2)(u+3)/((u+1/2)(u+2))")),
+            HighestWeightGL2(HW.lambda1, HW.lambda2, hbar=2),
+        )
 
         def compute():
             out = []
@@ -335,3 +360,100 @@ def test_routes_build_no_intermediate_vectors(monkeypatch, route):
         for v in _seeded_vectors(3):
             for r in range(4):
                 SOLVE_ROUTES[route](r, v, hw, cache)
+
+
+#: (u+3)/(u+1) as its polynomial pair and, as a ``series:`` weight is read, as (mu, 1)
+MU3_WEIGHTS = {
+    "rational": as_gl2_weights(parse_rational_fn("(u+3)/(u+1)")),
+    "series": as_gl2_weights(expand_rational(parse_rational_fn("(u+3)/(u+1)"), order=12)),
+}
+
+
+@pytest.mark.parametrize("hbar", (2, 3))
+@pytest.mark.parametrize("weight", MU3_WEIGHTS)
+class TestQuantumDeterminantInYhbar:
+    """qdet(u) = t_11(u) t_22(u-hbar) - t_21(u) t_12(u-hbar) on a pair with hbar != 1."""
+
+    MONOMIALS = [(), (1,), (2,), (1, 2)]
+
+    @staticmethod
+    def pair(weight, hbar):
+        hw = MU3_WEIGHTS[weight]
+        return HighestWeightGL2(hw.lambda1, hw.lambda2, hbar=hbar)
+
+    def test_qdet_commutes_with_every_generator(self, weight, hbar):
+        hw = self.pair(weight, hbar)
+        cache = ActionCache(hw)
+        checked = 0
+        for mono, r, i, j, s in product(self.MONOMIALS, range(1, 4), (1, 2), (1, 2), range(1, 4)):
+            v = ModuleVector.basis(mono)
+            tv = act_generator(i, j, s, v, hw, cache)
+            dv = act_quantum_det(r, v, hw, cache)
+            assert act_generator(i, j, s, dv, hw, cache) == act_quantum_det(r, tv, hw, cache), (
+                mono, r, (i, j, s)
+            )
+            checked += 1
+        assert checked == 144
+
+    def test_h_routes_agree(self, weight, hbar):
+        hw = self.pair(weight, hbar)
+        cache = ActionCache(hw)
+        for mono in self.MONOMIALS:
+            v = ModuleVector.basis(mono)
+            for r in range(4):
+                assert act_h(r, v, hw, cache) == act_h_via_quantum_det(r, v, hw, cache), (mono, r)
+
+    def test_qdet_eigenvalue_on_highest_vector(self, weight, hbar):
+        # qdet(u) 1 = lambda1(u) lambda2(u-hbar) 1
+        hw = self.pair(weight, hbar)
+        expected = series_mul(hw.lambda1, series_shift_argument(hw.lambda2, -hbar, order=8))
+        one = ModuleVector.highest()
+        for r in range(9):
+            assert act_quantum_det(r, one, hw) == one.scaled(expected.coeff(r)), r
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"
+
+
+def shift_weight_callers(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, qualified function) of every call of ``shifted_power_coeff``."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope != "<module>" else child.name
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if getattr(callee, "id", getattr(callee, "attr", None)) == "shifted_power_coeff":
+                    found.add((module, scope))
+            visit(child, module, name)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_only_the_product_loop_and_series_shift_weigh_a_shifted_argument():
+    # qdet and its h route re-expand t(u - hbar) through verma._t_times alone
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert shift_weight_callers(sources) == {
+        ("verma", "_t_times"),
+        ("series", "series_shift_argument"),
+    }
+
+
+def test_shift_weight_guard_sees_every_form_of_call():
+    source = (
+        "from .series import shifted_power_coeff as spc\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        return [shifted_power_coeff(s, 3, -1) for s in (1, 2)]\n"
+        "def g():\n"
+        "    return series.shifted_power_coeff(1, 2, 1)\n"
+        "def ok():\n"
+        "    return shifted_power_coeff\n"
+        "w = shifted_power_coeff(1, 1, 0)\n"
+    )
+    assert shift_weight_callers({"m": source}) == {("m", "C.f"), ("m", "g"), ("m", "<module>")}
