@@ -2,16 +2,18 @@
 
 All routines work on lists of rows of ``int`` or ``Fraction`` (the two
 mix through the numeric tower) and never introduce rounding.
-``RowEchelon`` is the only elimination: it grows an echelon basis one
-row at a time, so callers can read the rank and the pivot columns after
-every added row, back-substitutes monic copies of its rows on demand to
-the reduced row echelon form (``Fraction`` entries) and reads the kernel
-off that form, with no second elimination.  A row that is all ``int`` after reduction is stored
-fraction-free, as a primitive integer row; any other row is made monic
-in ``Fraction``.  ``rref``, ``rank`` and ``nullspace`` feed a whole
-matrix through it.  The reduced form is canonical for the row space, so
-the kernel basis is canonical for the solution space: two constraint
-systems have equal solution spaces iff these bases match.
+``RowEchelon`` is the one elimination of the Gram, recurrence and
+singular-vector routes (``rootsys`` keeps its own pivot-sign test for
+positive definiteness): it grows an echelon basis one row at a time, so
+callers can read the rank and the pivot columns after every added row,
+back-substitutes monic copies of its rows on demand to the reduced row
+echelon form (``Fraction`` entries) and reads the kernel off that form,
+with no second elimination.  A row that is all ``int`` after reduction
+is stored fraction-free, as a primitive integer row; any other row is
+made monic in ``Fraction``.  ``rref``, ``rank`` and ``nullspace`` feed a
+whole matrix through it.  The reduced form is canonical for the row
+space, so the kernel basis is canonical for the solution space: two
+constraint systems have equal solution spaces iff these bases match.
 """
 
 from __future__ import annotations

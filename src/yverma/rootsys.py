@@ -36,7 +36,10 @@ CartanMatrix = tuple[tuple[int, ...], ...]
 
 
 def _as_matrix(a: Iterable[Iterable[int]]) -> CartanMatrix:
-    rows = tuple(tuple(row) for row in a)
+    try:
+        rows = tuple(tuple(row) for row in a)
+    except TypeError:
+        raise InputError("Cartan matrix must be a sequence of rows") from None
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise InputError("Cartan matrix must be square and nonempty")

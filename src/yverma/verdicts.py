@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Literal, Optional, Sequence, Union
 
 from .errors import InputError, _record
-from .linalg import RowEchelon
 from .rational import POLY_ONE, PolyQ, RationalFn, rat
 from .recurrence import RationalityVerdict, is_rational_verdict
 from .rootsys import CartanData
@@ -117,12 +116,14 @@ def verdict_finite_dimensional(
     identity.
 
     The rigid identity is the special case Q = den of the general shifted
-    quotient form mu_i(u) = Q(u + d_i)/Q(u); when root chains of step d_i
-    telescope, the reduced form fails the rigid identity even though a
-    realizing Q exists (e.g. (u+3)/(u+1) = Q(u+1)/Q(u) for
-    Q = (u+1)(u+2)).  This verdict applies the rigid test, so such
-    weights return False; use :func:`shifted_quotient_polynomial` per
-    component for the complete constructive test.
+    quotient form mu_i(u) = Q(u + d_i)/Q(u): it holds iff the first peel
+    of :func:`shifted_quotient_polynomial` leaves the ratio 1.  When root
+    chains of step d_i telescope, the reduced form fails the rigid
+    identity even though a realizing Q exists (e.g. (u+3)/(u+1) =
+    Q(u+1)/Q(u) for Q = (u+1)(u+2), found by a second peel).  This
+    verdict applies the rigid test, so such weights return False; use
+    :func:`shifted_quotient_polynomial` per component for the complete
+    constructive test.
     """
     if len(weights) != cartan.rank:
         raise InputError(
@@ -143,13 +144,16 @@ def shifted_quotient_polynomial(f: RationalFn, d: int) -> Optional[PolyQ]:
     Q/Q' is invariant under u -> u+d, which forces a constant ratio, and
     monicity forces the constant to 1.  Its degree is determined by the
     subleading coefficients: deg Q = (num[p-1] - den[p-1]) / d where p is
-    the common degree of numerator and denominator.  The coefficients of
-    Q are then the solution of the linear system
+    the common degree of numerator and denominator.
 
-        Q(u+d) * den(u) - Q(u) * num(u) = 0,
-
-    solved exactly; the returned Q is re-verified against the identity
-    before being reported.
+    Q is built by forced peeling.  From num(u) Q(u) = den(u) Q(u+d) and
+    gcd(num, den) = 1, den divides Q; writing Q = den * Q1 leaves
+    Q1(u+d)/Q1(u) = num(u)/den(u+d), the same question on a reduced ratio
+    with deg Q1 = deg Q - deg den.  Every peel is forced, so Q is the
+    product of the denominators peeled until the ratio is 1, and a ratio
+    that is not 1 once that product has reached deg Q proves that no Q
+    exists.  The returned Q is re-verified against the identity before
+    being reported.
     """
     if not isinstance(f, RationalFn):
         raise InputError(f"not a rational function: {f!r}")
@@ -162,24 +166,10 @@ def shifted_quotient_polynomial(f: RationalFn, d: int) -> Optional[PolyQ]:
     qdeg = (num.coeff(p - 1) - den.coeff(p - 1)) / rat(d)
     if qdeg <= 0 or qdeg.denominator != 1:
         return None
-    q = int(qdeg)
-    # Q = u^q + sum_j c_j u^j with j < q; the identity is linear in the c_j.
-    # Column j <= q collects T_j = (u+d)^j den - u^j num, so Q's coefficient
-    # vector (c_0, ..., c_{q-1}, 1) is the kernel vector with last entry 1,
-    # which exists iff column q is free.
-    u_plus_d = PolyQ([d, 1])
-    shifted_pow = POLY_ONE
-    plain_pow = POLY_ONE
-    cols: list[PolyQ] = []
-    for _ in range(q + 1):
-        cols.append(shifted_pow * den - plain_pow * num)
-        shifted_pow = shifted_pow * u_plus_d
-        plain_pow = plain_pow * PolyQ([0, 1])
-    echelon = RowEchelon()
-    for k in range(q + p):
-        echelon.add([col.coeff(k) for col in cols])
-    solution = next((vec for vec in echelon.kernel(q + 1) if vec[q]), None)
-    if solution is None:
-        return None
-    candidate = PolyQ(solution)
-    return candidate if candidate.shift_arg(d) * den == candidate * num else None
+    candidate, rest = POLY_ONE, f
+    while not rest.is_one() and candidate.degree < qdeg:
+        candidate = candidate * rest.den
+        rest = RationalFn(rest.num, rest.den.shift_arg(d))
+    if rest.is_one() and candidate.shift_arg(d) * den == candidate * num:
+        return candidate
+    return None

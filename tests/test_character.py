@@ -23,8 +23,10 @@ from yverma.character import (
 from yverma.errors import InputError
 from yverma.linalg import rank
 from yverma.rational import parse_rational_fn
+from yverma.series import SeriesU, expand_rational
 from yverma.verma import (
     ActionCache,
+    HighestWeightGL2,
     ModuleVector,
     act_generator,
     basis_monomials,
@@ -140,6 +142,41 @@ class TestGramDims:
         got = [r.rank for r in irreducible_weight_dims(mu, max_level)]
         assert got == ranks
         assert tuple(got) == character_formula(mu, max_level).dims
+
+
+def _level_one_pairing_cache(lam1):
+    """A plain cache on the pair (lam1, 1), where t_22 acts by 1."""
+    return ActionCache(HighestWeightGL2(lam1, SeriesU([1], exact=True)))
+
+
+class TestLevelOneRationality:
+    """At level 1 the pairing on (mu, 1) is <t21(r), t21(s)> = mu^(r+s-1), a
+    Hankel matrix in the coefficients of mu, so its rank is deg mu on a
+    rational mu (Kronecker) and grows without bound on a non-rational one."""
+
+    RATIONAL = expand_rational(parse_rational_fn("(u+1/2)(u+7)/((u+3)(u+1/3))"), 20)
+    FACTORIAL = SeriesU([Fraction(1, math.factorial(k)) for k in range(21)], exact=False)
+
+    def _hankel(self, cache, size):
+        return [[contravariant_pairing((r,), (s,), cache.hw, cache)
+                 for s in range(1, size + 1)] for r in range(1, size + 1)]
+
+    @pytest.mark.parametrize("lam1", [RATIONAL, FACTORIAL])
+    def test_pairing_reads_one_coefficient(self, lam1):
+        cache = _level_one_pairing_cache(lam1)
+        for r in range(1, 8):
+            for s in range(1, 8):
+                assert contravariant_pairing((r,), (s,), cache.hw, cache) == lam1.coeff(
+                    r + s - 1
+                ), (r, s)
+
+    def test_rank_stops_at_the_degree_on_a_rational_weight(self):
+        cache = _level_one_pairing_cache(self.RATIONAL)
+        assert [rank(self._hankel(cache, size)) for size in range(1, 11)] == [1] + [2] * 9
+
+    def test_rank_is_full_on_the_factorial_tail(self):
+        cache = _level_one_pairing_cache(self.FACTORIAL)
+        assert [rank(self._hankel(cache, size)) for size in range(1, 11)] == list(range(1, 11))
 
 
 def _spanning(p, max_level):

@@ -90,6 +90,16 @@ class TestValidation:
         with pytest.raises(InputError):
             validate_cartan([])
 
+    @pytest.mark.parametrize("call, matrix", [
+        (validate_cartan, 5),
+        (positive_roots, [5]),
+        (symmetrizers, [[2], 3]),
+        (CartanData.from_matrix, None),
+    ])
+    def test_rejects_a_matrix_or_row_that_is_not_iterable(self, call, matrix):
+        with pytest.raises(InputError, match="sequence of rows"):
+            call(matrix)
+
 
 class TestSymmetrizers:
     def test_simply_laced_all_ones(self):

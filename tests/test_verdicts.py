@@ -30,8 +30,8 @@ RAT = parse_rational_fn("(u+2)/(u+1)")
 
 def _reference_shifted_quotient(f: RationalFn, d: int):
     """The monic Q with f(u) = Q(u+d)/Q(u) read off the RREF of the system
-    with T_q moved to the right-hand side: the reference for the kernel
-    route in ``shifted_quotient_polynomial``."""
+    with T_q moved to the right-hand side: the linear-system reference for
+    the peeling route in ``shifted_quotient_polynomial``."""
     if f.is_one():
         return POLY_ONE
     num, den = f.num, f.den
@@ -240,6 +240,40 @@ class TestShiftedQuotient:
             assert shifted_quotient_polynomial(f, d) == expected, (f, d)
             realizable += expected is not None
         assert 120 <= realizable < 240
+
+    def test_sweep_against_the_rref_reference(self):
+        # Q of degree up to 8 from repeated linear factors, step-d chains
+        # (which telescope, so f keeps fewer factors than Q and more than one
+        # peel is needed) and irreducible quadratics.
+        rng = random.Random(2024)
+        realizable = multi_peel = 0
+        cases = 320
+        for _ in range(cases):
+            d = rng.randint(1, 3)
+            q, target = POLY_ONE, rng.randint(1, 8)
+            while q.degree < target:
+                a = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                kind = rng.choice(["repeated", "chain", "quadratic"])
+                if kind == "quadratic" and q.degree + 2 <= target:
+                    b = Fraction(rng.randint(1, 4), rng.randint(1, 2))
+                    q = q * PolyQ([a * a + b, 2 * a, 1])  # (u+a)^2 + b, b > 0
+                elif kind == "chain":
+                    for k in range(min(rng.randint(2, 3), target - q.degree)):
+                        q = q * PolyQ([a + k * d, 1])
+                else:
+                    for _ in range(min(rng.randint(1, 3), target - q.degree)):
+                        q = q * PolyQ([a, 1])
+            num = q.shift_arg(d)
+            if rng.random() < 0.4:  # off by a constant
+                num = num + PolyQ([rng.choice([-3, -1, Fraction(1, 2), Fraction(5, 3), 2])])
+            f = RationalFn(num, q)
+            expected = _reference_shifted_quotient(f, d)
+            assert shifted_quotient_polynomial(f, d) == expected, (f, d)
+            if expected is not None:
+                realizable += 1
+                multi_peel += f.den.degree < expected.degree
+        assert 0.3 * cases <= realizable <= 0.9 * cases
+        assert multi_peel >= 30
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InputError):
