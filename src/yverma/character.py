@@ -55,7 +55,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import InputError, _record
-from .rational import RationalFn, rational_roots
+from .rational import RationalFn, rational_roots, require_rational_fn
 from .verma import (
     ActionCache,
     HighestWeightGL2,
@@ -209,6 +209,7 @@ def character_formula(mu: RationalFn, max_level: int) -> CharacterResult:
     otherwise the input is unsupported and ``InputError`` is raised.
     ``dims[k]`` is the dimension at weight mu^(0) - 2k for k <= max_level.
     """
+    require_rational_fn(mu)
     if max_level < 0:
         raise InputError("max_level must be >= 0")
     num_roots = rational_roots(mu.num)

@@ -146,25 +146,21 @@ def _parse_rational_weight(text: str) -> RationalFn:
     return w
 
 
-def _parse_cartan(value: Union[str, list]) -> list[list[int]]:
-    """A Cartan matrix from a type label ("B2") or a JSON array."""
-    if isinstance(value, str):
-        stripped = value.strip()
-        if stripped.startswith("["):
-            try:
-                value = json.loads(stripped)
-            except ValueError as exc:  # malformed, or an int past the digit limit
-                raise InputError(f"bad cartan matrix JSON: {exc}") from exc
-        else:
-            return cartan_matrix(stripped)
-    matrix = []
-    for row in value:
-        if not isinstance(row, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in row
-        ):
-            raise InputError("cartan matrix rows must be lists of integers")
-        matrix.append([int(x) for x in row])
-    return matrix
+def _parse_cartan(value: Union[str, list]) -> Any:
+    """A Cartan matrix from a type label ("B2"), a JSON array, or a JobSpec list.
+
+    Arrays and lists come back unchecked: ``CartanData.from_matrix`` is the
+    one check on their shape and entries.
+    """
+    if not isinstance(value, str):
+        return value
+    stripped = value.strip()
+    if not stripped.startswith("["):
+        return cartan_matrix(stripped)
+    try:
+        return json.loads(stripped)
+    except ValueError as exc:  # malformed, or an int past the digit limit
+        raise InputError(f"bad cartan matrix JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +286,10 @@ def _run_character(params: dict) -> tuple[dict, int]:
 
 
 def _run_roots(params: dict) -> tuple[dict, int]:
-    matrix = _parse_cartan(params["cartan"])
-    system = positive_roots(matrix)
+    system = positive_roots(_parse_cartan(params["cartan"]))
     return (
         {
-            "cartan": matrix,
+            "cartan": system.cartan.matrix,
             "d": list(system.cartan.d),
             "count": system.count(),
             "positive": [list(root) for root in system.positive],

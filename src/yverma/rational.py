@@ -464,6 +464,12 @@ class RationalFn:
         return f"RationalFn({render_rational_fn(self)!r})"
 
 
+def require_rational_fn(f: object) -> None:
+    """Reject anything but a ``RationalFn`` (a ``SeriesU`` weight, say) with ``InputError``."""
+    if not isinstance(f, RationalFn):
+        raise InputError(f"not a rational function: {f!r}")
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------

@@ -199,8 +199,10 @@ def positive_roots(a: Iterable[Iterable[int]]) -> RootSystem:
     return RootSystem(cartan=cartan, positive=tuple(ordered))
 
 
-# Standard finite-type Cartan matrices.  Chain conventions: consecutive
-# nodes are joined; for B_n the last simple root is short (A[n-1][n-2] = -2),
+# Standard finite-type Cartan matrices, all from one bond list: node i is
+# joined to node i-1, except that the last node hangs on node n-3 for D_n
+# and on node 2 for E_n.  B, C, F and G then turn one entry of a bond into
+# a multiple bond: for B_n the last simple root is short (A[n-1][n-2] = -2),
 # C_n is its transpose, G2 is [[2,-1],[-3,2]] (d = (3,1)).
 def cartan_matrix(label: str) -> CartanMatrix:
     label = label.strip().upper()
@@ -214,37 +216,17 @@ def cartan_matrix(label: str) -> CartanMatrix:
     maxs = {"E": 8, "F": 4, "G": 2}
     if n < mins[family] or (family in maxs and n > maxs[family]):
         raise InputError(f"unsupported rank for type {family}: {n}")
-
-    def chain(n: int) -> list[list[int]]:
-        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(n - 1):
-            m[i][i + 1] = -1
-            m[i + 1][i] = -1
-        return m
-
-    m = chain(n)
-    if family == "B":
-        m[n - 1][n - 2] = -2
-    elif family == "C":
-        m[n - 2][n - 1] = -2
-    elif family == "D":
-        m[n - 1][n - 2] = 0
-        m[n - 2][n - 1] = 0
-        m[n - 1][n - 3] = -1
-        m[n - 3][n - 1] = -1
-    elif family == "E":
-        # node n attaches to node 3 of the A_{n-1} chain 1..n-1
-        m = chain(n - 1)
-        for row in m:
-            row.append(0)
-        m.append([0] * n)
-        m[n - 1][n - 1] = 2
-        m[n - 1][2] = -1
-        m[2][n - 1] = -1
-    elif family == "F":
-        m[1][2] = -2
-    elif family == "G":
-        m[1][0] = -3
+    last_hang = {"D": n - 3, "E": 2}.get(family, n - 2)
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        j = last_hang if i == n - 1 else i - 1
+        m[i][j] = m[j][i] = -1
+    # (i, j, A[i][j]) of the one multiple bond
+    multiple = {"B": (n - 1, n - 2, -2), "C": (n - 2, n - 1, -2),
+                "F": (1, 2, -2), "G": (1, 0, -3)}
+    if family in multiple:
+        i, j, x = multiple[family]
+        m[i][j] = x
     return _as_matrix(m)
 
 

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, TruncationError, _record
-from .rational import PolyQ, RationalFn, Scalar, rat
+from .rational import PolyQ, RationalFn, Scalar, rat, require_rational_fn
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -135,7 +135,7 @@ def series_shift_argument(a: SeriesU, c: Scalar, order: Optional[int] = None) ->
         order = a.order
     if not a.exact and order > a.order:
         # the u^{-x} output coefficient needs every input coefficient up to x
-        raise TruncationError(order, a.order)
+        raise TruncationError(a.order + 1, a.order)
     out = [_ONE]
     for x in range(1, order + 1):
         acc = _ZERO
@@ -153,6 +153,7 @@ def expand_rational(f: RationalFn, order: int) -> SeriesU:
     The result is exact when the denominator is the pure power u^p and the
     window covers degree p, because then the expansion terminates.
     """
+    require_rational_fn(f)
     if order < 0:
         raise InputError("expansion order must be nonnegative")
     p = f.degree

@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Union
 from . import linalg
 from .errors import InputError, InsufficientDataError, TruncationError, _record
 from .gauss import SL2Weight, act_f, as_gl2_weights, e_series
-from .rational import RationalFn, rat
+from .rational import RationalFn, rat, require_rational_fn
 from .verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, bind_cache
 from .verma import _add_scaled_into, _narrow, integral_rescaling, nondecreasing_tuples
 
@@ -205,6 +205,7 @@ def canonical_singular_vector(mu: RationalFn, s: int) -> FVector:
     expansion is exactly t_21^(s+1) applied to the highest vector, hence
     the coefficient of f^(r) is lambda2^(s-r).
     """
+    require_rational_fn(mu)
     p = mu.degree
     if s < p:
         raise InputError(f"need s >= deg(mu) = {p}, got s = {s}")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Literal, Optional, Sequence, Union
 
 from .errors import InputError, _record
-from .rational import POLY_ONE, PolyQ, RationalFn, rat
+from .rational import POLY_ONE, PolyQ, RationalFn, rat, require_rational_fn
 from .recurrence import RationalityVerdict, is_rational_verdict
 from .rootsys import CartanData
 from .series import SeriesU
@@ -155,8 +155,7 @@ def shifted_quotient_polynomial(f: RationalFn, d: int) -> Optional[PolyQ]:
     exists.  The returned Q is re-verified against the identity before
     being reported.
     """
-    if not isinstance(f, RationalFn):
-        raise InputError(f"not a rational function: {f!r}")
+    require_rational_fn(f)
     if d < 1:
         raise InputError(f"shift step must be a positive integer, got {d}")
     if f.is_one():

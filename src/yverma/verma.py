@@ -34,7 +34,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, _record
-from .rational import RationalFn, Scalar, format_rat, rat
+from .rational import RationalFn, Scalar, format_rat, rat, require_rational_fn
 from .series import SeriesU, shifted_power_coeff
 
 #: A PBW basis monomial: the sorted tuple of t_21 indices (each >= 1).
@@ -184,6 +184,7 @@ def canonical_polynomial_weights(mu: RationalFn) -> HighestWeightGL2:
     Both series are exact polynomials in u^{-1} of degree <= p = deg(mu),
     with ratio lambda1/lambda2 = mu.
     """
+    require_rational_fn(mu)
     p = mu.degree
     l1 = SeriesU([mu.num.coeff(p - k) for k in range(p + 1)], exact=True)
     l2 = SeriesU([mu.den.coeff(p - k) for k in range(p + 1)], exact=True)

@@ -1,5 +1,6 @@
 """Irreducible-quotient weight dimensions: Gram ranks vs product formula."""
 
+import itertools
 import json
 import math
 import random
@@ -22,7 +23,7 @@ from yverma.character import (
 )
 from yverma.errors import InputError
 from yverma.linalg import rank
-from yverma.rational import parse_rational_fn
+from yverma.rational import POLY_ONE, PolyQ, RationalFn, parse_rational_fn
 from yverma.series import SeriesU, expand_rational
 from yverma.verma import (
     ActionCache,
@@ -128,6 +129,10 @@ class TestGramDims:
         with pytest.raises(InputError):
             irreducible_weight_dims(MU1, max_level=-1)
 
+    def test_series_weight_rejected(self):
+        with pytest.raises(InputError, match="not a rational function"):
+            irreducible_weight_dims(expand_rational(MU1, 4), max_level=2)
+
     @pytest.mark.parametrize(
         "text, max_level, ranks",
         [
@@ -177,6 +182,76 @@ class TestLevelOneRationality:
     def test_rank_is_full_on_the_factorial_tail(self):
         cache = _level_one_pairing_cache(self.FACTORIAL)
         assert [rank(self._hankel(cache, size)) for size in range(1, 11)] == list(range(1, 11))
+
+
+def _elementary(k, xs):
+    """The elementary symmetric polynomial e_k(xs); zero for k < 0 or k > len(xs)."""
+    if k < 0:
+        return 0
+    return sum((math.prod(c) for c in itertools.combinations(xs, k)), Fraction(0))
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for sigma in itertools.permutations(range(n)):
+        inversions = sum(sigma[i] > sigma[j] for i, j in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(m[i][sigma[i]] for i in range(n))
+    return total
+
+
+class TestLevelOneSplitFactorization:
+    """On a split weight mu = prod (u+a_m)/(u+b_m), realized by its polynomial
+    pair with a plain cache, the level-1 pairing factors site by site:
+
+        <t21(r), t21(s)> = sum_m e_{r-1}(b_1..b_{m-1}, a_{m+1}..a_p) (a_m - b_m)
+                                 e_{s-1}(a_1..a_{m-1}, b_{m+1}..b_p),
+
+    for every pairing of the a's with the b's, and the p x p level-1 Gram
+    determinant is (-1)^{p(p-1)/2} prod_{i,j} (a_i - b_j)."""
+
+    @staticmethod
+    def _check(a, b):
+        p = len(a)
+        mu = RationalFn(math.prod((PolyQ([x, 1]) for x in a), start=POLY_ONE),
+                        math.prod((PolyQ([x, 1]) for x in b), start=POLY_ONE))
+        assert mu.degree == p
+        hw = canonical_polynomial_weights(mu)
+        cache = ActionCache(hw)
+        gram = [[contravariant_pairing((r,), (s,), hw, cache) for s in range(1, p + 2)]
+                for r in range(1, p + 2)]
+        for r in range(1, p + 2):  # r or s = p + 1 reads zero on both sides
+            for s in range(1, p + 2):
+                expected = sum(
+                    _elementary(r - 1, b[:m] + a[m + 1:]) * (a[m] - b[m])
+                    * _elementary(s - 1, a[:m] + b[m + 1:])
+                    for m in range(p)
+                )
+                assert gram[r - 1][s - 1] == expected, (a, b, r, s)
+        expected = (-1) ** (p * (p - 1) // 2) * math.prod(x - y for x in a for y in b)
+        assert _leibniz_det([row[:p] for row in gram[:p]]) == expected, (a, b)
+
+    @staticmethod
+    def _roots(rng, p, den):
+        while True:
+            xs = [Fraction(rng.randint(-6 * den, 6 * den), den) for _ in range(2 * p)]
+            if len(set(xs)) == 2 * p:
+                return xs[:p], xs[p:]
+
+    @pytest.mark.parametrize("den", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_seeded_weights(self, p, den):
+        rng = random.Random(100 * p + den)
+        for _ in range(12):
+            self._check(*self._roots(rng, p, den))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_pairing_of_the_roots(self, p):
+        rng = random.Random(p)
+        for _ in range(16):
+            a, b = self._roots(rng, p, rng.randint(1, 3))
+            for b_order in itertools.permutations(b):
+                self._check(a, list(b_order))
 
 
 def _spanning(p, max_level):
@@ -513,6 +588,10 @@ class TestCharacterFormula:
         res = character_formula(mu, max_level=5)
         assert res.integer_pair_count == 0
         assert res.dims == (1, 1, 1, 1, 1, 1)
+
+    def test_series_weight_rejected(self):
+        with pytest.raises(InputError, match="not a rational function"):
+            character_formula(expand_rational(MU2, 4), max_level=2)
 
     def test_irrational_roots_rejected(self):
         mu = parse_rational_fn("(u^2+2)/(u^2+1)")

@@ -193,7 +193,7 @@ class TestReportContract:
     VERDICT_INPUT_ERRORS = {
         ("window", "[[2,-1],[-2,1]]"): "diagonal entry A[1][1] must be 2",
         ("window", "A2"): "weight tuple has 1 components for rank 2",
-        ("window", "[[2,-1],[-1,2.5]]"): "cartan matrix rows must be lists of integers",
+        ("window", "[[2,-1],[-1,2.5]]"): "Cartan matrix entries must be integers",
         ("series:", "[[2,-1],[-2,1]]"): "series weight needs at least one coefficient",
     }
 
@@ -205,6 +205,40 @@ class TestReportContract:
         if mu == "window":  # 60 coefficients: a budget-20 pass is real work
             mu = "series:" + ",".join(str(k * k % 11 + 1) for k in range(60))
         argv = ["verdict", "--mu", mu, "--cartan", cartan, "--budget", "20"]
+        code, out, err = call_main(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "input", "message": message}
+        assert calls == []
+
+    BAD_CARTANS = {
+        "bool entry": [[2, -1], [-1, True]],
+        "float entry": [[2, -1], [-1, 2.0]],
+        "string entry": [[2, -1], [-1, "2"]],
+        "row not a list": [[2, -1], 5],
+    }
+
+    @pytest.mark.parametrize("command", ["roots", "verdict"])
+    @pytest.mark.parametrize("via_job", [False, True])
+    @pytest.mark.parametrize("case", BAD_CARTANS)
+    def test_cartan_shape_and_entries_checked_once_in_rootsys(
+        self, capsys, monkeypatch, tmp_path, command, via_job, case
+    ):
+        matrix = self.BAD_CARTANS[case]
+        message = ("Cartan matrix must be a sequence of rows" if case == "row not a list"
+                   else "Cartan matrix entries must be integers")
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda *args: calls.append(args))
+        params = {"cartan": matrix}
+        if command == "verdict":
+            params.update(mu=["(u+2)/u", "(u+1)/u"], budget=1)
+        if via_job:
+            job = tmp_path / "job.json"
+            job.write_text(json.dumps({"command": command, "parameters": params}))
+            argv = ["job", str(job)]
+        else:
+            argv = [command, "--cartan", json.dumps(matrix)]
+            if command == "verdict":
+                argv += ["--mu", "(u+2)/u", "--mu", "(u+1)/u", "--budget", "1"]
         code, out, err = call_main(capsys, argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == {"code": "input", "message": message}

@@ -337,7 +337,55 @@ class TestPositiveRoots:
         assert positive_roots(matrix).positive == _reference_roots(matrix)
 
 
+def _reference_cartan_matrix(label):
+    """The chain-and-patch builder: an A_n chain, unlinked and relinked for D,
+    rebuilt one node shorter and grown by a node on index 2 for E."""
+    family, n = label[0], int(label[1:])
+
+    def chain(n):
+        m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for i in range(n - 1):
+            m[i][i + 1] = -1
+            m[i + 1][i] = -1
+        return m
+
+    m = chain(n)
+    if family == "B":
+        m[n - 1][n - 2] = -2
+    elif family == "C":
+        m[n - 2][n - 1] = -2
+    elif family == "D":
+        m[n - 1][n - 2] = 0
+        m[n - 2][n - 1] = 0
+        m[n - 1][n - 3] = -1
+        m[n - 3][n - 1] = -1
+    elif family == "E":
+        m = chain(n - 1)
+        for row in m:
+            row.append(0)
+        m.append([0] * n)
+        m[n - 1][n - 1] = 2
+        m[n - 1][2] = -1
+        m[2][n - 1] = -1
+    elif family == "F":
+        m[1][2] = -2
+    elif family == "G":
+        m[1][0] = -3
+    return tuple(tuple(row) for row in m)
+
+
 class TestCartanLabels:
+    LABELS = (
+        [f"A{n}" for n in range(1, 13)]
+        + [f"{family}{n}" for family in "BC" for n in range(2, 13)]
+        + [f"D{n}" for n in range(3, 13)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_matches_the_chain_and_patch_reference(self, label):
+        assert cartan_matrix(label) == _reference_cartan_matrix(label)
+
     def test_rejects_unknown(self):
         for label in ("H2", "A0", "B1", "E9", "G3", "", "X"):
             with pytest.raises(InputError):

@@ -139,6 +139,19 @@ class TestShiftArgument:
         with pytest.raises(TruncationError):
             series_shift_argument(a, -1, order=5)
 
+    def test_truncation_names_the_first_coefficient_past_the_window(self):
+        # as SeriesU.coeff and series_inverse do: u^{-3} of a(u-1) needs a^(3)
+        a = series_from_tail([1, 2])
+        with pytest.raises(TruncationError) as shift:
+            series_shift_argument(a, -1, order=5)
+        with pytest.raises(TruncationError) as inverse:
+            series_inverse(a, order=5)
+        with pytest.raises(TruncationError) as coeff:
+            a.coeff(3)
+        assert (shift.value.needed, shift.value.order) == (3, 2)
+        for other in (inverse, coeff):
+            assert (other.value.needed, other.value.order) == (3, 2)
+
 
 class TestShiftedPowerCoeff:
     def test_binomial_identity(self):
@@ -174,6 +187,10 @@ class TestExpandRational:
         s = expand_rational(f, 2)
         assert s.exact and s.coeffs == (Fraction(1), Fraction(3), Fraction(1))
         assert s.coeff(100) == 0
+
+    def test_rejects_a_series_weight(self):
+        with pytest.raises(InputError, match="not a rational function"):
+            expand_rational(series_from_tail([1, 2]), 3)
 
     def test_pure_power_needs_full_order(self):
         f = parse_rational_fn("(u^2+3u+1)/u^2")

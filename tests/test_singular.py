@@ -435,6 +435,10 @@ class TestCanonicalFamily:
         with pytest.raises(InputError):
             canonical_singular_vector(mu2, 1)
 
+    def test_series_weight_rejected(self):
+        with pytest.raises(InputError, match="not a rational function"):
+            canonical_singular_vector(expand_rational(MU, 4), 1)
+
 
 class TestFormatting:
     def test_fvector_to_obj_sorted_and_stringified(self):

@@ -312,6 +312,10 @@ class TestWeights:
         assert hw.lambda1 == SeriesU([1, 2], exact=True)
         assert hw.lambda2 == SeriesU([1, 1], exact=True)
 
+    def test_canonical_polynomial_weights_rejects_a_series(self):
+        with pytest.raises(InputError, match="not a rational function"):
+            canonical_polynomial_weights(SeriesU([1, 2], exact=True))
+
     def test_diagonal_eigenvalue_matches_weight_of(self):
         # t_11^(1) - t_22^(1) acts on level k by lambda1^(1) - lambda2^(1) - 2k.
         cache = ActionCache(HW_POLY)
