@@ -14,13 +14,17 @@ made monic in ``Fraction``.  ``rref``, ``rank`` and ``nullspace`` feed a
 whole matrix through it.  The reduced form is canonical for the row
 space, so the kernel basis is canonical for the solution space: two
 constraint systems have equal solution spaces iff these bases match.
+Next to it, ``rank_mod_prime`` eliminates ``int`` rows mod ``rational._PRIME``
+until they reach a target rank; the rank over Q is at least the rank mod a prime.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
+
+from .rational import _PRIME
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -105,6 +109,22 @@ class RowEchelon:
                 vec[p] = -row[f]
             basis.append(tuple(vec))
         return basis
+
+
+def rank_mod_prime(rows: Iterable[Sequence[int]], target: int) -> int:
+    """Rank mod ``_PRIME`` of the ``int`` rows; stops reading once it reaches ``target`` > 0."""
+    stored: dict[int, list[int]] = {}  # pivot column -> monic row
+    for row in rows:
+        v = [x % _PRIME for x in row]
+        for p in sorted(stored):
+            if f := v[p]:
+                v = [(a - f * b) % _PRIME for a, b in zip(v, stored[p])]
+        if (lead := next((c for c, x in enumerate(v) if x), None)) is not None:
+            inv = pow(v[lead], -1, _PRIME)
+            stored[lead] = [x * inv % _PRIME for x in v]
+            if len(stored) == target:
+                break
+    return len(stored)
 
 
 def _echelon(rows: Matrix) -> RowEchelon:

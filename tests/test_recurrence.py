@@ -8,7 +8,7 @@ import pytest
 
 from yverma import linalg
 from yverma.errors import InputError, InsufficientDataError
-from yverma.rational import PolyQ, RationalFn, parse_rational_fn
+from yverma.rational import _PRIME, PolyQ, RationalFn, parse_rational_fn
 from yverma.recurrence import (
     RationalityVerdict,
     RecurrenceWitness,
@@ -325,6 +325,105 @@ class TestNullspaceCalls:
         tail = [1, 1, 1, 1] + [2**r for r in range(5, 13)]
         assert len(detect_recurrence(tail, max_order=2).c) == 3
         assert calls == {"kernel": 1, "nullspace": 0}
+
+
+def _certificate_tail(rng, kind, n):
+    """A tail from a family where the rank check mod _PRIME is off, empty or near its edge."""
+    if kind == "zero":
+        return [0] * n
+    if kind == "long-prefix":
+        # a rational tail with a prefix of any length altered, so the
+        # earliest start falls on both sides of latest
+        tail = _shift_tail(rng, rng.randint(1, 3), n)
+        for i in range(rng.randint(1, n // 3 + 2)):
+            tail[i] += rng.choice([1, -1, Fraction(1, 2)])
+        return tail
+    tail = _tail_class(rng, TAIL_CLASSES[rng.randrange(len(TAIL_CLASSES))], n)
+    if kind == "multiple-of-P":
+        return [_PRIME * x for x in tail]  # every image is 0: the rank mod P is 0
+    if rng.random() < 0.5:
+        # nu^(r) P^(r-k) keeps every recurrence's order (its roots scale by P)
+        # and puts P in the denominators before r = k
+        k = rng.randint(2, 4)
+        tail = [x * Fraction(_PRIME) ** (r - k) for r, x in enumerate(tail, 1)]
+    if all(Fraction(x).denominator % _PRIME for x in tail):
+        tail[rng.randrange(n)] += Fraction(1, _PRIME)  # that denominator is divisible by P
+    return tail
+
+
+class TestRankCertificate:
+    """The scan skips an order on full rank mod _PRIME and returns what the direct scan does."""
+
+    FAMILIES = ("zero", "long-prefix", "multiple-of-P", "P-denominator")
+
+    @pytest.fixture
+    def ranks(self, monkeypatch):
+        seen = []
+
+        def recording(rows, target, _inner=linalg.rank_mod_prime):
+            seen.append(_inner(rows, target))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg, "rank_mod_prime", recording)
+        return seen
+
+    def test_seeded_tails_from_every_family(self, ranks):
+        rng = random.Random(12)
+        outcomes = {kind: set() for kind in self.FAMILIES}
+        for i in range(240):
+            kind = self.FAMILIES[i % len(self.FAMILIES)]
+            max_order = rng.randint(0, 6)
+            n = 2 * max_order + 2 + rng.randint(0, 8)
+            tail = _certificate_tail(rng, kind, n)
+            expected = _reference_detect(tail, max_order)
+            ranks.clear()
+            got = detect_recurrence(tail, max_order)
+            assert got == expected and repr(got) == repr(expected), (kind, tail, max_order)
+            if kind == "multiple-of-P":
+                assert ranks and set(ranks) == {0}, tail  # every order ran exactly
+            if kind == "P-denominator":
+                assert ranks == [], tail  # the certificate was off
+            outcomes[kind].add("witness" if expected else None)
+        assert outcomes == {
+            "zero": {"witness"},
+            "long-prefix": {"witness", None},
+            "multiple-of-P": {"witness", None},
+            "P-denominator": {"witness", None},
+        }
+
+    def test_a_rational_tail_skips_every_order_below_its_own(self, ranks):
+        f = parse_rational_fn("(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))")
+        assert detect_recurrence(_tail_of(f, 20), max_order=6).recovered == f
+        assert ranks == [1, 2, 3, 3]  # orders 0-2 full, order 3 one short
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+
+        class Counting(linalg.RowEchelon):
+            def __init__(self):
+                super().__init__()
+                count[0] += 1
+
+        monkeypatch.setattr(linalg, "RowEchelon", Counting)
+        return count
+
+    def test_no_echelon_for_factorial_reciprocals(self, built):
+        tail = [Fraction(1, factorial(r)) for r in range(1, 23)]
+        assert detect_recurrence(tail, max_order=10) is None
+        assert built == [0]
+
+    def test_no_echelon_at_max_order_40(self, built):
+        # the max_order 40 shape that the benchmark leaves out for its cost
+        tail = [Fraction(1, factorial(r)) for r in range(1, 125)]
+        assert detect_recurrence(tail, max_order=40) is None
+        assert built == [0]
+
+    def test_one_echelon_for_the_order_found(self, built):
+        f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
+        witness = detect_recurrence(_tail_of(f, 26), max_order=12)
+        assert (len(witness.c), witness.recovered) == (3, f)
+        assert built == [1]
 
 
 class TestReconstruct:
