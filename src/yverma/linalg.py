@@ -8,12 +8,13 @@ positive definiteness): it grows an echelon basis one row at a time, so
 callers can read the rank and the pivot columns after every added row,
 back-substitutes monic copies of its rows on demand to the reduced row
 echelon form (``Fraction`` entries) and reads the kernel off that form,
-with no second elimination.  A row that is all ``int`` after reduction
-is stored fraction-free, as a primitive integer row; any other row is
-made monic in ``Fraction``.  ``rref``, ``rank`` and ``nullspace`` feed a
-whole matrix through it.  The reduced form is canonical for the row
-space, so the kernel basis is canonical for the solution space: two
-constraint systems have equal solution spaces iff these bases match.
+with no second elimination.  It stores one row form, fraction-free as in
+Bareiss: a row holding a ``Fraction`` is cleared by the lcm of its
+denominators on arrival, which keeps its span, and every stored row is a
+primitive ``int`` row.  ``rref``, ``rank`` and ``nullspace`` feed a whole
+matrix through it.  The reduced form is canonical for the row space, so
+the kernel basis is canonical for the solution space: two constraint
+systems have equal solution spaces iff these bases match.
 Next to it, ``rank_mod_prime`` eliminates ``int`` rows mod ``rational._PRIME``
 until they reach a target rank; the rank over Q is at least the rank mod a prime.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .rational import _PRIME
+from .rational import _PRIME, _cleared
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -35,11 +36,10 @@ Matrix = list[list[int | Fraction]]
 class RowEchelon:
     """Echelon basis of the span of the rows added so far.
 
-    Each stored row has zeros before its pivot column.  A row of ``int``
-    is primitive with a positive lead; any other row has a leading 1.  A
-    new row is reduced by the stored rows in ascending pivot order, by
-    ``a - f*b`` against a monic row and by ``lead*a - f*b`` against an
-    integer row; what remains is zero iff the row was already in the span.
+    Each stored row is a primitive ``int`` row with a positive lead and
+    zeros before its pivot column.  A new row, its denominators cleared, is
+    reduced by the stored rows in ascending pivot order, by ``lead*a - f*b``;
+    what remains is zero iff the row was already in the span.
     """
 
     def __init__(self) -> None:
@@ -57,21 +57,16 @@ class RowEchelon:
     def add(self, row: Sequence[int | Fraction]) -> None:
         """Add ``row`` to the span (the rank grows iff it was not in it)."""
         v = list(row)
+        if any(type(x) is not int for x in v):  # clear denominators: same span
+            v = _cleared(v)[1]
         for p in sorted(self._rows):
-            f = v[p]
-            if f:
+            if f := v[p]:
                 stored = self._rows[p]
-                if type(lead := stored[p]) is int:
-                    v = [lead * a - f * b for a, b in zip(v, stored)]
-                else:
-                    v = [a - f * b for a, b in zip(v, stored)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None and all(type(x) is int for x in v):
+                lead = stored[p]
+                v = [lead * a - f * b for a, b in zip(v, stored)]
+        if (lead := next((c for c, x in enumerate(v) if x), None)) is not None:
             g = gcd(*v) if v[lead] > 0 else -gcd(*v)
             self._rows[lead] = [x // g for x in v]
-        elif lead is not None:
-            inv = _ONE / v[lead]
-            self._rows[lead] = [x * inv for x in v]
 
     def reduced(self) -> tuple[Matrix, list[int]]:
         """Reduced row echelon form of the span and its pivot columns.

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InputError, digit_limit_error, _record
 
@@ -187,11 +187,12 @@ POLY_ONE = PolyQ((1,))
 POLY_U = PolyQ((0, 1))
 
 
-# The prime 2^61 - 1 of the modular coprimality certificate in poly_gcd.
+# The prime 2^61 - 1 of the modular coprimality certificate in poly_gcd and of
+# the rank certificate of linalg.rank_mod_prime, which detect_recurrence reads.
 _PRIME = (1 << 61) - 1
 
 
-def _cleared(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The lcm d of the denominators and the integer coefficients times d."""
     d = lcm(*(c.denominator for c in coeffs))
     return d, [c.numerator * (d // c.denominator) for c in coeffs]

@@ -29,11 +29,13 @@ N <= max(1, L//3) with at least max_order + 2 confirming instances.
 Once rows r+1..L-m reach rank m with r+1 in that window, they span the
 vectors orthogonal to their kernel vector c: c is read off the echelon,
 and each lower row is tested by a dot product with c, not eliminated.
-As a kernel vector of the echelon, c has last nonzero entry 1.  Before
-that elimination, rows r = L-m..latest are eliminated mod P =
-``rational._PRIME``, and order m is skipped once their rank mod P reaches
-m+1.  That is exact: the scan fails m iff those rows have rank m+1 over Q
-(it reads no kernel above latest), and the rank mod P never exceeds it.
+As a kernel vector of the echelon, c has last nonzero entry 1.  Both
+eliminations read the integer window d nu^(r), d the lcm of its
+denominators: one scale keeps every rank and kernel.  First rows
+r = L-m..latest are eliminated mod P = ``rational._PRIME``; order m is
+skipped once their rank mod P reaches m+1.  That is exact: the scan fails
+m iff those rows have rank m+1 over Q (it reads no kernel above latest),
+and the rank mod P of an integer matrix never exceeds it.
 Everything is exact; "no recurrence found" is a statement about the
 window and budget only.
 """
@@ -45,7 +47,7 @@ from typing import Literal, Optional, Sequence, Union
 
 from . import linalg
 from .errors import InputError, InsufficientDataError, _record
-from .rational import _PRIME, PolyQ, RationalFn, Scalar, rat
+from .rational import _PRIME, PolyQ, _cleared, RationalFn, Scalar, rat
 from .series import SeriesU
 
 _ZERO = Fraction(0)
@@ -66,7 +68,7 @@ def detect_recurrence(
     """Find the minimal-order, earliest-start recurrence on a series tail.
 
     ``coeffs`` lists nu^(1), nu^(2), ... (the constant term 1 is implied).
-    Each order m eliminates the rows (nu^(r), ..., nu^(r+m)) mod a prime,
+    Each order m eliminates the rows d (nu^(r), ..., nu^(r+m)) mod a prime,
     and exactly (yielding c) only where that rank stays below m+1.  Returns
     ``None`` when no order <= max_order has an earliest start
     N <= max(1, L//3) with at least max_order + 2 instances r = N..L-m;
@@ -83,19 +85,18 @@ def detect_recurrence(
             f"max_order={max_order}, got {L}"
         )
 
-    images = None if any(x.denominator % _PRIME == 0 for x in vals) else [
-        x.numerator * pow(x.denominator, -1, _PRIME) % _PRIME for x in vals
-    ]
+    window = _cleared(vals)[1]  # d nu^(r), d the lcm of the denominators
+    images = [x % _PRIME for x in window]
     for m in range(max_order + 1):
         latest = min(max(1, L // 3), L - m - max_order - 1)
         rows = (images[r : r + m + 1] for r in range(L - m, latest - 1, -1))
-        if images is not None and linalg.rank_mod_prime(rows, m + 1) > m:
+        if linalg.rank_mod_prime(rows, m + 1) > m:
             continue  # rows latest..L-m have rank m+1 over Q, so the scan fails m
         echelon = linalg.RowEchelon()
         kernel = None
         start = 1
         for r in range(L - m, 0, -1):
-            row = vals[r : r + m + 1]
+            row = window[r : r + m + 1]
             if kernel is None and echelon.rank == m and r < latest:
                 kernel = echelon.kernel(m + 1)[0]
             if kernel is None:

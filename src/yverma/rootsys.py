@@ -33,6 +33,7 @@ from .errors import InputError, digit_limit_error, _record
 from .rational import _primitive_ints
 
 CartanMatrix = tuple[tuple[int, ...], ...]
+_MAX_RANK = 100  # A100 has 5050 positive roots; the root count grows as rank^2
 
 
 def _as_matrix(a: Iterable[Iterable[int]]) -> CartanMatrix:
@@ -41,6 +42,8 @@ def _as_matrix(a: Iterable[Iterable[int]]) -> CartanMatrix:
     except TypeError:
         raise InputError("Cartan matrix must be a sequence of rows") from None
     n = len(rows)
+    if n > _MAX_RANK:
+        raise InputError(f"Cartan rank {n} is above the cap of {_MAX_RANK}")
     if n == 0 or any(len(r) != n for r in rows):
         raise InputError("Cartan matrix must be square and nonempty")
     if not all(isinstance(x, int) and not isinstance(x, bool) for r in rows for x in r):
@@ -213,9 +216,9 @@ def cartan_matrix(label: str) -> CartanMatrix:
     except ValueError:
         raise digit_limit_error("the Cartan rank") from None
     mins = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
-    maxs = {"E": 8, "F": 4, "G": 2}
-    if n < mins[family] or (family in maxs and n > maxs[family]):
-        raise InputError(f"unsupported rank for type {family}: {n}")
+    low, top = mins[family], {"E": 8, "F": 4, "G": 2}.get(family, _MAX_RANK)
+    if not low <= n <= top:
+        raise InputError(f"unsupported rank for type {family}: {n} (ranks {low}..{top})")
     last_hang = {"D": n - 3, "E": 2}.get(family, n - 2)
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(1, n):

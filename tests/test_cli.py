@@ -244,6 +244,32 @@ class TestReportContract:
         assert json.loads(err)["error"] == {"code": "input", "message": message}
         assert calls == []
 
+    DIAGONAL_101 = [[2 if i == j else 0 for j in range(101)] for i in range(101)]
+
+    @pytest.mark.parametrize("cartan, message", [
+        ("A101", "unsupported rank for type A: 101 (ranks 1..100)"),
+        ("D101", "unsupported rank for type D: 101 (ranks 3..100)"),
+        (json.dumps(DIAGONAL_101), "Cartan rank 101 is above the cap of 100"),
+    ], ids=["A101", "D101", "json-101"])
+    def test_cartan_rank_is_capped_at_100(self, capsys, cartan, message):
+        start = time.perf_counter()
+        code, out, err = call_main(capsys, ["roots", "--cartan", cartan])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {"code": "input", "message": message}
+
+    def test_cartan_rank_cap_holds_in_job_files(self, capsys, tmp_path):
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps({"command": "roots",
+                                   "parameters": {"cartan": self.DIAGONAL_101}}))
+        code, out, err = call_main(capsys, ["job", str(job)])
+        assert (code, out) == (2, "")
+        assert "above the cap of 100" in json.loads(err)["error"]["message"]
+
+    def test_rank_100_is_under_the_cap(self, capsys):
+        code, out, _ = call_main(capsys, ["roots", "--cartan", "A100"])
+        assert code == 0 and json.loads(out)["count"] == 5050
+
     def test_series_weight_syntax(self, capsys):
         code, out, _ = call_main(
             capsys,

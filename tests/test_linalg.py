@@ -314,6 +314,9 @@ class TestIntegerRows:
                 ref.add(row)
                 assert echelon.rank == ref.rank, rows
                 assert echelon.pivots == ref.pivots, rows
+                for p, stored in echelon._rows.items():  # one row form: primitive int
+                    assert all(type(x) is int for x in stored), rows
+                    assert gcd(*stored) == 1 and stored[p] > 0, rows
                 if rng.random() < 0.3:  # later rows are added after a reduced()
                     got = echelon.reduced()
                     assert got == ref.reduced(), rows

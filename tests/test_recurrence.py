@@ -370,6 +370,7 @@ class TestRankCertificate:
     def test_seeded_tails_from_every_family(self, ranks):
         rng = random.Random(12)
         outcomes = {kind: set() for kind in self.FAMILIES}
+        skipped = 0
         for i in range(240):
             kind = self.FAMILIES[i % len(self.FAMILIES)]
             max_order = rng.randint(0, 6)
@@ -381,8 +382,8 @@ class TestRankCertificate:
             assert got == expected and repr(got) == repr(expected), (kind, tail, max_order)
             if kind == "multiple-of-P":
                 assert ranks and set(ranks) == {0}, tail  # every order ran exactly
-            if kind == "P-denominator":
-                assert ranks == [], tail  # the certificate was off
+            if kind == "P-denominator" and any(r == m + 1 for m, r in enumerate(ranks)):
+                skipped += 1  # a P in a denominator leaves the certificate on
             outcomes[kind].add("witness" if expected else None)
         assert outcomes == {
             "zero": {"witness"},
@@ -390,6 +391,7 @@ class TestRankCertificate:
             "multiple-of-P": {"witness", None},
             "P-denominator": {"witness", None},
         }
+        assert skipped > 0
 
     def test_a_rational_tail_skips_every_order_below_its_own(self, ranks):
         f = parse_rational_fn("(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))")
@@ -418,6 +420,28 @@ class TestRankCertificate:
         tail = [Fraction(1, factorial(r)) for r in range(1, 125)]
         assert detect_recurrence(tail, max_order=40) is None
         assert built == [0]
+
+    def test_both_eliminations_read_int_rows(self, monkeypatch):
+        modular, exact = [], []
+
+        def rank_mod_prime(rows, target, _inner=linalg.rank_mod_prime):
+            rows = list(rows)
+            modular.extend(rows)
+            return _inner(rows, target)
+
+        def add(self, row, _inner=linalg.RowEchelon.add):
+            exact.append(row)
+            _inner(self, row)
+
+        monkeypatch.setattr(linalg, "rank_mod_prime", rank_mod_prime)
+        monkeypatch.setattr(linalg.RowEchelon, "add", add)
+        f = parse_rational_fn("(u+1/2)(u+7)/((u+3)(u+1/3))")
+        tail = _tail_of(f, 16)
+        assert any(x.denominator > 1 for x in tail)
+        witness = detect_recurrence(tail, max_order=4)
+        assert (len(witness.c), witness.recovered) == (3, f)
+        assert modular and exact
+        assert all(type(x) is int for row in modular + exact for x in row)
 
     def test_one_echelon_for_the_order_found(self, built):
         f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")

@@ -391,6 +391,13 @@ class TestCartanLabels:
             with pytest.raises(InputError):
                 cartan_matrix(label)
 
+    def test_rank_cap_is_checked_before_the_matrix_is_built(self):
+        # A100000 would be 10**10 cells
+        for label in ("A101", "B101", "C101", "D101", "A100000"):
+            with pytest.raises(InputError, match=r"\(ranks \d\.\.100\)"):
+                cartan_matrix(label)
+        assert len(cartan_matrix("D100")) == 100
+
     def test_case_and_space_insensitive(self):
         assert cartan_matrix(" a2 ") == ((2, -1), (-1, 2))
 
