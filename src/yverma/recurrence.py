@@ -31,7 +31,11 @@ vectors orthogonal to their kernel vector c: c is read off the echelon,
 and each lower row is tested by a dot product with c, not eliminated.
 As a kernel vector of the echelon, c has last nonzero entry 1.  Both
 eliminations read the integer window d nu^(r), d the lcm of its
-denominators: one scale keeps every rank and kernel.  First rows
+denominators: one scale keeps every rank and kernel.  So does the
+witness: c is cleared once to a primitive integer c' = lambda c, which
+tests the lower rows, is checked on every instance r = N..L-m, and sums
+the numerator off the window: that P' is lambda d P, and C' = lambda C,
+so nu = P'(u) / (d u^N C'(u)).  First rows
 r = L-m..latest are eliminated mod P = ``rational._PRIME``; order m is
 skipped once their rank mod P reaches m+1.  That is exact: the scan fails
 m iff those rows have rank m+1 over Q (it reads no kernel above latest),
@@ -93,24 +97,27 @@ def detect_recurrence(
         if linalg.rank_mod_prime(rows, m + 1) > m:
             continue  # rows latest..L-m have rank m+1 over Q, so the scan fails m
         echelon = linalg.RowEchelon()
-        kernel = None
+        c = cint = None
         start = 1
         for r in range(L - m, 0, -1):
             row = window[r : r + m + 1]
-            if kernel is None and echelon.rank == m and r < latest:
-                kernel = echelon.kernel(m + 1)[0]
-            if kernel is None:
+            if c is None and echelon.rank == m and r < latest:
+                c = echelon.kernel(m + 1)[0]
+                cint = _cleared(c)[1]  # primitive: c has an entry 1
+            if c is None:
                 echelon.add(row)
                 filled = echelon.rank > m
             else:
-                filled = sum(a * b for a, b in zip(kernel, row)) != 0
+                filled = sum(a * b for a, b in zip(cint, row)) != 0
             if filled:
                 start = r + 1
                 break
         if start > latest:
             continue
-        c = kernel if kernel is not None else echelon.kernel(m + 1)[0]
-        recovered = reconstruct_rational(vals[1:], c, start)
+        if c is None:
+            c = echelon.kernel(m + 1)[0]
+            cint = _cleared(c)[1]
+        recovered = _witnessed_fn(window, cint, start)
         return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
     return None
 
@@ -121,9 +128,11 @@ def reconstruct_rational(
     """Rebuild the rational function from a recurrence on the tail.
 
     ``coeffs`` lists nu^(1), nu^(2), ...; the recurrence with coefficients
-    ``c`` must hold for every r >= tail_start that the window can check
-    (verified here before reconstruction).  A ``tail_start`` so far out
-    that the numerator would read past the window is an ``InputError``.
+    ``c`` must hold for every r >= tail_start that the window can check.
+    The inputs are validated as rationals; then both are cleared to
+    integers, and the check and the numerator run on those, as in
+    ``detect_recurrence``.  A ``tail_start`` so far out that the numerator
+    would read past the window is an ``InputError``.
     """
     vals = [Fraction(1), *(rat(x) for x in coeffs)]  # vals[r] = nu^(r)
     cvec = [rat(x) for x in c]
@@ -139,18 +148,23 @@ def reconstruct_rational(
             f"nu^({tail_start + m - 1}), the window ends at nu^({L})"
         )
 
-    for r in range(tail_start, L - m + 1):
-        if sum(cvec[j] * vals[r + j] for j in range(m + 1)) != 0:
-            raise InputError(f"recurrence fails at r={r}")
+    return _witnessed_fn(_cleared(vals)[1], _cleared(cvec)[1], tail_start)
 
-    n = tail_start
+
+def _witnessed_fn(window: list[int], c: list[int], n: int) -> RationalFn:
+    """Check c = lambda (c_0..c_m) on every instance r >= n of the window
+    d nu^(r) (d = window[0]), then build P'(u) / (d u^n C'(u)) = nu."""
+    m = len(c) - 1
+    for r in range(n, len(window) - m):
+        if sum(a * b for a, b in zip(c, window[r : r + m + 1])) != 0:
+            raise InputError(f"recurrence fails at r={r}")
     # the u^0 coefficient of u^n C(u) nu(u) is the recurrence at r = n, so 0;
     # summing it would read nu^(n+m), which a short window may not hold
-    num = [_ZERO] + [
-        sum((cvec[j] * vals[n + j - e] for j in range(max(0, e - n), m + 1)), _ZERO)
+    num = [0] + [
+        sum(c[j] * window[n + j - e] for j in range(max(0, e - n), m + 1))
         for e in range(1, n + m + 1)
     ]
-    return RationalFn(PolyQ(num), PolyQ([_ZERO] * n + cvec))  # P(u) / (u^n C(u))
+    return RationalFn(PolyQ(num), PolyQ([0] * n + [window[0] * x for x in c]))
 
 
 @_record

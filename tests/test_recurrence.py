@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from yverma import linalg
+from yverma import linalg, recurrence
 from yverma.errors import InputError, InsufficientDataError
 from yverma.rational import _PRIME, PolyQ, RationalFn, parse_rational_fn
 from yverma.recurrence import (
@@ -320,11 +320,29 @@ class TestNullspaceCalls:
         assert calls == {"kernel": 0, "nullspace": 0}
 
     def test_no_call_on_an_order_that_fails(self, calls):
-        # order 1 has rank 1 from r = 11 and is filled by the row r = 4 =
-        # latest, so it fails; its kernel is not read, only order 2's is
+        # rows r = 4..11 reach rank 1 at order 0 and rank 2 at order 1 mod
+        # P, so the certificate skips both before any echelon is built; only
+        # order 2 builds one and reads its kernel
         tail = [1, 1, 1, 1] + [2**r for r in range(5, 13)]
         assert len(detect_recurrence(tail, max_order=2).c) == 3
         assert calls == {"kernel": 1, "nullspace": 0}
+
+    def test_no_call_on_an_order_that_fails_exactly(self, calls, monkeypatch):
+        # The same tail times P: every image mod P is 0, so all three orders
+        # run the exact scan.  Order 0 is filled at r = 12; order 1 has rank
+        # 1 from r = 11 and is filled by the row r = 4 = latest while still
+        # eliminated, so neither reads its kernel; only order 2 does.
+        built = [0]
+
+        class Counting(linalg.RowEchelon):
+            def __init__(self):
+                super().__init__()
+                built[0] += 1
+
+        monkeypatch.setattr(linalg, "RowEchelon", Counting)
+        tail = [_PRIME * x for x in [1, 1, 1, 1] + [2**r for r in range(5, 13)]]
+        assert len(detect_recurrence(tail, max_order=2).c) == 3
+        assert (built, calls) == ([3], {"kernel": 1, "nullspace": 0})
 
 
 def _certificate_tail(rng, kind, n):
@@ -450,6 +468,108 @@ class TestRankCertificate:
         assert built == [1]
 
 
+def _reference_tails():
+    """The (tail, max_order) pairs of TestAgainstReferenceScan.test_seeded_tails."""
+    rng = random.Random(4)
+    for i in range(360):
+        max_order = rng.randint(0, 6)
+        n = 2 * max_order + 2 + rng.randint(0, 8)
+        tail = _tail_class(rng, TAIL_CLASSES[i % len(TAIL_CLASSES)], n)
+        yield (tail[: n - 1] if i % 7 == 0 else tail), max_order
+
+
+def _certificate_tails():
+    """The (tail, max_order) pairs of TestRankCertificate.test_seeded_tails_from_every_family."""
+    rng = random.Random(12)
+    for i in range(240):
+        kind = TestRankCertificate.FAMILIES[i % len(TestRankCertificate.FAMILIES)]
+        max_order = rng.randint(0, 6)
+        n = 2 * max_order + 2 + rng.randint(0, 8)
+        yield _certificate_tail(rng, kind, n), max_order
+
+
+class TestIntegerWitness:
+    """The witness is checked and its function built on the integer window."""
+
+    def test_recovered_function_expands_to_the_tail(self):
+        # An oracle apart from the numerator builder: the recovered function
+        # expands to nu^(1..L-m+t), t the index of c's last nonzero entry.
+        # The instances r = N..L-m read no further, so with c_m = 0 the
+        # witness never reads nu^(L), where a periodic-altered tail differs.
+        witnesses, short = 0, 0
+        for tail, max_order in [*_reference_tails(), *_certificate_tails()]:
+            try:
+                w = detect_recurrence(tail, max_order)
+            except InsufficientDataError:
+                continue
+            if w is None:
+                continue
+            m = len(w.c) - 1
+            t = max(j for j, x in enumerate(w.c) if x)
+            n = len(tail) - m + t
+            assert _tail_of(w.recovered, n) == [Fraction(x) for x in tail[:n]], (tail, max_order)
+            witnesses += 1
+            short += t < m
+        assert witnesses >= 200 and short > 0
+
+    def test_detection_builds_on_int_and_calls_no_reconstruction(self, monkeypatch):
+        built, reconstructed = [], []
+
+        def builder(window, c, n, _inner=recurrence._witnessed_fn):
+            built.append((window, c))
+            return _inner(window, c, n)
+
+        monkeypatch.setattr(recurrence, "_witnessed_fn", builder)
+        monkeypatch.setattr(
+            recurrence, "reconstruct_rational", lambda *args: reconstructed.append(args)
+        )
+        f = parse_rational_fn("(u+1/2)(u+7)/((u+3)(u+1/3))")
+        tail = _tail_of(f, 16)
+        assert any(x.denominator > 1 for x in tail)
+        witness = detect_recurrence(tail, max_order=6)
+        assert (len(witness.c), witness.recovered) == (3, f)
+        assert all(type(x) is Fraction for x in witness.c)
+        assert reconstructed == [] and len(built) == 1
+        window, c = built[0]
+        assert all(type(x) is int for x in window + c)
+
+
+_F0 = Fraction(0)
+
+
+def _fraction_reconstruct(coeffs, c, tail_start):
+    """reconstruct_rational as summed in Fraction, before the integer window."""
+    vals = [Fraction(1), *(Fraction(x) for x in coeffs)]
+    cvec = [Fraction(x) for x in c]
+    if not any(cvec):
+        raise InputError("recurrence coefficients are all zero")
+    if tail_start < 1:
+        raise InputError("tail_start must be >= 1")
+    m = len(cvec) - 1
+    L = len(vals) - 1
+    if tail_start + m - 1 > L:
+        raise InputError(
+            f"tail_start {tail_start} lies past the window: the numerator reads "
+            f"nu^({tail_start + m - 1}), the window ends at nu^({L})"
+        )
+    for r in range(tail_start, L - m + 1):
+        if sum(cvec[j] * vals[r + j] for j in range(m + 1)) != 0:
+            raise InputError(f"recurrence fails at r={r}")
+    n = tail_start
+    num = [_F0] + [
+        sum((cvec[j] * vals[n + j - e] for j in range(max(0, e - n), m + 1)), _F0)
+        for e in range(1, n + m + 1)
+    ]
+    return RationalFn(PolyQ(num), PolyQ([_F0] * n + cvec))
+
+
+def _rebuilt(reconstruct, nu, c, start):
+    try:
+        return reconstruct(nu, c, start)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
 class TestReconstruct:
     def test_matches_detection(self):
         f = parse_rational_fn("(u^2+3u+1)/(u^2+1)")
@@ -494,6 +614,20 @@ class TestReconstruct:
                 assert isinstance(result, RationalFn), (nu, c, start)
                 outcomes.add("result")
         assert outcomes == {"result", "input error"}
+
+    def test_seeded_sweep_matches_the_fraction_formula(self):
+        # the sweep above: an equal function, or an InputError with the same
+        # message, "recurrence fails at r=..." included
+        rng = random.Random(17)
+        fails = 0
+        for _ in range(3000):
+            nu = [rng.choice([0, 1, -2, Fraction(1, 2), 3]) for _ in range(rng.randint(0, 6))]
+            c = [rng.choice([0, 0, 1, -1, Fraction(2, 3)]) for _ in range(rng.randint(1, 4))]
+            start = rng.randint(-1, 8)
+            got = _rebuilt(reconstruct_rational, nu, c, start)
+            assert got == _rebuilt(_fraction_reconstruct, nu, c, start), (nu, c, start)
+            fails += str(got).startswith("InputError: recurrence fails at r=")
+        assert fails > 0
 
 
 class TestVerdict:
