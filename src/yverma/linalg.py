@@ -14,18 +14,18 @@ denominators on arrival, which keeps its span, and every stored row is a
 primitive ``int`` row.  ``rref``, ``rank`` and ``nullspace`` feed a whole
 matrix through it.  The reduced form is canonical for the row space, so
 the kernel basis is canonical for the solution space: two constraint
-systems have equal solution spaces iff these bases match.
-Next to it, ``rank_mod_prime`` eliminates ``int`` rows mod ``rational._PRIME``
-until they reach a target rank; the rank over Q is at least the rank mod a prime.
+systems have equal solution spaces iff these bases match.  Nothing here
+works mod a prime: the recurrence scan's modular bound is a Berlekamp-Massey
+profile in ``recurrence``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .rational import _PRIME, _cleared
+from .rational import _cleared
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,22 +104,6 @@ class RowEchelon:
                 vec[p] = -row[f]
             basis.append(tuple(vec))
         return basis
-
-
-def rank_mod_prime(rows: Iterable[Sequence[int]], target: int) -> int:
-    """Rank mod ``_PRIME`` of the ``int`` rows; stops reading once it reaches ``target`` > 0."""
-    stored: dict[int, list[int]] = {}  # pivot column -> monic row
-    for row in rows:
-        v = [x % _PRIME for x in row]
-        for p in sorted(stored):
-            if f := v[p]:
-                v = [(a - f * b) % _PRIME for a, b in zip(v, stored[p])]
-        if (lead := next((c for c, x in enumerate(v) if x), None)) is not None:
-            inv = pow(v[lead], -1, _PRIME)
-            stored[lead] = [x * inv % _PRIME for x in v]
-            if len(stored) == target:
-                break
-    return len(stored)
 
 
 def _echelon(rows: Matrix) -> RowEchelon:

@@ -188,7 +188,7 @@ POLY_U = PolyQ((0, 1))
 
 
 # The prime 2^61 - 1 of the modular coprimality certificate in poly_gcd and of
-# the rank certificate of linalg.rank_mod_prime, which detect_recurrence reads.
+# the linear-complexity profile (Berlekamp-Massey) that detect_recurrence reads.
 _PRIME = (1 << 61) - 1
 
 

@@ -25,7 +25,8 @@ only shrinks as N falls, and the starts with a nonzero kernel run upward
 without a gap.  So one exact elimination per order adds the rows
 bottom-up, r = L-m, L-m-1, ..., until one fills rank m+1; the earliest
 start lies one above it (N = 1 if none does), and counts only if
-N <= max(1, L//3) with at least max_order + 2 confirming instances.
+N <= max(1, L//3) with at least max_order + 2 confirming instances, that
+is N <= latest = min(max(1, L//3), L-m-max_order-1).
 Once rows r+1..L-m reach rank m with r+1 in that window, they span the
 vectors orthogonal to their kernel vector c: c is read off the echelon,
 and each lower row is tested by a dot product with c, not eliminated.
@@ -35,11 +36,20 @@ denominators: one scale keeps every rank and kernel.  So does the
 witness: c is cleared once to a primitive integer c' = lambda c, which
 tests the lower rows, is checked on every instance r = N..L-m, and sums
 the numerator off the window: that P' is lambda d P, and C' = lambda C,
-so nu = P'(u) / (d u^N C'(u)).  First rows
-r = L-m..latest are eliminated mod P = ``rational._PRIME``; order m is
-skipped once their rank mod P reaches m+1.  That is exact: the scan fails
-m iff those rows have rank m+1 over Q (it reads no kernel above latest),
-and the rank mod P of an integer matrix never exceeds it.
+so nu = P'(u) / (d u^N C'(u)).  Before any exact elimination, one
+Berlekamp-Massey pass mod P = ``rational._PRIME`` reads the window
+backwards, x_i = d nu^(L-i) mod P for i = 0..L - latest(max_order), and
+records l_k, the shortest LFSR length that generates x_0..x_{k-1}, for
+every k.  With h = L - m - latest + 1, rows r = latest..L-m of order m are
+the Hankel rows (x_s, ..., x_{s+m}), s < h, read right to left.  A kernel
+vector mod P whose last nonzero entry sits at t <= m is an LFSR of length
+t on the first h + t terms, and such an LFSR pads to a kernel vector; so
+those rows have rank <= m mod P iff l_{h+t} <= t for some t in 0..m.
+An order with no such t is skipped.  That is exact: the scan fails m iff those
+rows have rank m+1 over Q (it reads no kernel above latest), and the rank
+mod P of an integer matrix never exceeds it.  An order the profile admits
+may still fail exactly (a window divisible by P); the scan then goes on
+to the next admitted order.
 Everything is exact; "no recurrence found" is a statement about the
 window and budget only.
 """
@@ -47,6 +57,7 @@ window and budget only.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Literal, Optional, Sequence, Union
 
 from . import linalg
@@ -72,9 +83,11 @@ def detect_recurrence(
     """Find the minimal-order, earliest-start recurrence on a series tail.
 
     ``coeffs`` lists nu^(1), nu^(2), ... (the constant term 1 is implied).
-    Each order m eliminates the rows d (nu^(r), ..., nu^(r+m)) mod a prime,
-    and exactly (yielding c) only where that rank stays below m+1.  Returns
-    ``None`` when no order <= max_order has an earliest start
+    One linear-complexity profile mod a prime of the reversed integer
+    window d nu^(r) bounds, for every order m at once, the rank of the
+    rows d (nu^(r), ..., nu^(r+m)) from the latest start up; only an order
+    whose rows can fall short of rank m+1 is eliminated exactly (yielding
+    c).  Returns ``None`` when no order <= max_order has an earliest start
     N <= max(1, L//3) with at least max_order + 2 instances r = N..L-m;
     raises ``InsufficientDataError`` when fewer than 2 * max_order + 2
     coefficients are supplied.
@@ -90,12 +103,13 @@ def detect_recurrence(
         )
 
     window = _cleared(vals)[1]  # d nu^(r), d the lcm of the denominators
-    images = [x % _PRIME for x in window]
+    lowest = min(max(1, L // 3), L - 2 * max_order - 1)  # latest at m = max_order
+    profile = _complexity_profile([x % _PRIME for x in reversed(window[lowest:])])
     for m in range(max_order + 1):
         latest = min(max(1, L // 3), L - m - max_order - 1)
-        rows = (images[r : r + m + 1] for r in range(L - m, latest - 1, -1))
-        if linalg.rank_mod_prime(rows, m + 1) > m:
-            continue  # rows latest..L-m have rank m+1 over Q, so the scan fails m
+        h = L - m - latest + 1  # rows r = latest..L-m
+        if all(profile[h + t] > t for t in range(m + 1)):
+            continue  # those rows have rank m+1 mod P, so over Q: the scan fails m
         echelon = linalg.RowEchelon()
         c = cint = None
         start = 1
@@ -120,6 +134,31 @@ def detect_recurrence(
         recovered = _witnessed_fn(window, cint, start)
         return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
     return None
+
+
+def _complexity_profile(xs: Sequence[int]) -> list[int]:
+    """Linear-complexity profile of ``xs`` mod ``_PRIME`` (Berlekamp-Massey).
+
+    Entry k is the least l such that some a_0..a_{l-1} mod P give
+    x_{s+l} = a_0 x_s + ... + a_{l-1} x_{s+l-1} for s = 0..k-l-1: the
+    shortest LFSR that generates xs[:k].  One pass, O(len(xs)^2).
+    """
+    conn, prev = [1], [1]  # C(x), and C before the last length change
+    ell, shift, last = 0, 1, 1  # its length, x^shift on prev, prev's discrepancy
+    profile = [0]
+    for k in range(len(xs)):
+        d = sum(map(mul, conn, xs[k::-1])) % _PRIME
+        if d:
+            f = d * pow(last, -1, _PRIME) % _PRIME
+            new = conn + [0] * (len(prev) + shift - len(conn))
+            for i, b in enumerate(prev, shift):
+                new[i] = (new[i] - f * b) % _PRIME
+            if 2 * ell <= k:
+                ell, prev, last, shift = k + 1 - ell, conn, d, 0
+            conn = new
+        shift += 1
+        profile.append(ell)
+    return profile
 
 
 def reconstruct_rational(

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from yverma.linalg import RowEchelon, nullspace, rank, rank_mod_prime, rref
+from yverma.linalg import RowEchelon, nullspace, rank, rref
 from yverma.rational import _PRIME
 
 
@@ -443,48 +443,6 @@ class TestKernel:
         assert read > 150
 
 
-class TestRankModPrime:
-    """``rank_mod_prime`` is a lower bound on the rank over Q that stops at its target."""
-
-    def test_small_integer_matrices_keep_their_rank(self):
-        # entries in -5..5 keep every minor of size <= 6 below the prime in
-        # absolute value, so a minor vanishes mod the prime iff it vanishes
-        for rows, ncols in TestIntRows._int_matrices():
-            r = rank(rows)
-            assert rank_mod_prime(rows, ncols) == r, rows
-            for target in range(1, r + 1):
-                assert rank_mod_prime(rows, target) == target, rows
-
-    def test_rank_can_fall_mod_the_prime_but_never_rise(self):
-        rng = random.Random(5)
-        fell = 0
-        for _ in range(200):
-            n, m = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[rng.choice([0, 1, -2, _PRIME, 3 * _PRIME, _PRIME + 1]) for _ in range(m)]
-                    for _ in range(n)]
-            mod = rank_mod_prime(rows, m)
-            assert mod <= rank(rows), rows
-            fell += mod < rank(rows)
-        assert fell > 20
-        assert rank_mod_prime([[_PRIME, 2 * _PRIME], [-_PRIME, 0]], 2) == 0
-        shifted = [[_PRIME + 1, 2], [1, _PRIME + 2]]  # [[1, 2], [1, 2]] mod the prime
-        assert (rank_mod_prime(shifted, 2), rank(shifted)) == (1, 2)
-
-    def test_no_row_is_read_after_the_target(self):
-        read = []
-
-        def rows():
-            for row in ([0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0], [0, 0, 1], [5, 5, 5]):
-                read.append(row)
-                yield row
-
-        assert rank_mod_prime(rows(), 2) == 2
-        assert read == [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0]]
-        read.clear()
-        assert rank_mod_prime(rows(), 3) == 3
-        assert len(read) == 5
-
-
 SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"
 
 
@@ -506,8 +464,8 @@ def prime_literals(sources: dict[str, str]) -> list[tuple[str, int]]:
 
 
 def test_one_modulus_for_every_certificate():
-    # poly_gcd's coprimality check and the recurrence scan's rank check
-    # share rational._PRIME; a second copy could drift from it unnoticed
+    # poly_gcd's coprimality check and the recurrence scan's complexity
+    # profile share rational._PRIME; a second copy could drift from it unnoticed
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     line = next(i for i, text in enumerate(sources["rational"].splitlines(), 1)
                 if text.startswith("_PRIME ="))

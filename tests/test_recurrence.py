@@ -8,7 +8,7 @@ import pytest
 
 from yverma import linalg, recurrence
 from yverma.errors import InputError, InsufficientDataError
-from yverma.rational import _PRIME, PolyQ, RationalFn, parse_rational_fn
+from yverma.rational import _PRIME, PolyQ, RationalFn, _cleared, parse_rational_fn
 from yverma.recurrence import (
     RationalityVerdict,
     RecurrenceWitness,
@@ -370,51 +370,20 @@ def _certificate_tail(rng, kind, n):
 
 
 class TestRankCertificate:
-    """The scan skips an order on full rank mod _PRIME and returns what the direct scan does."""
+    """The scan skips every order the profile mod _PRIME rejects, and agrees with the direct scan."""
 
     FAMILIES = ("zero", "long-prefix", "multiple-of-P", "P-denominator")
 
     @pytest.fixture
-    def ranks(self, monkeypatch):
+    def profiles(self, monkeypatch):
         seen = []
 
-        def recording(rows, target, _inner=linalg.rank_mod_prime):
-            seen.append(_inner(rows, target))
+        def recording(xs, _inner=recurrence._complexity_profile):
+            seen.append(_inner(xs))
             return seen[-1]
 
-        monkeypatch.setattr(linalg, "rank_mod_prime", recording)
+        monkeypatch.setattr(recurrence, "_complexity_profile", recording)
         return seen
-
-    def test_seeded_tails_from_every_family(self, ranks):
-        rng = random.Random(12)
-        outcomes = {kind: set() for kind in self.FAMILIES}
-        skipped = 0
-        for i in range(240):
-            kind = self.FAMILIES[i % len(self.FAMILIES)]
-            max_order = rng.randint(0, 6)
-            n = 2 * max_order + 2 + rng.randint(0, 8)
-            tail = _certificate_tail(rng, kind, n)
-            expected = _reference_detect(tail, max_order)
-            ranks.clear()
-            got = detect_recurrence(tail, max_order)
-            assert got == expected and repr(got) == repr(expected), (kind, tail, max_order)
-            if kind == "multiple-of-P":
-                assert ranks and set(ranks) == {0}, tail  # every order ran exactly
-            if kind == "P-denominator" and any(r == m + 1 for m, r in enumerate(ranks)):
-                skipped += 1  # a P in a denominator leaves the certificate on
-            outcomes[kind].add("witness" if expected else None)
-        assert outcomes == {
-            "zero": {"witness"},
-            "long-prefix": {"witness", None},
-            "multiple-of-P": {"witness", None},
-            "P-denominator": {"witness", None},
-        }
-        assert skipped > 0
-
-    def test_a_rational_tail_skips_every_order_below_its_own(self, ranks):
-        f = parse_rational_fn("(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))")
-        assert detect_recurrence(_tail_of(f, 20), max_order=6).recovered == f
-        assert ranks == [1, 2, 3, 3]  # orders 0-2 full, order 3 one short
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -428,6 +397,81 @@ class TestRankCertificate:
         monkeypatch.setattr(linalg, "RowEchelon", Counting)
         return count
 
+    def test_seeded_tails_from_every_family(self, profiles, built):
+        rng = random.Random(12)
+        outcomes = {kind: set() for kind in self.FAMILIES}
+        skipped = 0
+        for i in range(240):
+            kind = self.FAMILIES[i % len(self.FAMILIES)]
+            max_order = rng.randint(0, 6)
+            n = 2 * max_order + 2 + rng.randint(0, 8)
+            tail = _certificate_tail(rng, kind, n)
+            expected = _reference_detect(tail, max_order)
+            profiles.clear()
+            built[0] = 0  # the reference's nullspaces count too
+            got = detect_recurrence(tail, max_order)
+            assert got == expected and repr(got) == repr(expected), (kind, tail, max_order)
+            scanned = len(expected.c) if expected else max_order + 1  # orders 0..found
+            assert built[0] <= scanned
+            if kind == "multiple-of-P":
+                assert profiles and set(profiles[0]) == {0}, tail
+                assert built[0] == scanned, tail  # every order ran exactly
+            if kind == "P-denominator" and built[0] < scanned:
+                skipped += 1  # a P in a denominator leaves the certificate on
+            outcomes[kind].add("witness" if expected else None)
+        assert outcomes == {
+            "zero": {"witness"},
+            "long-prefix": {"witness", None},
+            "multiple-of-P": {"witness", None},
+            "P-denominator": {"witness", None},
+        }
+        assert skipped > 0
+
+    def test_scanned_orders_are_those_short_of_rank_mod_p(self, monkeypatch):
+        # the profile admits order m iff rows latest..L-m of the integer
+        # window have rank <= m mod P, by _rank_mod_p on those very rows
+        scanned = set()
+
+        def add(self, row, _inner=linalg.RowEchelon.add):
+            scanned.add(len(row) - 1)
+            _inner(self, row)
+
+        cases = [
+            (tail, max_order, _reference_detect(tail, max_order))
+            for tail, max_order in [*_certificate_tails(), *_reference_tails()]
+            if len(tail) >= 2 * max_order + 2
+        ]
+        monkeypatch.setattr(linalg.RowEchelon, "add", add)
+        admitted = skipped = 0
+        for tail, max_order, found in cases:
+            window = _cleared([Fraction(1), *map(Fraction, tail)])[1]
+            L = len(tail)
+            short = []
+            for m in range(len(found.c) if found else max_order + 1):
+                latest = min(max(1, L // 3), L - m - max_order - 1)
+                rows = [window[r : r + m + 1] for r in range(latest, L - m + 1)]
+                if _rank_mod_p(rows) <= m:
+                    short.append(m)
+            scanned.clear()
+            detect_recurrence(tail, max_order)
+            assert sorted(scanned) == short, (tail, max_order)
+            admitted += len(short)
+            skipped += (len(found.c) if found else max_order + 1) - len(short)
+        assert admitted > 300 and skipped > 300
+
+    def test_a_rational_tail_skips_every_order_below_its_own(self, built, monkeypatch):
+        rows = []
+
+        def add(self, row, _inner=linalg.RowEchelon.add):
+            rows.append(row)
+            _inner(self, row)
+
+        monkeypatch.setattr(linalg.RowEchelon, "add", add)
+        f = parse_rational_fn("(u+3)(u+5)(u+9)/((u+1)(u+2)(u+4))")
+        assert detect_recurrence(_tail_of(f, 20), max_order=6).recovered == f
+        assert built == [1]  # orders 0-2 are rejected by the profile
+        assert rows and {len(row) for row in rows} == {4}  # the one echelon is order 3's
+
     def test_no_echelon_for_factorial_reciprocals(self, built):
         tail = [Fraction(1, factorial(r)) for r in range(1, 23)]
         assert detect_recurrence(tail, max_order=10) is None
@@ -439,33 +483,183 @@ class TestRankCertificate:
         assert detect_recurrence(tail, max_order=40) is None
         assert built == [0]
 
-    def test_both_eliminations_read_int_rows(self, monkeypatch):
+    def test_the_profile_and_the_echelon_read_int(self, monkeypatch):
         modular, exact = [], []
 
-        def rank_mod_prime(rows, target, _inner=linalg.rank_mod_prime):
-            rows = list(rows)
-            modular.extend(rows)
-            return _inner(rows, target)
+        def profile(xs, _inner=recurrence._complexity_profile):
+            modular.append(list(xs))
+            return _inner(xs)
 
         def add(self, row, _inner=linalg.RowEchelon.add):
             exact.append(row)
             _inner(self, row)
 
-        monkeypatch.setattr(linalg, "rank_mod_prime", rank_mod_prime)
+        monkeypatch.setattr(recurrence, "_complexity_profile", profile)
         monkeypatch.setattr(linalg.RowEchelon, "add", add)
         f = parse_rational_fn("(u+1/2)(u+7)/((u+3)(u+1/3))")
         tail = _tail_of(f, 16)
         assert any(x.denominator > 1 for x in tail)
         witness = detect_recurrence(tail, max_order=4)
         assert (len(witness.c), witness.recovered) == (3, f)
-        assert modular and exact
-        assert all(type(x) is int for row in modular + exact for x in row)
+        assert len(modular) == 1 and modular[0] and exact
+        assert all(type(x) is int for x in modular[0])
+        assert all(type(x) is int for row in exact for x in row)
+
+    def test_one_profile_per_call(self, profiles):
+        f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
+        cases = [
+            ([1] * 10, 3),  # found at order 0
+            (_tail_of(f, 26), 12),  # found at order 2
+            ([_PRIME * x for x in _tail_of(f, 26)], 12),  # every order runs exactly
+            ([Fraction(1, factorial(r)) for r in range(1, 23)], 10),  # none found
+        ]
+        for tail, max_order in cases:
+            profiles.clear()
+            detect_recurrence(tail, max_order)
+            assert len(profiles) == 1, (tail, max_order)
+        profiles.clear()
+        assert is_rational_verdict(expand_rational(f, order=26), 12).kind == "rational"
+        assert len(profiles) == 1
 
     def test_one_echelon_for_the_order_found(self, built):
         f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
         witness = detect_recurrence(_tail_of(f, 26), max_order=12)
         assert (len(witness.c), witness.recovered) == (3, f)
         assert built == [1]
+
+
+def _rank_mod_p(rows):
+    """Rank mod _PRIME of ``int`` rows by plain Gauss-Jordan elimination."""
+    rows = [[x % _PRIME for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, _PRIME)
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col] * inv % _PRIME
+                rows[i] = [(a - f * b) % _PRIME for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def _hankel(xs, h, width):
+    """The h rows (x_s, ..., x_{s+width-1}), s = 0..h-1."""
+    return [list(xs[s : s + width]) for s in range(h)]
+
+
+def _shortest_lfsr(xs, k):
+    """Least l with x_{s+l} in the span of (x_s..x_{s+l-1}) for s < k-l, mod _PRIME."""
+    return next(
+        l for l in range(k + 1)
+        if _rank_mod_p(_hankel(xs, k - l, l)) == _rank_mod_p(_hankel(xs, k - l, l + 1))
+    )
+
+
+def _profile_sequence(rng, kind):
+    n = rng.randint(1, 11)
+    if kind == "small":
+        return [rng.randint(-3, 3) for _ in range(n)]
+    if kind == "lfsr":
+        # an integer recurrence of order 0-4 after a prefix of 0-3 terms
+        m, prefix = rng.randint(0, 4), rng.randint(0, 3)
+        cs = [rng.randint(-2, 2) for _ in range(m)]
+        xs = [rng.randint(-3, 3) for _ in range(max(m, 1) + prefix)]
+        while len(xs) < n:
+            xs.append(sum(c * x for c, x in zip(cs, xs[len(xs) - m :])))
+        return xs[:n]
+    if kind == "multiple-of-P":
+        return [_PRIME * rng.randint(-3, 3) for _ in range(n)]
+    if kind == "P-shifted":
+        # P + 1 and friends: equal to a small sequence mod P, not over Q
+        return [x + _PRIME * rng.choice([0, 0, 1, -1]) for x in _profile_sequence(rng, "lfsr")]
+    # P-mixed
+    return [rng.choice([0, 1, -2, _PRIME, 3 * _PRIME, _PRIME + 1]) for _ in range(n)]
+
+
+class TestComplexityProfile:
+    """``_complexity_profile`` against mod-P Hankel ranks, on seeded int sequences."""
+
+    KINDS = ("small", "lfsr", "multiple-of-P", "P-shifted", "P-mixed")
+
+    def _sequences(self):
+        rng = random.Random(31)
+        for i in range(300):
+            kind = self.KINDS[i % len(self.KINDS)]
+            yield kind, _profile_sequence(rng, kind)
+
+    def test_each_entry_is_the_shortest_lfsr(self):
+        for kind, xs in self._sequences():
+            profile = recurrence._complexity_profile([x % _PRIME for x in xs])
+            assert profile == [_shortest_lfsr(xs, k) for k in range(len(xs) + 1)], (kind, xs)
+
+    def test_rank_of_every_order_and_start(self):
+        # rows (x_s..x_{s+m}), s < h, have rank <= m mod P iff some t <= m has l_{h+t} <= t
+        fell = checked = 0
+        for kind, xs in self._sequences():
+            profile = recurrence._complexity_profile([x % _PRIME for x in xs])
+            for m in range(len(xs)):
+                for h in range(1, len(xs) - m + 1):
+                    rows = _hankel(xs, h, m + 1)
+                    mod_p, over_q = _rank_mod_p(rows), linalg.rank(rows)
+                    admitted = any(profile[h + t] <= t for t in range(m + 1))
+                    assert (mod_p <= m) == admitted, (xs, m, h)
+                    assert mod_p <= over_q  # so full rank mod P is full rank over Q
+                    fell += mod_p < over_q
+                    checked += 1
+        assert checked > 3000 and fell > 100
+
+    def test_sequences_that_lose_rank_mod_p(self):
+        profile = recurrence._complexity_profile
+        assert profile([0] * 4) == [0] * 5
+        assert profile([x % _PRIME for x in [_PRIME, 2 * _PRIME, -_PRIME]]) == [0] * 4
+        # (P+1, 1, P+1) is (1, 1, 1) mod P: its 2x2 Hankel is singular mod P only
+        xs = [_PRIME + 1, 1, _PRIME + 1]
+        assert profile([x % _PRIME for x in xs]) == [0, 1, 1, 1]
+        assert (_rank_mod_p(_hankel(xs, 2, 2)), linalg.rank(_hankel(xs, 2, 2))) == (1, 2)
+        assert profile([0, 0, 0, 1]) == [0, 0, 0, 0, 4]
+        assert profile([2**r for r in range(6)]) == [0, 1, 1, 1, 1, 1, 1]
+
+
+def _rational_tail(rng, degree, n):
+    """nu^(1..n) of a random P/Q of the given degree, both monic with small int coefficients."""
+    while True:
+        num = PolyQ([rng.randint(-3, 3) for _ in range(degree)] + [1])
+        den = PolyQ([rng.randint(-3, 3) for _ in range(degree)] + [1])
+        if num != den:
+            return _tail_of(RationalFn(num, den), n)
+
+
+class TestHighOrdersAgainstReference:
+    """max_order 12-24: the profile's skips keep the direct scan's witness."""
+
+    def test_seeded_tails(self):
+        rng = random.Random(36)
+        kinds = ("rational", "prefix", "non-rational")
+        outcomes = {kind: set() for kind in kinds}
+        for i in range(63):
+            kind = kinds[i % 3]
+            max_order = rng.randint(12, 24)
+            n = 2 * max_order + 2 + rng.randint(0, 6)
+            if kind == "non-rational":
+                tail = _tail_class(rng, rng.choice(["factorial", "exp", "sqrt", "log"]), n)
+            else:
+                tail = _rational_tail(rng, rng.randint(1, max_order), n)
+                if kind == "prefix":
+                    for j in range(rng.randint(1, n // 3 + 2)):
+                        tail[j] += rng.choice([1, -1, Fraction(1, 2)])
+            expected = _reference_detect(tail, max_order)
+            got = detect_recurrence(tail, max_order)
+            assert got == expected and repr(got) == repr(expected), (kind, tail, max_order)
+            outcomes[kind].add(None if expected is None else len(expected.c) > 12)
+        assert outcomes == {
+            "rational": {False, True},
+            "prefix": {None, False, True},
+            "non-rational": {None},
+        }
 
 
 def _reference_tails():

@@ -6,14 +6,16 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from yverma import linalg, singular
 from yverma.errors import InputError, InsufficientDataError, TruncationError
 from yverma.gauss import act_e, act_h, as_gl2_weights, e_series
-from yverma.rational import format_rat, parse_rational_fn, rat
-from yverma.series import expand_rational
+from yverma.rational import PolyQ, RationalFn, format_rat, parse_rational_fn, rat
+from yverma.recurrence import detect_recurrence
+from yverma.series import SeriesU, expand_rational
 from yverma.singular import (
     _f_monomials,
     canonical_singular_vector,
@@ -345,6 +347,69 @@ def _shift_weight(rng, denominator):
         return "".join(f"(u{'+' if a >= 0 else '-'}{format_rat(abs(a))})" for a in part)
 
     return parse_rational_fn(f"{factors(shifts[:p])}/({factors(shifts[p:])})")
+
+
+def _tail(mu, n):
+    series = expand_rational(mu, order=n)
+    return [series.coeff(r) for r in range(1, n + 1)]
+
+
+def _lowest_fcoeffs(res):
+    """f^(0..D) coefficients of the first basis vector of a level-1 search."""
+    return [res.fbasis[0].get((j,), 0) for j in range(res.degree_bound + 1)]
+
+
+class TestLevelOneIsTheRecurrence:
+    """Level-1 singular vectors of M(mu) are den(u) Q[u], and den is the recurrence.
+
+    ``find_singular`` (the Gauss layer) and ``detect_recurrence`` (the Hankel
+    scan on the expansion) share no code past ``linalg``: at degree D the
+    level-1 kernel has dimension max(0, D - p + 1), and its first vector's
+    f-coefficients are den(u) = u^(N-1) C(u), with C the witness c and N its
+    tail start.
+    """
+
+    def test_documented_weights(self):
+        for text, c in [
+            ("(u+3)(u+5)/((u+1)(u+2))", [2, 3, 1]),
+            ("(u+1/2)(u+7)/((u+3)(u+1/3))", [1, Fraction(10, 3), 1]),
+        ]:
+            mu = parse_rational_fn(text)
+            assert list(detect_recurrence(_tail(mu, 20), max_order=4).c) == c
+            assert _lowest_fcoeffs(find_singular(mu, level=1, degree_bound=2)) == c
+            assert _lowest_fcoeffs(find_singular(mu, level=1, degree_bound=4)) == c + [0, 0]
+
+    def test_seeded_rational_weights(self):
+        rng = random.Random(10)
+        zero_shift = 0
+        for _ in range(100):
+            p = rng.randint(1, 3)
+            while True:
+                a = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(p)]
+                b = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(p)]
+                if not set(a) & set(b):
+                    break
+            num, den = PolyQ([1]), PolyQ([1])
+            for x, y in zip(a, b):
+                num, den = num * PolyQ([x, 1]), den * PolyQ([y, 1])
+            mu = RationalFn(num, den)
+            w = detect_recurrence(_tail(mu, 2 * p + 6), max_order=p + 1)
+            lowest = [0] * (w.tail_start - 1) + list(w.c)  # den(u) = u^(N-1) C(u)
+            assert len(lowest) == p + 1, (a, b)
+            zero_shift += w.tail_start > 1
+            for degree in range(p + 3):
+                res = find_singular(mu, level=1, degree_bound=degree)
+                assert len(res.fbasis) == max(0, degree - p + 1), (a, b, degree)
+                if res.fbasis:
+                    assert _lowest_fcoeffs(res) == lowest + [0] * (degree - p), (a, b)
+        assert zero_shift > 0
+
+    def test_factorial_reciprocals(self):
+        tail = [Fraction(1, factorial(k)) for k in range(1, 41)]
+        assert detect_recurrence(tail, max_order=4) is None
+        series = SeriesU([1, *tail])
+        for degree in range(5):
+            assert find_singular(series, level=1, degree_bound=degree).fbasis == ()
 
 
 class TestRescaledSearch:
