@@ -6,17 +6,19 @@ mix through the numeric tower) and never introduce rounding.
 singular-vector routes (``rootsys`` keeps its own pivot-sign test for
 positive definiteness): it grows an echelon basis one row at a time, so
 callers can read the rank and the pivot columns after every added row,
-back-substitutes monic copies of its rows on demand to the reduced row
-echelon form (``Fraction`` entries) and reads the kernel off that form,
-with no second elimination.  It stores one row form, fraction-free as in
-Bareiss: a row holding a ``Fraction`` is cleared by the lcm of its
-denominators on arrival, which keeps its span, and every stored row is a
-primitive ``int`` row.  ``rref``, ``rank`` and ``nullspace`` feed a whole
-matrix through it.  The reduced form is canonical for the row space, so
-the kernel basis is canonical for the solution space: two constraint
-systems have equal solution spaces iff these bases match.  Nothing here
-works mod a prime: the recurrence scan's modular bound is a Berlekamp-Massey
-profile in ``recurrence``.
+back-substitutes its rows on demand to the reduced row echelon form
+(``Fraction`` entries) and reads the kernel off that form, with no second
+elimination.  It stores one row form, fraction-free as in Bareiss: a row
+holding a ``Fraction`` is cleared by the lcm of its denominators on
+arrival, which keeps its span, and every stored row is a primitive
+``int`` row.  Back-substitution is fraction-free too, on new ``int``
+rows, and each entry is divided by its row's pivot once, at the end.
+``rref``, ``rank`` and ``nullspace`` feed a whole matrix through it.  The
+reduced form is canonical for the row space, so the kernel basis is
+canonical for the solution space: two constraint systems have equal
+solution spaces iff these bases match.  Nothing here works mod a prime:
+the recurrence scan's modular bound is a Berlekamp-Massey profile in
+``recurrence``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .rational import _cleared
+from .rational import _cleared, _primitive
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,7 +45,7 @@ class RowEchelon:
     """
 
     def __init__(self) -> None:
-        self._rows: dict[int, list[int | Fraction]] = {}
+        self._rows: dict[int, list[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -59,11 +61,7 @@ class RowEchelon:
         v = list(row)
         if any(type(x) is not int for x in v):  # clear denominators: same span
             v = _cleared(v)[1]
-        for p in sorted(self._rows):
-            if f := v[p]:
-                stored = self._rows[p]
-                lead = stored[p]
-                v = [lead * a - f * b for a, b in zip(v, stored)]
+        v = _clear(v, sorted(self._rows.items()))
         if (lead := next((c for c, x in enumerate(v) if x), None)) is not None:
             g = gcd(*v) if v[lead] > 0 else -gcd(*v)
             self._rows[lead] = [x // g for x in v]
@@ -71,19 +69,18 @@ class RowEchelon:
     def reduced(self) -> tuple[Matrix, list[int]]:
         """Reduced row echelon form of the span and its pivot columns.
 
-        Takes a monic ``Fraction`` copy of every stored row, then clears
-        every pivot column above its pivot, from the last pivot back; the
-        stored rows stay as ``add`` wrote them.
+        Back-substitutes fraction-free, from the last pivot up: each stored
+        row is cleared at every later pivot by the rows already reduced, by
+        ``lead*a - f*b`` as in ``add``, and divided by its content.  Each
+        row is divided by its pivot entry once, at the end: one division
+        per entry.  New lists throughout: the stored rows stay as ``add``
+        wrote them.
         """
         pivots = self.pivots
-        rows = {p: [Fraction(x, row[p]) for x in row] for p, row in self._rows.items()}
-        for i, p in reversed(list(enumerate(pivots))):
-            below = rows[p]
-            for q in pivots[:i]:
-                f = rows[q][p]
-                if f:
-                    rows[q] = [a - f * b for a, b in zip(rows[q], below)]
-        return [rows[p] for p in pivots], pivots
+        done: list[tuple[int, list[int]]] = []  # the reduced rows below p
+        for p in reversed(pivots):
+            done.insert(0, (p, _primitive(_clear(self._rows[p], done))))
+        return [[Fraction(x, row[p]) for x in row] for p, row in done], pivots
 
     def kernel(self, ncols: int) -> list[tuple[Fraction, ...]]:
         """Canonical basis of the vectors of length ``ncols`` that every row kills.
@@ -104,6 +101,19 @@ class RowEchelon:
                 vec[p] = -row[f]
             basis.append(tuple(vec))
         return basis
+
+
+def _clear(v: list[int], rows: list[tuple[int, list[int]]]) -> list[int]:
+    """``v`` cleared at the pivot p of each (p, row), by ``lead*a - f*b``.
+
+    Echelon rows in ascending pivot order are zero before p, and reduced
+    rows are zero at every other pivot: either way, clearing one pivot
+    column never refills one cleared before it."""
+    for p, row in rows:
+        if f := v[p]:
+            lead = row[p]
+            v = [lead * a - f * b for a, b in zip(v, row)]
+    return v
 
 
 def _echelon(rows: Matrix) -> RowEchelon:

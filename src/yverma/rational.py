@@ -13,7 +13,8 @@ Conventions used throughout the package:
   with gcd(P, Q) = 1.  Equal degrees and equal (monic) leading coefficients
   make the expansion of P/Q at u = infinity start with constant term 1,
   which is the normalization every highest-weight ratio in this package
-  carries.
+  carries.  A power u^v that P and Q share is stripped by a shift before
+  ``poly_gcd`` runs, so its modular certificate can settle what is left.
 """
 
 from __future__ import annotations
@@ -419,7 +420,11 @@ class RationalFn:
     """Ratio P(u)/Q(u) of monic polynomials of equal degree, gcd(P, Q) = 1.
 
     Construction accepts any polynomial pair with equal degrees and equal
-    leading coefficients and normalizes it (monic rescale, gcd cancel).
+    leading coefficients and normalizes it: the largest u^v dividing both
+    is dropped from their coefficient lists, then a monic rescale and the
+    ``poly_gcd`` cancel.  The monic coprime pair is unique, so the strip
+    changes no result; it only spares ``poly_gcd`` a common factor that
+    would fail its certificate.
     Anything else is rejected: these ratios must expand at u = infinity
     as 1 + O(1/u).
     """
@@ -441,6 +446,9 @@ class RationalFn:
             raise InputError(
                 "leading coefficients differ; the ratio does not tend to 1"
             )
+        v = min(next(i for i, c in enumerate(p.coeffs) if c) for p in (num, den))
+        if v:  # the shared u^v: a shift, not a gcd
+            num, den = PolyQ(num.coeffs[v:]), PolyQ(den.coeffs[v:])
         num = num.monic()
         den = den.monic()
         g = poly_gcd(num, den)

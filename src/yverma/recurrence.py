@@ -36,7 +36,10 @@ denominators: one scale keeps every rank and kernel.  So does the
 witness: c is cleared once to a primitive integer c' = lambda c, which
 tests the lower rows, is checked on every instance r = N..L-m, and sums
 the numerator off the window: that P' is lambda d P, and C' = lambda C,
-so nu = P'(u) / (d u^N C'(u)).  Before any exact elimination, one
+so nu = P'(u) / (d u^N C'(u)).  That pair always shares u^v, v >= 1 (P'
+has no u^0 term): ``RationalFn`` strips it by a shift, so the modular
+certificate of ``poly_gcd`` can settle the rest with no remainder
+sequence.  Before any exact elimination, one
 Berlekamp-Massey pass mod P = ``rational._PRIME`` reads the window
 backwards, x_i = d nu^(L-i) mod P for i = 0..L - latest(max_order), and
 records l_k, the shortest LFSR length that generates x_0..x_{k-1}, for

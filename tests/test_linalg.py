@@ -7,7 +7,8 @@ from math import gcd
 from pathlib import Path
 
 from yverma.linalg import RowEchelon, nullspace, rank, rref
-from yverma.rational import _PRIME
+from yverma.rational import _PRIME, PolyQ, RationalFn, _cleared
+from yverma.series import expand_rational
 
 
 def _frac_rows(rows):
@@ -441,6 +442,84 @@ class TestKernel:
                 assert row[p] > 0 and gcd(*row) == 1
             assert echelon.reduced() == echelon.reduced()
         assert read > 150
+
+
+def _spanned(rng, basis, n, scale):
+    """``n`` rows: the basis rows and combinations of them, with coefficients up to ``scale``."""
+    rows = [list(r) for r in basis]
+    while len(rows) < n:
+        ks = [rng.randint(-scale, scale) for _ in basis]
+        rows.append([sum(k * r[j] for k, r in zip(ks, basis)) for j in range(len(basis[0]))])
+    rng.shuffle(rows)
+    return rows
+
+
+def _large_int_matrices(rng, count):
+    """Rank-deficient int matrices with entries up to 10**12."""
+    for _ in range(count):
+        m = rng.randint(2, 8)
+        r = rng.randint(1, m - 1)
+        basis = [[rng.randint(-10**12, 10**12) for _ in range(m)] for _ in range(r)]
+        yield _spanned(rng, basis, rng.randint(r, r + 4), 10**3), m
+
+
+def _large_denominator_matrices(rng, count):
+    """Rank-deficient Fraction matrices whose entries carry denominators up to 10**15."""
+    for _ in range(count):
+        m = rng.randint(2, 7)
+        r = rng.randint(1, m - 1)
+        basis = [[Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**15))
+                  for _ in range(m)] for _ in range(r)]
+        yield _spanned(rng, basis, rng.randint(r, r + 3), 50), m
+
+
+def _hankel_windows(rng, count):
+    """The integer windows d nu^(r), r = 1..L-m, of rational tails at m = 12-24, L = 2m+2."""
+    while count:
+        m = rng.randint(12, 24)
+        degree = rng.randint(1, m - 1)
+        num, den = (PolyQ([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(degree)] + [1]) for _ in range(2))
+        if num == den:
+            continue
+        series = expand_rational(RationalFn(num, den), 2 * m + 2)
+        window = _cleared([series.coeff(r) for r in range(2 * m + 3)])[1]
+        yield [window[r : r + m + 1] for r in range(1, m + 3)], m + 1
+        count -= 1
+
+
+class TestFractionFreeBackSubstitution:
+    """``reduced()`` and ``kernel()`` back-substitute on the stored int rows.
+
+    Entries large enough to grow under ``lead*a - f*b`` still give the
+    reference forms, and a read leaves every stored row as ``add`` wrote it.
+    """
+
+    def test_large_entries_match_the_reference(self):
+        rng = random.Random(37)
+        cases = [*_large_int_matrices(rng, 60), *_large_denominator_matrices(rng, 40),
+                 *_hankel_windows(rng, 8)]
+        grew = 0
+        for rows, ncols in cases:
+            echelon = RowEchelon()
+            for row in rows:
+                echelon.add(row)
+            stored = {p: (row, list(row)) for p, row in echelon._rows.items()}
+            assert echelon.rank < ncols, rows  # rank-deficient: a kernel to read
+            basis = echelon.kernel(ncols)
+            reduced = echelon.reduced()
+            assert reduced == _reference_rref(_frac_rows(rows)), rows
+            assert basis == _reference_nullspace(_frac_rows(rows), ncols), rows
+            assert all(type(x) is Fraction for r in reduced[0] for x in r), rows
+            assert all(type(x) is Fraction for v in basis for x in v), rows
+            for p, (row, copy) in stored.items():  # replaced, never written into
+                assert echelon._rows[p] is row and row == copy, rows
+            assert echelon.kernel(ncols) == basis and echelon.reduced() == reduced
+            given = max(max(abs(Fraction(x).numerator), Fraction(x).denominator)
+                        for row in rows for x in row)
+            grew += any(max(abs(x.numerator), x.denominator) > given**2
+                        for r in reduced[0] for x in r)
+        assert grew >= 40  # a reduced entry outgrows the square of every given one
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "yverma"

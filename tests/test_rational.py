@@ -77,6 +77,43 @@ def _reference_gcd(a, b):
     return a.monic()
 
 
+def _reference_normalized(num, den):
+    """RationalFn's (num, den) by the route with no u^v strip: monic, Euclid over Q, then //."""
+    num, den = num.monic(), den.monic()
+    g = _reference_gcd(num, den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    return num, den
+
+
+def _normalization_case(rng, i):
+    """A seeded pair with equal degrees and equal leading coefficients.
+
+    Both share u^v, v = i % 5, and every other case a factor that is not
+    a power of u; one side may carry further powers of u, and every
+    seventh pair has equal cofactors, so that it reduces to degree 0.
+    Coefficients are Fractions, some with the prime in a denominator, and
+    the common leading coefficient may be negative or divisible by the prime.
+    """
+    def poly(deg, lead=1):
+        return PolyQ([Fraction(rng.randint(-7, 7), rng.choice([1, 1, 2, 3, PRIME]))
+                      for _ in range(deg)] + [lead])
+
+    shared = _product([POLY_U] * (i % 5) + ([poly(rng.randint(1, 3))] if i % 2 else []))
+    k = rng.randint(0, 4)
+    a = poly(k)
+    if i % 7 == 3:
+        b = a
+    else:
+        b = poly(k)
+        if k and rng.random() < 0.3:  # more powers of u on one side only
+            j = rng.randint(1, k)
+            b = _product([POLY_U] * j + [poly(k - j)])
+    lead = rng.choice([1, -1, Fraction(-3, 2), Fraction(5, 7), PRIME, -2 * PRIME,
+                       Fraction(PRIME, 3)])
+    return (a * shared).scaled(lead), (b * shared).scaled(lead)
+
+
 def _reference_sturm_chain(g):
     """The Sturm chain by remainders over Q, each entry then made primitive."""
     chain = [g, PolyQ([k * c for k, c in enumerate(g.coeffs)][1:])]
@@ -569,6 +606,27 @@ class TestRationalFn:
         a = RationalFn(PolyQ([2, 1]), PolyQ([1, 1]))
         b = RationalFn(PolyQ([2, 3, 1]), PolyQ([1, 2, 1]))  # multiplied by (u+1)
         assert a == b
+
+    def test_normalization_matches_the_route_with_no_strip(self):
+        # stripping the shared u^v first leaves the monic coprime pair, which is unique
+        rng = random.Random(37)
+        seen = set()
+        for i in range(600):
+            num, den = _normalization_case(rng, i)
+            f = RationalFn(num, den)
+            assert (f.num, f.den) == _reference_normalized(num, den), (num, den)
+            seen.add((i % 5, i % 2, f.degree == 0, num.leading < 0,
+                      num.leading.numerator % PRIME == 0))
+        assert {s[:2] for s in seen} == {(v, w) for v in range(5) for w in (0, 1)}
+        assert {s[2:] for s in seen} >= {(True, False, False), (False, True, False),
+                                         (False, False, True), (False, True, True)}
+
+    def test_shared_power_of_u(self):
+        f = RationalFn(PolyQ([0, 0, 3, 1]), PolyQ([0, 0, 2, 1]))  # u^2(u+3) / u^2(u+2)
+        assert (f.num, f.den) == (PolyQ([3, 1]), PolyQ([2, 1]))
+        g = RationalFn(PolyQ([0, 6, 5, 1]), PolyQ([0, 0, 0, 1]))  # u(u+2)(u+3) / u^3
+        assert (g.num, g.den) == (PolyQ([6, 5, 1]), PolyQ([0, 0, 1]))
+        assert RationalFn(PolyQ([0, -2]), PolyQ([0, -2])).degree == 0
 
 
 class TestParser:

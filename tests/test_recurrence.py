@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from yverma import linalg, recurrence
+from yverma import linalg, rational, recurrence
 from yverma.errors import InputError, InsufficientDataError
 from yverma.rational import _PRIME, PolyQ, RationalFn, _cleared, parse_rational_fn
 from yverma.recurrence import (
@@ -726,6 +726,28 @@ class TestIntegerWitness:
         assert reconstructed == [] and len(built) == 1
         window, c = built[0]
         assert all(type(x) is int for x in window + c)
+
+    def test_the_witness_runs_no_remainder_sequence(self, monkeypatch):
+        # P'/(d u^N C') shares u^v; stripped by a shift, the rest is settled
+        # by poly_gcd's certificate mod P: no _prem, no PolyQ division
+        f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
+        tail = _tail_of(f, 30)
+        altered = [tail[0] + 1, tail[1] + Fraction(1, 2), *tail[2:]]
+        calls = []
+
+        def spy(name, inner):
+            def counted(*args):
+                calls.append(name)
+                return inner(*args)
+            return counted
+
+        monkeypatch.setattr(rational, "_prem", spy("_prem", rational._prem))
+        monkeypatch.setattr(PolyQ, "__divmod__", spy("divmod", PolyQ.__divmod__))
+        found = detect_recurrence(tail, 12)
+        shifted = detect_recurrence(altered, 12)
+        assert calls == []
+        assert (found.recovered, found.tail_start) == (f, 1)
+        assert shifted.tail_start >= 2 and shifted.recovered.degree == 4
 
 
 _F0 = Fraction(0)
