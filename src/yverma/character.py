@@ -7,8 +7,9 @@ PBW monomials of equal level it obeys the level recursion
     <m1, m2> = sum_m c_m <m1 without m1[0], m>,   t_12^(m1[0]) m2 = sum_m c_m m,
 
 so a level-k entry is a short sum of level-(k-1) entries.  Entries are
-memoized in the ``ActionCache`` beside the actions they read, and the
-Gram matrices are built level by level, so each entry costs one
+memoized in the ``ActionCache`` beside the actions they read, one entry
+per unordered pair below the top level, since the form is symmetric.
+The Gram matrices are built level by level, so each entry costs one
 t_12-action and one pass over its support.
 
 The radical of the form is the maximal proper submodule.  For a rational
@@ -93,7 +94,9 @@ def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
     """<m1, m2> = sum_m c_m <m1[1:], m> where t_12^(m1[0]) m2 = sum_m c_m m.
 
     Reads the cached kernel image t_12^(m1[0]) m2, all int on an integral
-    weight, so there every entry is an int.
+    weight, so there every entry is an int.  The form is symmetric, so each
+    level-(k-1) entry is asked for as (smaller, larger): one memo entry per
+    unordered pair.  The top key stays as given, so <m2, m1> still peels m2.
     """
     if not m1:
         return 1
@@ -104,7 +107,7 @@ def _pairing(m1: Monomial, m2: Monomial, cache: ActionCache) -> int | Fraction:
     rest = m1[1:]
     total = 0
     for m, c in _act_mono(1, 2, m1[0], m2, cache).items():
-        total += c * _pairing(rest, m, cache)
+        total += c * (_pairing(rest, m, cache) if rest <= m else _pairing(m, rest, cache))
     cache.data[key] = total
     return total
 
@@ -132,9 +135,12 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
     t_21^(r) with r > p = deg(mu) acts by zero, and N lies in the
     radical.  Level k pairs only the monomials S_k built from the previous
     level's basis B_{k-1} (B_0 = [()]), fills the upper triangle of the
-    symmetric Gram matrix and mirrors it, and takes B_k from the pivot
-    columns of its echelon; the rank is |B_k|.  Levels run upward, so each
-    level-k entry recurses once into level-(k-1) entries already memoized.
+    symmetric Gram matrix through ``_pairing`` (its monomials are sorted
+    and of one level, and the cache is its own, so no entry needs
+    ``contravariant_pairing``'s checks) and mirrors it, and takes B_k from
+    the pivot columns of its echelon; the rank is |B_k|.  Levels run
+    upward, so each level-k entry recurses once into level-(k-1) entries
+    already memoized.
     """
     if max_level < 0:
         raise InputError("max_level must be >= 0")
@@ -151,7 +157,7 @@ def irreducible_weight_dims(mu: RationalFn, max_level: int) -> list[GramReport]:
         for i, m1 in enumerate(monos):
             row = gram[i]
             for j in range(i, n):
-                row[j] = gram[j][i] = contravariant_pairing(m1, monos[j], hw, cache)
+                row[j] = gram[j][i] = _pairing(m1, monos[j], cache)
         echelon = linalg.RowEchelon()
         for row in gram:
             echelon.add(row)

@@ -213,7 +213,9 @@ class ActionCache:
     are never mutated after insertion.  Unit vectors are ``int`` too, so
     on an integral weight every action on them stays in ``int``.
     ``contravariant_pairing`` stores its level recursion in the same dict,
-    under keys (m1, m2) with int or Fraction values.
+    under keys (m1, m2) with int or Fraction values, below the top level
+    only with m1 <= m2.  t_ij^(0) = delta_ij applied to a vector stores
+    no key.
 
     ``_tail`` is the projection degree, ``None`` by default.  Only
     ``irreducible_weight_dims`` sets it, to p = deg(mu) on the canonical
@@ -313,7 +315,10 @@ def _act_into(acc: dict, i: int, j: int, r: int, terms: Mapping, cache, sign=1) 
     """Accumulate sign * t_ij^(r) applied to the vector ``terms`` into acc,
     in place, term by term; returns acc.  The one vector-level action loop:
     a product t t' of generators acts on a monomial m as this loop run on
-    the image ``_act_mono(t', m)``."""
+    the image ``_act_mono(t', m)``.  t_ij^(0) = delta_ij is applied here,
+    with no lookup and no r = 0 key."""
+    if not r:
+        return _add_scaled_into(acc, terms, sign) if i == j else acc
     for mono, c in terms.items():
         cs = c * sign
         # _add_scaled_into's loop, inlined: the kernel recursion runs here

@@ -14,6 +14,7 @@ import pytest
 
 import yverma.character as character
 import yverma.linalg as linalg
+import yverma.selftest as selftest
 from yverma.character import (
     GramReport,
     character_formula,
@@ -99,6 +100,68 @@ class TestPairing:
                 lhs = sum(c * contravariant_pairing(m, y, hw, cache) for m, c in tx.terms.items())
                 rhs = sum(c * contravariant_pairing(x, m, hw, cache) for m, c in ty.terms.items())
                 assert lhs == rhs, (x, y, r)
+
+
+class TestSymmetricMemo:
+    """Below the top level the memo keeps one entry per unordered pair; the
+    top keeps the order asked for, so the symmetry check compares two routes."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Every (i, j, r, monomial) image the pairing recursion reads."""
+        log = []
+        inner = character._act_mono
+
+        def spy(i, j, r, mono, cache):
+            log.append((i, j, r, mono))
+            return inner(i, j, r, mono, cache)
+
+        monkeypatch.setattr(character, "_act_mono", spy)
+        return log
+
+    def test_selftest_catches_a_doubled_t12_image(self, monkeypatch):
+        inner = character._act_mono
+
+        def doubled(i, j, r, mono, cache):
+            image = inner(i, j, r, mono, cache)
+            return {m: 2 * c for m, c in image.items()} if (i, j, r) == (1, 2, 2) else image
+
+        monkeypatch.setattr(character, "_act_mono", doubled)
+        failing = []
+        for seed in range(6):
+            rng = random.Random(f"{seed}:pairing_symmetric")
+            try:
+                selftest._check_pairing(rng)
+            except selftest._Fail:
+                failing.append(seed)
+        assert failing == [0, 1, 2, 3]
+
+    def test_reversed_call_reads_another_image(self, reads):
+        hw = canonical_polynomial_weights(MU_PROD)
+        m1, m2 = (1, 2), (2, 2)
+        forward = contravariant_pairing(m1, m2, hw)
+        forward_reads = set(reads)
+        reads.clear()
+        assert contravariant_pairing(m2, m1, hw) == forward
+        assert set(reads) - forward_reads
+
+    def test_keys_below_the_top_are_ordered(self):
+        hw = canonical_polynomial_weights(MU_P3)
+        cache = ActionCache(hw)
+        monos = [m for m in basis_monomials(3, 7) if len(m) == 3]
+        for m1, m2 in itertools.product(monos, monos):
+            if m1 > m2:
+                contravariant_pairing(m1, m2, hw, cache)
+        keys = [key for key in cache.data if len(key) == 2]
+        assert all(a > b for a, b in keys if len(a) == 3)
+        assert all(a <= b for a, b in keys if len(a) < 3)
+        assert any(len(a) == 2 for a, _ in keys)
+
+    @pytest.mark.parametrize("mu", [MU_PROD, MU_P3])
+    def test_gram_memo_holds_each_pair_once(self, monkeypatch, mu):
+        cache = _recorded_gram_cache(monkeypatch, mu)
+        keys = [key for key in cache.data if len(key) == 2]
+        assert keys and all(a <= b for a, b in keys)
 
 
 class TestGramDims:

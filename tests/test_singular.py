@@ -1,5 +1,6 @@
 """Singular-vector search and the canonical one-parameter family."""
 
+import itertools
 import json
 import random
 import subprocess
@@ -15,7 +16,7 @@ from yverma.errors import InputError, InsufficientDataError, TruncationError
 from yverma.gauss import act_e, act_h, as_gl2_weights, e_series
 from yverma.rational import PolyQ, RationalFn, format_rat, parse_rational_fn, rat
 from yverma.recurrence import detect_recurrence
-from yverma.series import SeriesU, expand_rational
+from yverma.series import SERIES_ONE, SeriesU, expand_rational
 from yverma.singular import (
     _f_monomials,
     canonical_singular_vector,
@@ -24,7 +25,14 @@ from yverma.singular import (
     find_singular,
     verify_singular,
 )
-from yverma.verma import ActionCache, HighestWeightGL2, ModuleVector, _mono_sort_key, terms_to_obj
+from yverma.verma import (
+    ActionCache,
+    HighestWeightGL2,
+    ModuleVector,
+    _mono_sort_key,
+    act_generator,
+    terms_to_obj,
+)
 
 MU = parse_rational_fn("(u+2)/(u+1)")
 
@@ -278,16 +286,29 @@ class TestAgainstReference:
         "(u+3)(u+5)/((u+1)(u+2))",
     ]
 
-    def test_seeded_grid(self):
+    @classmethod
+    def grid(cls):
+        """The seeded (weight text, level, degree bound) cases."""
         rng = random.Random(6)
-        cases = [(w, 1, d) for w in self.WEIGHTS for d in range(7)]
-        cases += [(w, 2, rng.randint(0, 6)) for w in self.WEIGHTS]
-        cases += [(w, 3, rng.randint(0, 4)) for w in self.WEIGHTS]
+        cases = [(w, 1, d) for w in cls.WEIGHTS for d in range(7)]
+        cases += [(w, 2, rng.randint(0, 6)) for w in cls.WEIGHTS]
+        cases += [(w, 3, rng.randint(0, 4)) for w in cls.WEIGHTS]
         # level 4 on the exact weights, where the rounds end at full rank, at
         # degrees where the per-round reference stays near a second each
-        cases += [(w, 4, 5 if "/2" in w else 6) for w in self.WEIGHTS]
+        cases += [(w, 4, 5 if "/2" in w else 6) for w in cls.WEIGHTS]
+        return cases
+
+    #: Truncated windows (weight text, order) and (level, degree bound) searches.
+    TRUNCATED = [
+        (text, order)
+        for order in range(4, 17)
+        for text in ["(u+2)/(u+1)", "(u+5/2)/(u+1)", "(u^2+3u+1)/(u^2+1)"]
+    ]
+    TRUNCATED_SEARCHES = [(1, 1), (1, 3), (2, 2), (3, 1)]
+
+    def test_seeded_grid(self):
         kinds = set()
-        for text, level, bound in cases:
+        for text, level, bound in self.grid():
             mu = parse_rational_fn(text)
             expected = _outcome(_reference_find_singular, mu, level, bound)
             assert _outcome(_search, mu, level, bound) == expected, (text, level, bound)
@@ -296,14 +317,13 @@ class TestAgainstReference:
 
     def test_truncated_series(self):
         kinds = set()
-        for order in range(4, 17):
-            for text in ["(u+2)/(u+1)", "(u+5/2)/(u+1)", "(u^2+3u+1)/(u^2+1)"]:
-                series = expand_rational(parse_rational_fn(text), order=order)
-                for args in [(1, 1), (1, 3), (2, 2), (3, 1)]:
-                    expected = _outcome(_reference_find_singular, series, *args)
-                    got = _outcome(_search, series, *args)
-                    assert got == expected, (text, order, args)
-                    kinds.add("error" if isinstance(expected, str) else expected[1])
+        for text, order in self.TRUNCATED:
+            series = expand_rational(parse_rational_fn(text), order=order)
+            for args in self.TRUNCATED_SEARCHES:
+                expected = _outcome(_reference_find_singular, series, *args)
+                got = _outcome(_search, series, *args)
+                assert got == expected, (text, order, args)
+                kinds.add("error" if isinstance(expected, str) else expected[1])
         assert kinds == {"error", True, False}
 
     @pytest.fixture
@@ -335,6 +355,132 @@ class TestAgainstReference:
     def test_one_nullspace_per_search(self, calls, mu, level, bound):
         find_singular(mu, level, bound)
         assert calls == {"kernel": 1, "nullspace": 0, "rref": 0}
+
+
+def _t12_row_search(mu, level, degree_bound):
+    """find_singular's rounds with the rows of t_12^(r+1) v in place of e^(r) v.
+
+    t_22(u) e(u) = t_12(u) and t_22^(0) = 1 give t_12^(r+1) v = e^(r) v +
+    sum_{c=1..r} t_22^(c) e^(r-c) v: rounds 0..R of either kind of row
+    impose the same conditions, so every round has the same kernel.  Runs
+    on the unscaled weight; the kernel read off the echelon is canonical.
+    """
+    hw = as_gl2_weights(mu)
+    exact = hw.lambda1.exact and hw.lambda2.exact
+    cache = ActionCache(hw)
+    cands = list(_f_monomials(level, degree_bound))
+    try:
+        vectors = [expand_f_monomial(fm, hw, cache) for fm in cands]
+    except TruncationError as exc:
+        raise InsufficientDataError(
+            f"weight series too short to expand level-{level} candidates: {exc}"
+        ) from exc
+    r_start = degree_bound + level + 1
+    echelon = linalg.RowEchelon()
+
+    def add_relations(r):
+        images = [act_generator(1, 2, r + 1, v, hw, cache).terms for v in vectors]
+        for mono in sorted({m for img in images for m in img}, key=_mono_sort_key):
+            if echelon.rank == len(cands):
+                break
+            echelon.add([img.get(mono, 0) for img in images])
+
+    bound, unchanged = r_start, 0
+    for r in range(r_start + singular._MAX_EXTRA_RELATIONS + 1):
+        if (echelon.rank == len(cands) and (exact or r > r_start)) or unchanged >= 2:
+            break
+        before = echelon.rank
+        try:
+            add_relations(r)
+        except TruncationError as exc:
+            if r > r_start:
+                break
+            raise InsufficientDataError(
+                f"weight series too short for relation bound {r_start}: {exc}"
+            ) from exc
+        if r > r_start:
+            bound = r
+            unchanged = unchanged + 1 if echelon.rank == before else 0
+    kernel = echelon.kernel(len(cands))
+    fbasis = tuple({cands[j]: c for j, c in enumerate(vec) if c} for vec in kernel)
+    basis = tuple(
+        sum((vectors[j].scaled(c) for j, c in enumerate(vec) if c), ModuleVector())
+        for vec in kernel
+    )
+    stabilized = echelon.rank == len(cands) or unchanged >= 2
+    return bound, stabilized, fbasis, basis
+
+
+class TestT12Rows:
+    """Rows of t_12^(r+1) v give the search find_singular reports."""
+
+    def test_seeded_grid(self):
+        kinds = set()
+        for text, level, bound in TestAgainstReference.grid():
+            mu = parse_rational_fn(text)
+            expected = _outcome(_search, mu, level, bound)
+            assert _outcome(_t12_row_search, mu, level, bound) == expected, (text, level, bound)
+            kinds.add(bool(expected[2]))
+        assert kinds == {True, False}
+
+    def test_truncated_series(self):
+        kinds = set()
+        for text, order in TestAgainstReference.TRUNCATED:
+            series = expand_rational(parse_rational_fn(text), order=order)
+            for args in TestAgainstReference.TRUNCATED_SEARCHES:
+                expected = _outcome(_search, series, *args)
+                assert _outcome(_t12_row_search, series, *args) == expected, (text, order, args)
+                kinds.add("error" if isinstance(expected, str) else expected[1])
+        assert kinds == {"error", True, False}
+
+
+class TestSeriesWindowReads:
+    """The coefficients of mu a search on the series weight (mu, 1) reads."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Indices of lambda1 read per phase: "expand", then relation round r."""
+        log: dict = {}
+        phase = ["expand"]
+        coeff = SeriesU.coeff
+        inner = singular.e_series
+
+        def spy(series, r):
+            if series is not SERIES_ONE:
+                log.setdefault(phase[0], set()).add(r)
+            return coeff(series, r)
+
+        def rounds(v, hw, cache=None):
+            images = inner(v, hw, cache)
+            for r in itertools.count():
+                phase[0] = r
+                yield next(images)
+
+        monkeypatch.setattr(SeriesU, "coeff", spy)
+        monkeypatch.setattr(singular, "e_series", rounds)
+        return log
+
+    @pytest.mark.parametrize("text", ["(u+2)/(u+1)", "(u^2+3u+1)/(u^2+1)"])
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_round_r_reads_up_to_degree_plus_r_plus_1(self, reads, text, level):
+        window = expand_rational(parse_rational_fn(text), order=60)
+        for degree in range(7):
+            reads.clear()
+            find_singular(window, level, degree)
+            assert "expand" not in reads
+            assert sorted(reads) == list(range(len(reads)))
+            for r, indices in reads.items():
+                assert max(indices) == degree + r + 1, (degree, r)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_order_2d_plus_k_plus_2_covers_r_start(self, level):
+        mu = parse_rational_fn("(u+2)/(u+1)")
+        for degree in range(7):
+            order = 2 * degree + level + 2
+            res = find_singular(expand_rational(mu, order=order), level, degree)
+            assert res.relation_bound >= degree + level + 1
+            with pytest.raises(InsufficientDataError, match="relation bound"):
+                find_singular(expand_rational(mu, order=order - 1), level, degree)
 
 
 def _shift_weight(rng, denominator):

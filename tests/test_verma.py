@@ -243,6 +243,31 @@ class TestGeneratorAction:
             act_generator(1, 1, -1, v, HW_POLY)
 
 
+class TestDegreeZeroGenerators:
+    """t_ij^(0) = delta_ij is applied to a vector with no kernel lookup."""
+
+    @pytest.mark.parametrize(
+        "hw",
+        [
+            canonical_polynomial_weights(parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")),
+            HighestWeightGL2(SeriesU([1, Fraction(1, 2), -3], exact=False), SERIES_ONE),
+        ],
+        ids=["rational", "truncated"],
+    )
+    def test_identity_or_zero_with_no_read_and_no_key(self, monkeypatch, hw):
+        def no_read(series, r):
+            raise AssertionError(f"weight coefficient {r} read")
+
+        monkeypatch.setattr(SeriesU, "coeff", no_read)
+        v = ModuleVector([((), Fraction(1, 2)), ((1, 4), -3), ((2, 3, 7), Fraction(5, 3))])
+        cache = ActionCache(hw)
+        for i in (1, 2):
+            for j in (1, 2):
+                image = act_generator(i, j, 0, v, hw, cache)
+                assert image == (v if i == j else ModuleVector()), (i, j)
+        assert not any(key[2] == 0 for key in cache.data)
+
+
 class TestQuantumDeterminant:
     def test_eigenvalue_on_highest_vector(self):
         # qdet(u) acts on the highest vector by lambda1(u) lambda2(u-1).
