@@ -518,7 +518,7 @@ def render_rational_fn(f: RationalFn) -> str:
 # parsing
 # ---------------------------------------------------------------------------
 #
-# expr   := term (('+'|'-') term)*
+# expr   := '+'? term (('+'|'-') term)*
 # term   := factor (('*'|'/') factor | factor-adjacent)*
 # factor := atom ('^' uint)?
 # atom   := 'u' | uint | '(' expr ')' | '-' factor
@@ -531,23 +531,11 @@ def render_rational_fn(f: RationalFn) -> str:
 
 class _Tok:
     def __init__(self, text: str):
-        self.toks: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "()+-*/^u":
-                self.toks.append(ch)
-                i += 1
-            elif ch.isdecimal():
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            else:
-                raise InputError(f"unexpected character {ch!r} in {text!r}")
+        # \d and \s are str.isdecimal and str.isspace
+        self.toks: list[str] = re.findall(r"\d+|\S", text)
+        for t in self.toks:
+            if not (t.isdecimal() or t in "()+-*/^u"):
+                raise InputError(f"unexpected character {t!r} in {text!r}")
         self.pos = 0
 
     def peek(self) -> Optional[str]:
@@ -572,10 +560,9 @@ def _int_token(t: str) -> int:
 
 
 def _parse_expr(tk: _Tok) -> _ZFrac:
-    sign = tk.take() if tk.peek() in ("+", "-") else "+"
+    if tk.peek() == "+":
+        tk.take()
     num, den = _parse_term(tk)
-    if sign == "-":
-        num = [-c for c in num]
     while tk.peek() in ("+", "-"):
         sign = 1 if tk.take() == "+" else -1
         b_num, b_den = _parse_term(tk)
@@ -628,8 +615,7 @@ def _parse_atom(tk: _Tok) -> _ZFrac:
         return [0, 1], [1]
     if t == "(":
         inner = _parse_expr(tk)
-        if tk.take() != ")":
-            raise InputError("unbalanced parentheses")
+        tk.take()  # ")": _parse_expr stops only there or at the end
         return inner
     if t == "-":
         num, den = _parse_factor(tk)

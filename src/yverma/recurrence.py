@@ -22,17 +22,19 @@ with the earliest tail start N for that order.  For fixed m, the instances
 r = N..L-m (L coefficients supplied) form a Hankel system whose rows for
 start N are those for start N+1 plus the row r = N.  Its kernel therefore
 only shrinks as N falls, and the starts with a nonzero kernel run upward
-without a gap.  So one exact elimination per order adds the rows
-bottom-up, r = L-m, L-m-1, ..., until one fills rank m+1; the earliest
-start lies one above it (N = 1 if none does), and counts only if
+without a gap.  So each order is scanned bottom-up, r = L-m, L-m-1, ...,
+in two phases.  The rows go into one exact elimination only while its
+rank is below m, where no row can fill rank m+1.  Then c is read off
+the echelon once: at rank m the rows span exactly the vectors that c
+kills, so each lower row is tested by one dot product with c, and the
+first that c does not kill fills rank m+1 (a window that never reaches
+rank m reads c off all its rows).  The earliest start lies one above
+the filling row (N = 1 if none fills), and counts only if
 N <= max(1, L//3) with at least max_order + 2 confirming instances, that
 is N <= latest = min(max(1, L//3), L-m-max_order-1).
-Once rows r+1..L-m reach rank m with r+1 in that window, they span the
-vectors orthogonal to their kernel vector c: c is read off the echelon,
-and each lower row is tested by a dot product with c, not eliminated.
 As a kernel vector of the echelon, c has last nonzero entry 1.  Both
-eliminations read the integer window d nu^(r), d the lcm of its
-denominators: one scale keeps every rank and kernel.  So does the
+phases read the integer window d nu^(r), d the lcm of its denominators:
+one scale keeps every rank and kernel.  So does the
 witness: c is cleared once to a primitive integer c' = lambda c, which
 tests the lower rows, is checked on every instance r = N..L-m, and sums
 the numerator off the window: that P' is lambda d P, and C' = lambda C,
@@ -48,11 +50,10 @@ the Hankel rows (x_s, ..., x_{s+m}), s < h, read right to left.  A kernel
 vector mod P whose last nonzero entry sits at t <= m is an LFSR of length
 t on the first h + t terms, and such an LFSR pads to a kernel vector; so
 those rows have rank <= m mod P iff l_{h+t} <= t for some t in 0..m.
-An order with no such t is skipped.  That is exact: the scan fails m iff those
-rows have rank m+1 over Q (it reads no kernel above latest), and the rank
-mod P of an integer matrix never exceeds it.  An order the profile admits
-may still fail exactly (a window divisible by P); the scan then goes on
-to the next admitted order.
+An order with no such t is skipped.  That is exact: the scan fails m iff
+those rows have rank m+1 over Q, and the rank mod P of an integer matrix
+never exceeds it.  An order the profile admits may still fail exactly (a
+window divisible by P); the scan then goes on to the next admitted order.
 Everything is exact; "no recurrence found" is a statement about the
 window and budget only.
 """
@@ -89,10 +90,12 @@ def detect_recurrence(
     One linear-complexity profile mod a prime of the reversed integer
     window d nu^(r) bounds, for every order m at once, the rank of the
     rows d (nu^(r), ..., nu^(r+m)) from the latest start up; only an order
-    whose rows can fall short of rank m+1 is eliminated exactly (yielding
-    c).  Returns ``None`` when no order <= max_order has an earliest start
-    N <= max(1, L//3) with at least max_order + 2 instances r = N..L-m;
-    raises ``InsufficientDataError`` when fewer than 2 * max_order + 2
+    whose rows can fall short of rank m+1 is scanned exactly: its rows are
+    eliminated up to rank m, c is read off that echelon once, and each
+    lower row is tested by a dot product with c.  Returns ``None`` when
+    no order <= max_order has an earliest start N <= max(1, L//3) with at
+    least max_order + 2 instances r = N..L-m; raises
+    ``InsufficientDataError`` when fewer than 2 * max_order + 2
     coefficients are supplied.
     """
     if max_order < 0:
@@ -114,26 +117,18 @@ def detect_recurrence(
         if all(profile[h + t] > t for t in range(m + 1)):
             continue  # those rows have rank m+1 mod P, so over Q: the scan fails m
         echelon = linalg.RowEchelon()
-        c = cint = None
-        start = 1
-        for r in range(L - m, 0, -1):
-            row = window[r : r + m + 1]
-            if c is None and echelon.rank == m and r < latest:
-                c = echelon.kernel(m + 1)[0]
-                cint = _cleared(c)[1]  # primitive: c has an entry 1
-            if c is None:
-                echelon.add(row)
-                filled = echelon.rank > m
-            else:
-                filled = sum(a * b for a, b in zip(cint, row)) != 0
-            if filled:
-                start = r + 1
-                break
+        r = L - m
+        while r and echelon.rank < m:  # no row can fill rank m+1 here
+            echelon.add(window[r : r + m + 1])
+            r -= 1
+        c = echelon.kernel(m + 1)[0]
+        cint = _cleared(c)[1]  # primitive: c has an entry 1
+        # at rank m the rows span exactly the vectors that c kills
+        start = 1 + next(
+            (s for s in range(r, 0, -1) if sum(map(mul, cint, window[s : s + m + 1]))), 0
+        )
         if start > latest:
             continue
-        if c is None:
-            c = echelon.kernel(m + 1)[0]
-            cint = _cleared(c)[1]
         recovered = _witnessed_fn(window, cint, start)
         return RecurrenceWitness(c=c, tail_start=start, recovered=recovered)
     return None

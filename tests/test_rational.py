@@ -550,6 +550,21 @@ class TestReferenceOracles:
             parsed += isinstance(got, RationalFn)
         assert parsed > 100
 
+    def test_random_strings_match_fraction_parser(self):
+        # any string over the parser's tokens, decimal and non-decimal
+        # digits, a letter and three kinds of space: equal value or error text
+        rng = random.Random(14)
+        tokens = [*"()+-*/^uu", "1", "2", "0", "37", " "]
+        rare = ["\u0661", "\u00b2", "x", "\t", "\x1c"]
+        parsed = 0
+        for _ in range(20000):
+            n = rng.randint(0, 12)
+            text = "".join(rng.choice(rare if rng.random() < 0.03 else tokens) for _ in range(n))
+            got = _outcome(parse_rational_fn, text)
+            assert got == _outcome(_reference_parse, text), text
+            parsed += isinstance(got, RationalFn)
+        assert parsed > 100
+
     def test_sturm_chain_matches_remainders_over_q(self):
         rng = random.Random(10)
         for i in range(360):

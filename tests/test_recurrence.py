@@ -294,8 +294,22 @@ class TestAgainstReferenceScan:
         assert witnesses >= 30
 
 
+@pytest.fixture
+def built(monkeypatch):
+    """The number of RowEchelons built, in a one-element list."""
+    count = [0]
+
+    class Counting(linalg.RowEchelon):
+        def __init__(self):
+            super().__init__()
+            count[0] += 1
+
+    monkeypatch.setattr(linalg, "RowEchelon", Counting)
+    return count
+
+
 class TestNullspaceCalls:
-    """detect_recurrence reads one kernel, off its own echelon, per witness."""
+    """detect_recurrence reads one kernel, off its own echelon, per order the profile admits."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -327,22 +341,35 @@ class TestNullspaceCalls:
         assert len(detect_recurrence(tail, max_order=2).c) == 3
         assert calls == {"kernel": 1, "nullspace": 0}
 
-    def test_no_call_on_an_order_that_fails_exactly(self, calls, monkeypatch):
+    def test_one_call_per_order_that_fails_exactly(self, calls, built):
         # The same tail times P: every image mod P is 0, so all three orders
-        # run the exact scan.  Order 0 is filled at r = 12; order 1 has rank
-        # 1 from r = 11 and is filled by the row r = 4 = latest while still
-        # eliminated, so neither reads its kernel; only order 2 does.
-        built = [0]
-
-        class Counting(linalg.RowEchelon):
-            def __init__(self):
-                super().__init__()
-                built[0] += 1
-
-        monkeypatch.setattr(linalg, "RowEchelon", Counting)
+        # run the exact scan, and each reads its kernel once.  Order 0 reads
+        # it before any row, and r = 12 is not killed; order 1 reads it at
+        # rank 1 from r = 11, and r = 4 = latest is not killed; order 2 wins.
         tail = [_PRIME * x for x in [1, 1, 1, 1] + [2**r for r in range(5, 13)]]
         assert len(detect_recurrence(tail, max_order=2).c) == 3
-        assert (built, calls) == ([3], {"kernel": 1, "nullspace": 0})
+        assert (built, calls) == ([3], {"kernel": 3, "nullspace": 0})
+
+    def test_no_row_added_at_rank_m(self, calls, built, monkeypatch):
+        # (u+3)(u+5)/((u+1)(u+2)) at max_order 12 reaches rank 2 at r = 23
+        # of L = 26, well above latest = 8: every lower row is a dot product
+        late = []
+
+        def add(self, row, _inner=linalg.RowEchelon.add):
+            if self.rank >= len(row) - 1:
+                late.append(row)
+            _inner(self, row)
+
+        monkeypatch.setattr(linalg.RowEchelon, "add", add)
+        f = parse_rational_fn("(u+3)(u+5)/((u+1)(u+2))")
+        cases = [(_tail_of(f, 26), 12), *_reference_tails(), *_certificate_tails()]
+        for tail, max_order in cases:
+            if len(tail) < 2 * max_order + 2:
+                continue
+            built[0] = calls["kernel"] = 0
+            detect_recurrence(tail, max_order)
+            assert late == [], (tail, max_order)
+            assert calls["kernel"] == built[0], (tail, max_order)
 
 
 def _certificate_tail(rng, kind, n):
@@ -385,18 +412,6 @@ class TestRankCertificate:
         monkeypatch.setattr(recurrence, "_complexity_profile", recording)
         return seen
 
-    @pytest.fixture
-    def built(self, monkeypatch):
-        count = [0]
-
-        class Counting(linalg.RowEchelon):
-            def __init__(self):
-                super().__init__()
-                count[0] += 1
-
-        monkeypatch.setattr(linalg, "RowEchelon", Counting)
-        return count
-
     def test_seeded_tails_from_every_family(self, profiles, built):
         rng = random.Random(12)
         outcomes = {kind: set() for kind in self.FAMILIES}
@@ -429,19 +444,20 @@ class TestRankCertificate:
 
     def test_scanned_orders_are_those_short_of_rank_mod_p(self, monkeypatch):
         # the profile admits order m iff rows latest..L-m of the integer
-        # window have rank <= m mod P, by _rank_mod_p on those very rows
-        scanned = set()
+        # window have rank <= m mod P, by _rank_mod_p on those very rows;
+        # each admitted order reads one kernel, in ascending order
+        scanned = []
 
-        def add(self, row, _inner=linalg.RowEchelon.add):
-            scanned.add(len(row) - 1)
-            _inner(self, row)
+        def kernel(self, ncols, _inner=linalg.RowEchelon.kernel):
+            scanned.append(ncols - 1)
+            return _inner(self, ncols)
 
         cases = [
             (tail, max_order, _reference_detect(tail, max_order))
             for tail, max_order in [*_certificate_tails(), *_reference_tails()]
             if len(tail) >= 2 * max_order + 2
         ]
-        monkeypatch.setattr(linalg.RowEchelon, "add", add)
+        monkeypatch.setattr(linalg.RowEchelon, "kernel", kernel)
         admitted = skipped = 0
         for tail, max_order, found in cases:
             window = _cleared([Fraction(1), *map(Fraction, tail)])[1]
@@ -454,7 +470,7 @@ class TestRankCertificate:
                     short.append(m)
             scanned.clear()
             detect_recurrence(tail, max_order)
-            assert sorted(scanned) == short, (tail, max_order)
+            assert scanned == short, (tail, max_order)
             admitted += len(short)
             skipped += (len(found.c) if found else max_order + 1) - len(short)
         assert admitted > 300 and skipped > 300
